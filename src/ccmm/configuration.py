@@ -216,7 +216,10 @@ class CoherentConfiguration:
             raise ValueError("negative class id")
         present = np.unique(matrix)
         r = int(matrix.max()) + 1 if rank is None else rank
-        if len(present) != r or int(present[-1]) != r - 1:
+        if int(present[-1]) >= r:
+            outside = present[present >= r].tolist()
+            raise ValueError("class ids %s outside [0,%d)" % (outside, r))
+        if len(present) != r:
             missing = sorted(set(range(r)) - set(present.tolist()))
             raise ValueError("class ids not onto [0,%d): missing %s" % (r, missing))
         perm = _normalization_perm(matrix, r)
@@ -339,6 +342,7 @@ class IntersectionTensor:
         self.sizes = sizes
         self._slices = slices
         self.n_points = n_points
+        self._arrays = None
 
     def p(self, i, j, k):
         return self._slices.get((i, j), {}).get(k, 0)
@@ -353,6 +357,14 @@ class IntersectionTensor:
         for (i, j), ks in self._slices.items():
             for k, p in ks.items():
                 yield i, j, k, p
+
+    def arrays(self):
+        """The nonzero entries as four int64 arrays i, j, k, p (computed
+        once)."""
+        if self._arrays is None:
+            flat = np.array(list(self.iter_nonzero()), dtype=np.int64)
+            self._arrays = tuple(flat.reshape(-1, 4).T.copy())
+        return self._arrays
 
     def dense(self):
         if self.rank > DENSE_TENSOR_CAP:

@@ -1,13 +1,25 @@
 """Adjacency-algebra decomposition: regular representation, exact rational
 center, and character degrees d_1..d_t with sum of squares exactly r.
 
-The center is found by exact rational linear algebra on the commutator
-system. Only the eigen-decomposition of one generic central element is
-floating point; eigenvalues are clustered at 1e-8 * norm and idempotent
-residuals must stay below 1e-6. The generic element is Hermitian rather
-than real symmetric: a real symmetric central element takes equal values
-on complex-conjugate character pairs (already for the Z/5 scheme), so no
-seed retry could ever separate them, while generic Hermitian elements do."""
+Every reported degree is exact and independent of the seed. The center is
+the kernel of the commutator system of two random algebra elements, solved
+modulo 31-bit primes and lifted to rationals by rational reconstruction.
+A lifted basis is returned only after an exact check against every
+generator. The degrees come from two Gram matrices on the center
+basis b_1..b_t: T_ab = tau(b_a b_b), with tau the trace of the regular
+representation, and E_ab = the trace of multiplication by b_a b_b on the
+center. The number of components of degree d is t - rank(T - d^2 E).
+These ranks are taken modulo a prime, which can only undercount them, so
+the counts are certified by summing to t (and their squares to r).
+
+Floating point is only a cross-check that reports its residual. One seeded
+generic Hermitian central element is diagonalized; its eigenspace clusters
+give the central primitive idempotents e_s, and d_s^2 is the rank of the
+regular representation of e_s. Eigenvalues are clustered at 1e-8 * norm and
+idempotent residuals must stay below 1e-6. The element is Hermitian rather
+than real symmetric: a real symmetric central element takes equal values on
+complex-conjugate character pairs (already for the Z/5 scheme), so it could
+never separate them, while generic Hermitian elements do."""
 
 from __future__ import annotations
 
@@ -19,12 +31,16 @@ from fractions import Fraction
 import numpy as np
 
 SPECTRAL_CAP = 2000
+# 31-bit primes: products of two residues fit in int64. Attempt a of the
+# center and of the degree count works modulo PRIMES[a].
+PRIMES = (2**31 - 1, 2147483629, 2147483587, 2147483579)
 
 
 class DegreeComputationError(Exception):
     """Decomposition failed validation; carries the residual diagnostics.
     The adjacency algebra is always semisimple, so reaching this is
-    evidence of a bug, not of bad input."""
+    evidence of a bug, or of a center basis whose reduced echelon entries
+    are fractions beyond the reconstruction bound of about 2^61."""
 
     def __init__(self, message, residual):
         super().__init__(message)
@@ -34,66 +50,81 @@ class DegreeComputationError(Exception):
 def regular_representation(config):
     """The r x r integer matrices (L_i)[k, j] = p^k_{i,j}; i -> L_i is an
     exact algebra homomorphism."""
-    t = config.intersection()
+    i, j, k, p = config.intersection().arrays()
     r = config.rank
-    out = []
-    for i in range(r):
-        L = np.zeros((r, r), dtype=np.int64)
-        for j in range(r):
-            for k, p in t.slice(i, j).items():
-                L[k, j] = p
-        out.append(L)
-    return out
+    L = np.zeros((r, r, r), dtype=np.int64)
+    np.add.at(L, (i, k, j), p)
+    return list(L)
 
 
-def _commutator_rows(config, j):
-    """Rows of the exact center system for generator j: entry [k, i] is
-    p^k_{i,j} - p^k_{j,i}. Central vectors x satisfy D_j x = 0 for all j."""
-    t = config.intersection()
-    r = config.rank
-    D = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        for k, p in t.slice(i, j).items():
-            D[k, i] += p
-        for k, p in t.slice(j, i).items():
-            D[k, i] -= p
-    return D
+# -- exact integer and modular linear algebra --------------------------------
 
 
-def _fraction_kernel(rows, width):
-    """Kernel basis of an iterable of integer/Fraction rows, as a list of
-    Fraction vectors of the given width. Gauss-Jordan (reduced echelon),
-    exact; the kernel formula below needs pivot columns cleared everywhere."""
-    echelon = []  # (pivot_col, row) with row[pivot_col] == 1
-    for raw in rows:
-        row = [Fraction(v) for v in raw]
-        for pc, er in echelon:
-            if row[pc]:
-                f = row[pc]
-                for c in range(width):
-                    row[c] -= f * er[c]
-        pivot = next((c for c in range(width) if row[c]), None)
-        if pivot is None:
+def _max_abs(A):
+    return int(np.abs(A).max(initial=0))
+
+
+def _int_array(rows):
+    """Integer rows as int64 when safely below overflow, Python ints
+    otherwise."""
+    A = np.array(rows, dtype=object)
+    return A.astype(np.int64) if _max_abs(A) < 2**62 else A
+
+
+def _exact_matmul(A, B):
+    """A @ B in exact integers: int64 when no partial sum can overflow,
+    Python ints otherwise."""
+    if A.shape[-1] * _max_abs(A) * _max_abs(B) < 2**62:
+        return A.astype(np.int64) @ B.astype(np.int64)
+    return A.astype(object) @ B.astype(object)
+
+
+def _rref_mod(M, prime):
+    """Reduced row echelon form of an integer matrix over F_prime: the
+    nonzero rows and their pivot columns."""
+    M = (np.asarray(M) % prime).astype(np.int64)
+    rows, cols = M.shape
+    pivots = []
+    for c in range(cols):
+        row = len(pivots)
+        if row == rows:
+            break
+        hits = np.flatnonzero(M[row:, c])
+        if hits.size == 0:
             continue
-        inv = row[pivot]
-        row = [v / inv for v in row]
-        for pc, er in echelon:
-            if er[pivot]:
-                f = er[pivot]
-                for c in range(width):
-                    er[c] -= f * row[c]
-        echelon.append((pivot, row))
-    echelon.sort()
-    pivots = [pc for pc, _ in echelon]
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for pc, er in echelon:
-            vec[pc] = -er[fc]
-        basis.append(vec)
-    return basis
+        piv = row + int(hits[0])
+        if piv != row:
+            M[[row, piv]] = M[[piv, row]]
+        # columns left of c are zero in this row, so only c: changes
+        M[row, c:] = M[row, c:] * pow(int(M[row, c]), -1, prime) % prime
+        col = M[:, c].copy()
+        col[row] = 0
+        hits = np.flatnonzero(col)
+        if hits.size:
+            M[hits, c:] = (M[hits, c:] - col[hits, None] * M[row, c:]) % prime
+        pivots.append(c)
+    return M[: len(pivots)], pivots
+
+
+def _crt(residues, modulus, R, prime):
+    """The residues modulo modulus * prime that are residues modulo modulus
+    and R modulo prime (Chinese remainder theorem), as Python ints."""
+    step = (R.astype(object) - residues) % prime * pow(modulus, -1, prime) % prime
+    return residues + modulus * step
+
+
+def _lift(u, m):
+    """The fraction a/b = u (mod m) with |a|, b <= sqrt(m/2), or None.
+    Such a fraction is unique when it exists."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def _integerize(vec):
@@ -110,50 +141,116 @@ def _integerize(vec):
     return ints
 
 
-def _exact_product(D, basis):
-    """D @ basis^T with exact integer arithmetic. int64 when safely below
-    overflow, Python ints otherwise."""
-    B = np.array(basis, dtype=object)
-    bound = D.shape[1] * int(np.abs(D).max(initial=0)) * max(
-        (abs(v) for row in basis for v in row), default=0
-    )
-    if bound < 2**62:
-        return (D @ np.array(basis, dtype=np.int64).T).tolist()
-    return np.dot(D.astype(object), B.T).tolist()
+def _kernel_vectors(R, pivots, width, modulus):
+    """Integer kernel basis of the RREF matrix R modulo modulus, lifted to
+    the rationals entry by entry and scaled to coprime integers; None when
+    an entry has no small rational lift. Vector f has its last nonzero entry
+    in free column f and zeros in the other free columns."""
+    pivot_set = set(pivots)
+    lifts = {}
+    basis = []
+    for f in (c for c in range(width) if c not in pivot_set):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for row, pc in enumerate(pivots):
+            u = -int(R[row, f]) % modulus
+            if u not in lifts:
+                lifts[u] = _lift(u, modulus)
+            if lifts[u] is None:
+                return None
+            vec[pc] = lifts[u]
+        basis.append(_integerize(vec))
+    return basis
+
+
+# -- center ------------------------------------------------------------------
+
+
+def _class_products(nz, r, n, B, left):
+    """Products of each basis row b with every class: entry [i*r + k, b] is
+    the A_k coefficient of A_i b when left, and of b A_i otherwise."""
+    i, j, k, p = nz
+    if not left:
+        i, j = j, i
+    # entries are at most max|b| * sum_j p^k_{i,j} <= max|b| * n
+    dtype = np.int64 if _max_abs(B) * n < 2**62 else object
+    Y = np.zeros((r * r, B.shape[0]), dtype=dtype)
+    np.add.at(Y, i * r + k, B.T.astype(dtype)[j] * p[:, None].astype(dtype))
+    return Y
+
+
+def _free_columns(B):
+    """The last nonzero column of each row of B, or None unless those
+    columns are distinct and B is zero in them off the diagonal (which
+    makes the rows independent)."""
+    free = []
+    for row in B:
+        hits = np.flatnonzero(row)
+        if hits.size == 0:
+            return None
+        free.append(int(hits[-1]))
+    sub = B[:, free]
+    if not np.array_equal(sub, np.diag(np.diagonal(sub))):
+        return None
+    return free
+
+
+def _commutator_system(nz, r, x, y, prime):
+    """Rows [D_x; D_y] over F_prime, with D_a[k, i] the A_k coefficient of
+    A_i a - a A_i; central vectors lie in its kernel. One add.at pass."""
+    i, j, k, p = nz
+    rows = np.concatenate([k, k, k + r, k + r])
+    cols = np.concatenate([i, j, i, j])
+    vals = np.concatenate([x[j] * p, -x[i] * p, y[j] * p, -y[i] * p])
+    D = np.zeros((2 * r, r), dtype=np.int64)
+    np.add.at(D, (rows, cols), vals % prime)
+    return D % prime
 
 
 def center_basis(config):
     """Exact basis of the center of the adjacency algebra, as integer
-    coefficient vectors over the class basis. Constraints are added one
-    generator at a time, shrinking the running kernel; the final basis is
-    re-checked against every generator."""
+    coefficient vectors over the class basis.
+
+    Attempt a solves the commutator system of two elements drawn from
+    random.Random(a) modulo PRIMES[a]. Attempts with the same pivot columns
+    are combined by the Chinese remainder theorem, so the rational lift
+    recovers entries up to about 2^15 after one attempt and 2^61 after
+    four. An attempt with more pivots starts the combination afresh and
+    one with fewer is skipped: its elements or its prime were unlucky. A
+    lift is returned only when it is certified complete: its vectors are
+    independent, each commutes exactly with every class, and their number
+    equals the kernel dimension modulo the primes, which is at least the
+    center's dimension."""
     r = config.rank
-    basis = [[1 if c == b else 0 for c in range(r)] for b in range(r)]
-    for j in range(r):
-        D = _commutator_rows(config, j)
-        if not D.any():
+    nz = config.intersection().arrays()
+    best, residues, modulus = None, None, 1
+    for attempt, prime in enumerate(PRIMES):
+        rnd = random.Random(attempt)
+        xy = np.array([rnd.randrange(prime) for _ in range(2 * r)], dtype=np.int64)
+        R, pivots = _rref_mod(_commutator_system(nz, r, xy[:r], xy[r:], prime), prime)
+        if pivots == best:
+            residues, modulus = _crt(residues, modulus, R, prime), modulus * prime
+        elif best is None or len(pivots) >= len(best):
+            best, residues, modulus = pivots, R, prime
+        else:
             continue
-        # restrict D to the current kernel: M[k, b] = (D @ basis_b)[k]
-        M = _exact_product(D, basis)
-        combos = _fraction_kernel(M, len(basis))
-        basis = [
-            _integerize(
-                [
-                    sum(combo[b] * basis[b][c] for b in range(len(basis)))
-                    for c in range(r)
-                ]
-            )
-            for combo in combos
-        ]
-        if not basis:
-            raise DegreeComputationError("empty center", residual=None)
-    # exact re-validation against all generators
-    for j in range(r):
-        D = _commutator_rows(config, j)
-        for row in _exact_product(D, basis):
-            if any(row):
-                raise AssertionError("center candidate fails generator %d" % j)
-    return basis
+        basis = _kernel_vectors(residues, pivots, r, modulus)
+        if basis is None or len(basis) != r - len(pivots):
+            continue
+        B = _int_array(basis)
+        if _free_columns(B) is None:
+            continue
+        if np.array_equal(
+            _class_products(nz, r, config.n_points, B, left=True),
+            _class_products(nz, r, config.n_points, B, left=False),
+        ):
+            return basis
+    raise DegreeComputationError(
+        "no certified center basis in %d attempts" % len(PRIMES), None
+    )
+
+
+# -- degrees -----------------------------------------------------------------
 
 
 @dataclass
@@ -165,14 +262,109 @@ class DegreeProfile:
         return iter(self.degrees)
 
 
-def _cluster(vals, tol):
-    groups = [[0]]
-    for idx in range(1, len(vals)):
-        if vals[idx] - vals[idx - 1] > tol:
-            groups.append([idx])
-        else:
-            groups[-1].append(idx)
-    return groups
+def _degree_counts(T, G, s, r, prime):
+    """Components per degree d from t - rank(T - d^2 E) over F_prime, where
+    E_ab = sum_c gamma^c_ab w_c, gamma^c_ab = G[a, c, b] / s_c and
+    w_c = sum_d gamma^d_cd. None when the prime divides a scale s_c."""
+    if any(v % prime == 0 for v in s):
+        return None
+    inv = np.array([pow(int(v), -1, prime) for v in s], dtype=np.int64)
+    Gp = np.array(G % prime, dtype=np.int64)
+    t = len(s)
+    w = (np.diagonal(Gp, axis1=1, axis2=2) * inv % prime).sum(axis=1) % prime
+    E = (Gp * (w * inv % prime)[None, :, None] % prime).sum(axis=1) % prime
+    Tp = np.array(T % prime, dtype=np.int64)
+    return {
+        d: t - len(_rref_mod((Tp - d * d * E) % prime, prime)[1])
+        for d in range(1, math.isqrt(r) + 1)
+    }
+
+
+def _exact_degrees(config, basis):
+    """Sorted character degrees from a certified center basis, by ranks of
+    the Gram matrices T and E (see the module docstring) modulo a prime.
+    A rank modulo a prime never exceeds the rational rank, so every count
+    is at least the true one; counts that sum to t are therefore exact."""
+    r = config.rank
+    nz = config.intersection().arrays()
+    i, j, k, p = nz
+    B = _int_array(basis)
+    t = len(basis)
+    free = _free_columns(B)
+    Y = _class_products(nz, r, config.n_points, B, left=True)
+    # prods[a, k, b]: the A_k coefficient of b_a b_b
+    prods = _exact_matmul(B, Y.reshape(r, r * t)).reshape(t, r, t)
+    tau = np.zeros(r, dtype=np.int64)  # tau_i = trace of L_i
+    np.add.at(tau, i[j == k], p[j == k])
+    T = _exact_matmul(prods.transpose(0, 2, 1).reshape(t * t, r), tau[:, None])
+    T = T.reshape(t, t)
+    G = prods[:, free, :]  # coordinates of b_a b_b, times s_c
+    s = [int(B[c, f]) for c, f in enumerate(free)]
+    for prime in PRIMES:
+        counts = _degree_counts(T, G, s, r, prime)
+        if counts is None:
+            continue
+        if sum(counts.values()) == t:
+            if sum(c * d * d for d, c in counts.items()) != r:
+                raise DegreeComputationError(
+                    "degree counts %s miss rank %d" % (counts, r), None
+                )
+            return tuple(d for d in sorted(counts) for _ in range(counts[d]))
+    raise DegreeComputationError(
+        "degree counts did not certify modulo any of %d primes" % len(PRIMES),
+        None,
+    )
+
+
+def _float_degrees(config, basis, seed, cluster_tol):
+    """Floating-point degree profile for cross-checking: sorted degrees (or
+    None when a cluster dimension is no square) and the idempotent residual
+    max(|e^2 - e|, |sum e - I|)."""
+    r = config.rank
+    n = config.n_points
+    M = config.matrix
+    i, j, k, p = config.intersection().arrays()
+    sizes = config.class_sizes()
+    rnd = random.Random(seed)
+    coef = np.array(
+        [[rnd.randint(1, 1 << 20) for _ in range(2)] for _ in basis],
+        dtype=np.float64,
+    ) / (1 << 10)
+    Bf = np.array(basis, dtype=np.float64)
+    sym = (coef[:, 0] @ Bf)[M]
+    skew = (coef[:, 1] @ Bf)[M]
+    H = (sym + sym.T) + 1j * (skew - skew.T)
+    scale = max(float(np.abs(H).max()), 1.0)
+    vals, vecs = np.linalg.eigh(H)
+    degrees = []
+    residual = 0.0
+    total = np.zeros((n, n), dtype=np.complex128)
+    flat = M.ravel()
+    lk = k * r + j
+    cuts = np.flatnonzero(np.diff(vals) > cluster_tol * scale) + 1
+    for grp in np.split(np.arange(n), cuts):
+        V = vecs[:, grp]
+        e = V @ V.conj().T
+        total += e
+        residual = max(residual, float(np.abs(e @ e - e).max()))
+        # e = sum_c c_c A_c, and L_e[k, j] = sum_i c_i p^k_{i,j}
+        c = (
+            np.bincount(flat, weights=e.real.ravel(), minlength=r)
+            + 1j * np.bincount(flat, weights=e.imag.ravel(), minlength=r)
+        ) / sizes
+        w = c[i] * p
+        L = (
+            np.bincount(lk, weights=w.real, minlength=r * r)
+            + 1j * np.bincount(lk, weights=w.imag, minlength=r * r)
+        ).reshape(r, r)
+        sv = np.linalg.svd(L, compute_uv=False)
+        dim = int((sv > cluster_tol * max(float(sv[0]), 1.0)).sum())
+        d = math.isqrt(dim)
+        degrees.append(d if d >= 1 and d * d == dim else None)
+    residual = max(residual, float(np.abs(total - np.eye(n)).max()))
+    if None in degrees:
+        return None, residual
+    return tuple(sorted(degrees)), residual
 
 
 def character_degrees(
@@ -181,13 +373,14 @@ def character_degrees(
     cluster_tol=1e-8,
     idem_tol=1e-6,
     cap=SPECTRAL_CAP,
-    max_retries=8,
 ):
-    """Character degrees of the adjacency algebra: exact center, then one
-    seeded generic Hermitian central element is diagonalized; eigenspace
-    clusters give the central primitive idempotents e_s, and d_s is the
-    square root of dim(e_s * algebra). Fails hard unless sum d_s^2 = r
-    exactly and every numerical residual stays within tolerance."""
+    """Character degrees of the adjacency algebra, exact and certified
+    (see the module docstring), then cross-checked in floating point. The
+    seed steers the random central element of the cross-check; the degrees
+    do not depend on it. A cross-check that disagrees, as when two
+    eigenvalues of that element fall within cluster_tol of each other, is
+    repeated once with seed + 1. Fails hard unless the cross-check agrees
+    and its residual stays within idem_tol."""
     r = config.rank
     if r > cap:
         raise ValueError("rank %d exceeds spectral cap %d" % (r, cap))
@@ -197,66 +390,23 @@ def character_degrees(
             % config.n_points
         )
     basis = center_basis(config)
-    t = len(basis)
-    adj = [config.adjacency_matrix(i).astype(np.float64) for i in range(r)]
-    n = config.n_points
-    centers = []
-    for vec in basis:
-        Z = np.zeros((n, n))
-        for i, coef in enumerate(vec):
-            if coef:
-                Z += float(coef) * adj[i]
-        centers.append(Z)
-    last_residual = None
-    for attempt in range(max_retries):
-        rnd = random.Random(seed + attempt)
-        H = np.zeros((n, n), dtype=np.complex128)
-        for Z in centers:
-            c = Fraction(rnd.randint(1, 1 << 20), 1 << 10)
-            d = Fraction(rnd.randint(1, 1 << 20), 1 << 10)
-            H += float(c) * (Z + Z.T)
-            H += 1j * float(d) * (Z - Z.T)
-        scale = max(float(np.abs(H).max()), 1.0)
-        vals, vecs = np.linalg.eigh(H)
-        groups = _cluster(vals, cluster_tol * scale)
-        if len(groups) != t:
-            continue  # eigenvalue collision; retry with the next seed
-        degrees = []
-        residual = 0.0
-        ok = True
-        total = np.zeros((n, n), dtype=np.complex128)
-        for grp in groups:
-            V = vecs[:, grp]
-            e = V @ V.conj().T
-            total += e
-            residual = max(
-                residual, float(np.abs(e @ e - e).max())
-            )
-            stack = np.stack([(e @ A).reshape(-1) for A in adj])
-            sv = np.linalg.svd(stack, compute_uv=False)
-            dim = int((sv > cluster_tol * max(float(sv[0]), 1.0)).sum())
-            d = round(dim**0.5)
-            if d < 1 or d * d != dim:
-                ok = False
-                break
-            degrees.append(d)
-        residual = max(
-            residual, float(np.abs(total - np.eye(n)).max())
+    degrees = _exact_degrees(config, basis)
+    for s in (seed, seed + 1):
+        check, residual = _float_degrees(config, basis, s, cluster_tol)
+        if check == degrees:
+            break
+    else:
+        raise DegreeComputationError(
+            "floating-point cross-check %s disagrees with exact degrees %s"
+            % (check, degrees),
+            residual,
         )
-        last_residual = residual
-        if not ok or residual > idem_tol:
-            continue
-        if sum(d * d for d in degrees) != r:
-            raise DegreeComputationError(
-                "sum of squared degrees %s misses rank %d"
-                % (sorted(degrees), r),
-                residual,
-            )
-        return DegreeProfile(tuple(sorted(degrees)), residual)
-    raise DegreeComputationError(
-        "no seed in %d attempts gave a clean decomposition" % max_retries,
-        last_residual,
-    )
+    if residual > idem_tol:
+        raise DegreeComputationError(
+            "idempotent residual %.3e exceeds %.1e" % (residual, idem_tol),
+            residual,
+        )
+    return DegreeProfile(degrees, residual)
 
 
 def max_degree_lower_bound_check(config, profile=None):

@@ -352,6 +352,15 @@ def test_missing_file_is_exit_two(capsys):
     assert rc == 2
 
 
+def test_class_id_above_declared_rank_is_exit_two(tmp_path, capsys):
+    cc = tmp_path / "bad.ccfg"
+    cc.write_text("ccfg 1\npoints 2 classes 2\n0 1\n7 0\n")
+    rc, out, err = run(capsys, "info", str(cc))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: class ids [7] outside [0,2)\n"
+
+
 def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         # argparse may raise before main()'s guard on some paths; accept both

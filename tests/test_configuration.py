@@ -108,6 +108,13 @@ def test_input_validation():
         CoherentConfiguration.from_class_matrix([[0.5, 1], [1, 0.5]])
 
 
+def test_class_ids_above_declared_rank_are_named():
+    with pytest.raises(ValueError, match=r"class ids \[3, 5\] outside \[0,2\)"):
+        CoherentConfiguration.from_class_matrix([[0, 3], [5, 0]], rank=2)
+    with pytest.raises(ValueError, match=r"missing \[1\]"):
+        CoherentConfiguration.from_class_matrix([[0, 2], [2, 0]], rank=3)
+
+
 def test_point_cap_enforced():
     with pytest.raises(ValueError):
         CoherentConfiguration.from_class_matrix(

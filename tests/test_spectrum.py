@@ -5,8 +5,12 @@ implementation ran: representation theory of small symmetric groups
 (classical character tables), the block structure of full matrix algebras,
 and a float null-space oracle for center dimensions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from corpus import corpus
 
 from ccmm.configuration import CoherentConfiguration
 from ccmm.constructions import (
@@ -19,8 +23,15 @@ from ccmm.constructions import (
 )
 from ccmm.groups import CyclicGroup, SymmetricGroup
 from ccmm.realization import diagonal_action
+from ccmm import spectrum
 from ccmm.spectrum import (
+    PRIMES,
     DegreeComputationError,
+    _exact_degrees,
+    _float_degrees,
+    _kernel_vectors,
+    _lift,
+    _rref_mod,
     center_basis,
     character_degrees,
     max_degree_lower_bound_check,
@@ -109,29 +120,70 @@ def test_regular_representation_of_identity_class():
 # -- exact linear algebra ----------------------------------------------------
 
 
+def fraction_kernel(m):
+    """Kernel over the rationals of an integer matrix: RREF modulo a prime,
+    then rational reconstruction, as the center computation does it."""
+    m = np.array(m, dtype=np.int64)
+    R, pivots = _rref_mod(m, PRIMES[0])
+    return _kernel_vectors(R, pivots, m.shape[1], PRIMES[0])
+
+
 def test_fraction_kernel_needs_back_substitution():
     # regression: overlapping pivot columns, kernel is span{(1, -1, 1)}
-    from ccmm.spectrum import _fraction_kernel
-
-    basis = _fraction_kernel([[1, 1, 0], [0, 1, 1]], 3)
+    m = [[1, 1, 0], [0, 1, 1]]
+    basis = fraction_kernel(m)
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == v[2] == -v[1]
+    assert (np.array(m) @ np.array(v) == 0).all()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fraction_kernel_random_matrices(seed):
-    from ccmm.spectrum import _fraction_kernel
-
     rng = np.random.default_rng(seed)
     m = rng.integers(-3, 4, size=(6, 5))
-    basis = _fraction_kernel(m.tolist(), 5)
+    basis = fraction_kernel(m)
     # dimension agrees with a float rank oracle
     assert len(basis) == 5 - np.linalg.matrix_rank(m)
     # every basis vector is annihilated exactly
     for vec in basis:
         for row in m:
             assert sum(int(a) * b for a, b in zip(row, vec)) == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fraction_kernel_of_rank_deficient_matrices(seed):
+    # products of thin factors have kernels with fractional RREF entries
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-3, 4, size=(6, 3)) @ rng.integers(-3, 4, size=(3, 7))
+    basis = fraction_kernel(m)
+    assert len(basis) == 7 - np.linalg.matrix_rank(m)
+    for vec in basis:
+        assert all(sum(int(a) * b for a, b in zip(row, vec)) == 0 for row in m)
+
+
+def test_kernel_lift_combines_primes():
+    # the kernel entry -99991/100003 is too tall to lift modulo one 31-bit
+    # prime, but lifts modulo the product of two
+    m = np.array([[100003, 99991]])
+    R0, pivots = _rref_mod(m, PRIMES[0])
+    R1, pivots1 = _rref_mod(m, PRIMES[1])
+    assert pivots == pivots1
+    one = _kernel_vectors(R0, pivots, 2, PRIMES[0])
+    assert one is None or (m @ np.array(one[0], dtype=object) != 0).any()
+    R = spectrum._crt(R0, PRIMES[0], R1, PRIMES[1])
+    assert (R % PRIMES[0] == R0).all() and (R % PRIMES[1] == R1).all()
+    basis = _kernel_vectors(R, pivots, 2, PRIMES[0] * PRIMES[1])
+    assert basis == [[-99991, 100003]]
+
+
+def test_lift_recovers_small_fractions():
+    p = PRIMES[0]
+    for frac in [Fraction(0), Fraction(-1), Fraction(3, 7), Fraction(-22, 9)]:
+        u = frac.numerator * pow(frac.denominator, -1, p) % p
+        assert _lift(u, p) == frac
+    # residues of large fractions have no small lift
+    assert _lift(p // 3 + 12345, p) is None
 
 
 # -- exact center ----------------------------------------------------------
@@ -171,6 +223,86 @@ def test_center_identity_element_present():
     target = np.ones(cfg.rank)
     sol, *_ = np.linalg.lstsq(basis.T, target, rcond=None)
     assert np.abs(basis.T @ sol - target).max() < 1e-9
+
+
+def test_tall_center_entries_combine_primes(monkeypatch):
+    # with no lift modulo a single prime, as for a center whose echelon
+    # entries are tall fractions, the next attempt lifts modulo two primes
+    cfg = diag_config(3)
+    want = center_basis(cfg)
+    real = spectrum._lift
+    moduli = []
+
+    def lift(u, m):
+        moduli.append(m)
+        return None if m < 2**32 else real(u, m)
+
+    monkeypatch.setattr(spectrum, "_lift", lift)
+    assert center_basis(cfg) == want
+    assert max(moduli) == PRIMES[0] * PRIMES[1]
+
+
+def test_certificate_and_degrees_exact_beyond_int64():
+    # a center basis scaled past 2**62 takes the Python-int paths
+    cfg = group_scheme(SymmetricGroup(4))
+    big = [[v * 2**70 for v in row] for row in center_basis(cfg)]
+    nz = cfg.intersection().arrays()
+    B = spectrum._int_array(big)
+    left = spectrum._class_products(nz, cfg.rank, cfg.n_points, B, left=True)
+    right = spectrum._class_products(nz, cfg.rank, cfg.n_points, B, left=False)
+    assert left.dtype == object
+    assert np.array_equal(left, right)
+    assert _exact_degrees(cfg, big) == CLASSICAL_DEGREES["sym4"]
+
+
+def _corrupting(monkeypatch, corrupt, times):
+    """Make the first `times` lifted center candidates wrong; count calls."""
+    real = spectrum._kernel_vectors
+    calls = []
+
+    def wrapped(*args):
+        basis = real(*args)
+        calls.append(basis)
+        if len(calls) <= times:
+            basis = corrupt([row[:] for row in basis])
+        return basis
+
+    monkeypatch.setattr(spectrum, "_kernel_vectors", wrapped)
+    return calls
+
+
+def _drop_last(basis):
+    return basis[:-1]
+
+
+def _perturb(basis):
+    # reweight one class inside a sum of conjugate classes: the vectors stay
+    # independent, so only the exact commutation check can reject them
+    row = next(row for row in basis if sum(1 for v in row if v) > 1)
+    row[next(c for c, v in enumerate(row) if v)] += 1
+    return basis
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last, _perturb])
+def test_wrong_center_candidate_is_retried(monkeypatch, corrupt):
+    cfg = group_scheme(SymmetricGroup(3))
+    want = center_basis(cfg)
+    calls = _corrupting(monkeypatch, corrupt, times=1)
+    assert center_basis(cfg) == want
+    assert len(calls) == 2
+    assert character_degrees(cfg).degrees == CLASSICAL_DEGREES["sym3"]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last, _perturb])
+def test_wrong_center_candidate_is_never_returned(monkeypatch, corrupt):
+    cfg = group_scheme(SymmetricGroup(3))
+    calls = _corrupting(monkeypatch, corrupt, times=2 * len(PRIMES))
+    with pytest.raises(DegreeComputationError):
+        center_basis(cfg)
+    assert len(calls) == len(PRIMES)
+    with pytest.raises(DegreeComputationError):
+        character_degrees(cfg)
+    assert len(calls) == 2 * len(PRIMES)
 
 
 # -- character degrees -----------------------------------------------------
@@ -266,6 +398,66 @@ def test_profile_iterates_degrees():
 def test_seed_changes_tolerated():
     cfg = group_scheme(SymmetricGroup(3))
     assert character_degrees(cfg, seed=5).degrees == (1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "cfg_factory",
+    [
+        lambda: group_scheme(SymmetricGroup(4)),
+        lambda: group_scheme(CyclicGroup(5)),
+        lambda: diag_config(3),
+        lambda: direct_product(trivial_configuration(2), group_scheme(CyclicGroup(3))),
+    ],
+)
+def test_degrees_do_not_depend_on_seed(cfg_factory):
+    cfg = cfg_factory()
+    profiles = {character_degrees(cfg, seed=s).degrees for s in range(5)}
+    assert len(profiles) == 1
+
+
+def test_exact_degrees_match_float_cross_check_on_corpus():
+    for name, cfg in corpus():
+        basis = center_basis(cfg)
+        exact = _exact_degrees(cfg, basis)
+        check, residual = _float_degrees(cfg, basis, 0, 1e-8)
+        assert check == exact, name
+        assert sum(d * d for d in exact) == cfg.rank, name
+        assert residual < 1e-6, name
+
+
+def _wrong_cross_checks(monkeypatch, times):
+    """Make the first `times` float cross-checks disagree; count calls."""
+    real = spectrum._float_degrees
+    calls = []
+
+    def wrapped(config, basis, seed, cluster_tol):
+        degrees, residual = real(config, basis, seed, cluster_tol)
+        calls.append(seed)
+        return (degrees[:-1] if len(calls) <= times else degrees), residual
+
+    monkeypatch.setattr(spectrum, "_float_degrees", wrapped)
+    return calls
+
+
+def test_disagreeing_cross_check_is_repeated_once(monkeypatch):
+    cfg = group_scheme(SymmetricGroup(3))
+    calls = _wrong_cross_checks(monkeypatch, times=1)
+    assert character_degrees(cfg, seed=3).degrees == (1, 1, 2)
+    assert calls == [3, 4]
+
+
+def test_cross_check_that_keeps_disagreeing_raises(monkeypatch):
+    cfg = group_scheme(SymmetricGroup(3))
+    calls = _wrong_cross_checks(monkeypatch, times=2)
+    with pytest.raises(DegreeComputationError):
+        character_degrees(cfg)
+    assert calls == [0, 1]
+
+
+def test_diagonal_configuration_rank_216():
+    cfg = diag_config(6)
+    assert cfg.rank == 216
+    assert character_degrees(cfg).degrees == (6,) * 6
 
 
 def test_rank_cap_enforced():
