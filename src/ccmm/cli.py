@@ -184,8 +184,22 @@ def _print_bound(bound):
 # -- verb handlers -----------------------------------------------------------
 
 
+BUILD_SPECS = {
+    "group-scheme": "GROUP",
+    "gas": "GROUP",
+    "trivial": "N",
+    "schurian": "ACTION",
+    "product": "CCFG CCFG",
+    "sympow": "CCFG K",
+    "fuse": "CCFG PARTITION",
+}
+
+
 def cmd_build(args):
     check = args.check
+    usage = BUILD_SPECS[args.what]
+    if len(args.spec) != len(usage.split()):
+        raise ValueError("usage: ccmm build %s %s" % (args.what, usage))
     if args.what == "group-scheme":
         cfg = group_scheme(make_group(args.spec[0]), check=check)
     elif args.what == "gas":
@@ -201,11 +215,9 @@ def cmd_build(args):
     elif args.what == "sympow":
         base = read_ccfg(args.spec[0], check=check)
         cfg = symmetric_power(base, int(args.spec[1]), check=check)
-    elif args.what == "fuse":
+    else:
         base = read_ccfg(args.spec[0], check=check)
         cfg = fusion(base, _read_partition(args.spec[1]))
-    else:
-        raise ValueError("unknown build target %r" % args.what)
     _emit_config(cfg, args.out)
     return 0
 
@@ -422,10 +434,7 @@ def build_parser():
     sub = p.add_subparsers(dest="verb", required=True)
 
     b = sub.add_parser("build", parents=[common], help="construct a configuration")
-    b.add_argument(
-        "what",
-        choices=["group-scheme", "gas", "trivial", "schurian", "product", "sympow", "fuse"],
-    )
+    b.add_argument("what", choices=list(BUILD_SPECS))
     b.add_argument("spec", nargs="+")
     b.add_argument("-o", "--out", default=None)
     b.set_defaults(func=cmd_build)

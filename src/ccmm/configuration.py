@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 POINT_CAP = 20000
-DENSE_TENSOR_CAP = 512
 
 
 class AxiomViolation(Exception):
@@ -291,12 +290,14 @@ class CoherentConfiguration:
         return bool(np.array_equal(self.star_vector(), np.arange(self.rank)))
 
     def is_commutative(self):
+        """p^k_{i,j} = p^k_{j,i} throughout: the nonzeros sorted by
+        (j, i, k) read as (i, j, k, p) are the nonzeros themselves."""
         if self._commutative is None:
-            t = self.intersection()
+            i, j, k, p = self.intersection().arrays()
+            swap = np.lexsort((k, i, j))
             self._commutative = all(
-                t.slice(i, j) == t.slice(j, i)
-                for i in range(self.rank)
-                for j in range(i + 1, self.rank)
+                np.array_equal(a[swap], b)
+                for a, b in ((j, i), (i, j), (k, k), (p, p))
             )
         return self._commutative
 
@@ -332,89 +333,122 @@ class FiberSet:
 
 
 class IntersectionTensor:
-    """Sparse intersection numbers: slice (i,j) maps k -> p^k_{i,j} for the
-    nonzero entries. A dense r x r x r array is available below
-    DENSE_TENSOR_CAP for cross-checks."""
+    """The nonzero intersection numbers p^k_{i,j} as four int64 arrays
+    i, j, k, p sorted by (i, j, k), with a CSR index on the (i, j) pairs:
+    the q-th pair present has key _pairs[q] = i*r + j and its nonzeros at
+    _starts[q]:_starts[q+1]. p, slice and iter_nonzero are views of them."""
 
-    def __init__(self, rank, star, sizes, slices, n_points):
+    def __init__(self, rank, star, sizes, nonzeros, n_points):
         self.rank = rank
         self.star_vector = star
         self.sizes = sizes
-        self._slices = slices
         self.n_points = n_points
-        self._arrays = None
-
-    def p(self, i, j, k):
-        return self._slices.get((i, j), {}).get(k, 0)
-
-    def slice(self, i, j):
-        return self._slices.get((i, j), {})
+        for a in nonzeros:
+            a.flags.writeable = False
+        self._nz = nonzeros
+        key = nonzeros[0] * rank + nonzeros[1]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self._pairs = key[first]
+        self._starts = np.r_[first, len(key)]
 
     def star(self, i):
         return int(self.star_vector[i])
 
-    def iter_nonzero(self):
-        for (i, j), ks in self._slices.items():
-            for k, p in ks.items():
-                yield i, j, k, p
-
     def arrays(self):
-        """The nonzero entries as four int64 arrays i, j, k, p (computed
-        once)."""
-        if self._arrays is None:
-            flat = np.array(list(self.iter_nonzero()), dtype=np.int64)
-            self._arrays = tuple(flat.reshape(-1, 4).T.copy())
-        return self._arrays
+        """The nonzero entries as four read-only int64 arrays i, j, k, p,
+        sorted by (i, j, k)."""
+        return self._nz
 
-    def dense(self):
-        if self.rank > DENSE_TENSOR_CAP:
-            raise ValueError(
-                "rank %d exceeds dense cap %d" % (self.rank, DENSE_TENSOR_CAP)
-            )
-        out = np.zeros((self.rank, self.rank, self.rank), dtype=np.int64)
-        for i, j, k, p in self.iter_nonzero():
-            out[i, j, k] = p
-        return out
+    def iter_nonzero(self):
+        return zip(*(a.tolist() for a in self._nz))
+
+    def pair_nonzeros(self, i, j):
+        """The nonzeros of the pairs (i, j), elementwise over broadcast
+        integer arrays, fetched with one search of the CSR keys: arrays
+        pair, k, p, where pair is the flat index of the pair in the
+        broadcast shape, ascending. A pair with a class id outside [0, r)
+        has no nonzeros."""
+        r = self.rank
+        i, j = np.broadcast_arrays(np.asarray(i, np.int64), np.asarray(j, np.int64))
+        key = np.where((i >= 0) & (i < r) & (j >= 0) & (j < r), i * r + j, -1).ravel()
+        q = np.minimum(np.searchsorted(self._pairs, key), len(self._pairs) - 1)
+        start = self._starts[q]
+        size = np.where(self._pairs[q] == key, self._starts[q + 1] - start, 0)
+        pair = np.repeat(np.arange(len(key)), size)
+        idx = np.arange(len(pair)) + np.repeat(start - np.cumsum(size) + size, size)
+        return pair, self._nz[2][idx], self._nz[3][idx]
+
+    def p(self, i, j, k):
+        return self.slice(i, j).get(k, 0)
+
+    def slice(self, i, j):
+        """{k: p^k_{i,j}} over the nonzero entries of one pair."""
+        r = self.rank
+        s = e = 0
+        if 0 <= i < r and 0 <= j < r:
+            q = int(self._pairs.searchsorted(i * r + j))
+            if q < len(self._pairs) and self._pairs[q] == i * r + j:
+                s, e = self._starts[q], self._starts[q + 1]
+        return dict(zip(self._nz[2][s:e].tolist(), self._nz[3][s:e].tolist()))
+
+    def triangles(self, A, B, K):
+        """Index triples (x, y, z) with p^{K[z]}_{A[x], B[y]} > 0, each once,
+        for arrays A, B, K of distinct class ids. Ids outside [0, r) are in
+        no triangle."""
+        i, j, k, _ = self._nz
+        x, y, z = (_positions(ids, self.rank)[c] for ids, c in ((A, i), (B, j), (K, k)))
+        keep = (x >= 0) & (y >= 0) & (z >= 0)
+        return x[keep], y[keep], z[keep]
 
 
-def _column_profile(m64, r, x, y):
-    """(i,j) composition counts of the pair (x,y), as {key i*r+j: count}."""
-    keys = m64[x] * r + m64[:, y]
-    uk, ck = np.unique(keys, return_counts=True)
-    return uk, ck
+def _positions(ids, r):
+    """pos[c] = the index of class c in the array ids, or -1."""
+    ids = np.asarray(ids, dtype=np.int64)
+    pos = np.full(r, -1, dtype=np.int64)
+    ok = (ids >= 0) & (ids < r)
+    pos[ids[ok]] = np.flatnonzero(ok)
+    return pos
 
 
 def _build_tensor(config):
-    """Intersection numbers from one representative pair per class, then a
-    cross-check against a second representative where the class has one."""
-    M = config.matrix
+    """Intersection numbers from one representative pair (x, y) per class k:
+    row k holds the keys class(x,z)*r + class(z,y) over all z, sorted, and
+    each run of equal keys i*r + j is one nonzero p^k_{i,j}. The sorted row
+    of a second representative, where the class has one, must be equal.
+    Rows are built in chunks of classes to bound memory."""
+    M = config.matrix.astype(np.int64)
     n = config.n_points
     r = config.rank
-    m64 = M.astype(np.int64)
     x0, y0 = config._x0, config._y0
-    flat = m64.ravel()
+    flat = M.ravel()
     order = np.argsort(flat, kind="stable")
     starts = np.zeros(r + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat, minlength=r), out=starts[1:])
-    slices = {}
-    for k in range(r):
-        uk, ck = _column_profile(m64, r, int(x0[k]), int(y0[k]))
-        for key, cnt in zip(uk.tolist(), ck.tolist()):
-            i, j = divmod(key, r)
-            slices.setdefault((i, j), {})[k] = cnt
-        if starts[k + 1] - starts[k] >= 2:
-            second = int(order[starts[k] + 1])
-            x1, y1 = divmod(second, n)
-            uk2, ck2 = _column_profile(m64, r, x1, y1)
-            if not (np.array_equal(uk, uk2) and np.array_equal(ck, ck2)):
-                raise AxiomViolation(
-                    3,
-                    (int(x0[k]), int(y0[k]), x1, y1, k),
-                    "intersection numbers differ between representatives of "
-                    "class %d" % k,
-                )
+    # the second row-major pair of each class, or its first if it has one
+    x1, y1 = np.divmod(order[np.minimum(starts[:-1] + 1, starts[1:] - 1)], n)
+    chunk = max(1, (1 << 20) // n)
+    parts = []
+    for lo in range(0, r, chunk):
+        ks = np.arange(lo, min(r, lo + chunk))
+        rows = np.sort(M[x0[ks]] * r + M[:, y0[ks]].T, axis=1)
+        bad = (rows != np.sort(M[x1[ks]] * r + M[:, y1[ks]].T, axis=1)).any(axis=1)
+        if bad.any():
+            k = int(ks[np.argmax(bad)])
+            raise AxiomViolation(
+                3,
+                (int(x0[k]), int(y0[k]), int(x1[k]), int(y1[k]), k),
+                "intersection numbers differ between representatives of "
+                "class %d" % k,
+            )
+        new = np.ones(rows.shape, dtype=bool)
+        new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        run = np.flatnonzero(new)  # run starts, row-major; each row starts one
+        parts.append((rows.ravel()[run], ks[run // n], np.diff(np.r_[run, rows.size])))
+    key, k, p = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((k, key))
+    i, j = np.divmod(key[order], r)
     return IntersectionTensor(
-        r, config.star_vector(), config.class_sizes(), slices, n
+        r, config.star_vector(), config.class_sizes(), (i, j, k[order], p[order]), n
     )
 
 
@@ -459,6 +493,8 @@ def read_ccfg(path, check="full"):
             lines = collect(fh)
     if not lines or lines[0].split() != ["ccfg", "1"]:
         raise ValueError("not a ccfg 1 file")
+    if len(lines) < 2:
+        raise ValueError("ccfg file ends before its points/classes line")
     head = lines[1].split()
     if len(head) != 4 or head[0] != "points" or head[2] != "classes":
         raise ValueError("bad header line %r" % lines[1])

@@ -88,7 +88,7 @@ def perm_cycles(p):
 
 class FiniteGroup:
     """Base class. Subclasses set .kind, .order, .descriptor and implement
-    mult / inverse / element_repr on integer codes."""
+    mult / inverse on integer codes."""
 
     kind = "?"
     descriptor = "?"
@@ -105,9 +105,6 @@ class FiniteGroup:
 
     def inverse(self, a):
         raise NotImplementedError
-
-    def element_repr(self, a):
-        return str(a)
 
     def table(self):
         """Full multiplication table T[a, b] = a*b, cached. Orders above
@@ -217,9 +214,6 @@ class AbelianGroup(FiniteGroup):
     def inverse(self, a):
         return self.encode([-x for x in self.decode(a)])
 
-    def element_repr(self, a):
-        return "(" + ",".join(str(d) for d in self.decode(a)) + ")"
-
 
 class SymmetricGroup(FiniteGroup):
     kind = "sym"
@@ -237,9 +231,6 @@ class SymmetricGroup(FiniteGroup):
 
     def inverse(self, a):
         return perm_rank(perm_inverse(perm_unrank(a, self.n)))
-
-    def element_repr(self, a):
-        return str(perm_unrank(a, self.n))
 
 
 class WreathGroup(FiniteGroup):
@@ -296,10 +287,6 @@ class WreathGroup(FiniteGroup):
         pinv = perm_inverse(p)
         hi = tuple(self.base.inverse(h[p[i]]) for i in range(self.n))
         return self.encode(hi, pinv)
-
-    def element_repr(self, a):
-        h, p = self.decode(a)
-        return "%s%s" % (tuple(self.base.element_repr(x) for x in h), p)
 
     def class_key(self, a):
         """Conjugacy invariant: multiset of (cycle length, cycle sum) pairs,

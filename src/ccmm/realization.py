@@ -6,7 +6,17 @@ symmetric-power realizations, and wreath-product conjugation realizations.
 Conventions: a realization of <l,m,n> is three injective maps alpha (l x m),
 beta (m x n), gamma (n x l) into class ids such that alpha(a,b'), beta(b,c'),
 gamma(c,a') form a triangle iff a = a', b = b', c = c'. Triangles are read
-off the intersection tensor: (i,j,k) is a triangle iff p^{k*}_{i,j} > 0."""
+off the intersection tensor: (i,j,k) is a triangle iff p^{k*}_{i,j} > 0.
+
+verify_realization and verify_simultaneous (one component or several) run
+the same sweep, _sweep. It asks the intersection data for the nonzeros
+whose classes lie in the alpha, beta and starred gamma images, tested as
+masks over the classes of the array tensor; a SymmetricPowerView builds the
+same nonzeros for Sym^k C from its base tensor. Each nonzero is decoded to
+its positions (a, b'), (b, c') and (c, a'), and the sweep demands that the
+nonzeros are exactly the matched triples. A failure is reported at the
+first position in the order of the pair loop (a, b') x (b, c'), as the
+exhaustive loop over all (lm)(mn) pairs would find it."""
 
 from __future__ import annotations
 
@@ -65,14 +75,10 @@ class Realization:
         return "<realization %d,%d,%d>" % self.dims
 
 
-def _tensor_of(obj):
-    return obj.intersection() if hasattr(obj, "intersection") else obj
-
-
 def is_triangle(config, i, j, k):
     """Classes (i, j, k) form a triangle: there are points x, y, z with
     (x,y) in R_i, (y,z) in R_j, (z,x) in R_k. Equivalent to p^{k*}_{i,j} > 0."""
-    t = _tensor_of(config)
+    t = config.intersection()
     return t.slice(i, j).get(t.star(k), 0) > 0
 
 
@@ -91,66 +97,99 @@ def _check_injective(name, arr):
             seen[v] = idx
 
 
+def _decode(flat, offsets, cols):
+    """Flat position -> (component, row, column) as Python ints."""
+    ci = int(np.searchsorted(offsets, flat, side="right")) - 1
+    row, col = divmod(int(flat - offsets[ci]), cols[ci])
+    return ci, row, col
+
+
+def _sweep(t, reals):
+    """The triangle condition of the components reals, whose images must be
+    injective and pairwise disjoint, over the intersection data t (a tensor
+    or a view) in one pass. Positions are flat indices in lexicographic
+    order: x over (component, a, b') of the alpha images, y over
+    (component, b, c') of beta, z over (component, c, a') of the starred
+    gamma images. t.triangles keeps only the nonzeros between these
+    classes; each must be a matched triple (one component, b = b', c = c',
+    a = a'), and each matched triple must appear. Returns None, or the
+    first failing sweep position (x, y) with the z of its least unexpected
+    triangle, else of its missing matched one, each decoded to
+    (component, row, column), and the kind "extra" or "missing"."""
+    slots = [[getattr(real, s) for real in reals] for s in ("alpha", "beta", "gamma")]
+    # per map: the offset of each component's flat positions, and row length
+    layout = [
+        (np.cumsum([0] + [a.size for a in arrs]), [a.shape[1] for a in arrs])
+        for arrs in slots
+    ]
+    A, B = (np.concatenate([a.ravel() for a in arrs]) for arrs in slots[:2])
+    K = np.array(
+        [t.star(v) for g in slots[2] for v in g.ravel().tolist()], dtype=np.int64
+    )
+    # matched triples, ascending in the sweep key x * |B| + y
+    parts = []
+    for real, oa, ob, og in zip(reals, *(o for o, _ in layout)):
+        l, m, n = real.dims
+        a, b, c = np.indices((l, m, n)).reshape(3, -1)
+        parts.append((oa + a * m + b, ob + b * n + c, og + c * l + a))
+    ex, ey, ez = (np.concatenate(p) for p in zip(*parts))
+    if not len(ex):
+        return None
+    ekey = ex * len(B) + ey
+    x, y, z = t.triangles(A, B, K)
+    key = x * len(B) + y
+    pos = np.minimum(np.searchsorted(ekey, key), len(ekey) - 1)
+    matched = (ekey[pos] == key) & (ez[pos] == z)
+    present = np.zeros(len(ekey), dtype=bool)
+    present[pos[matched]] = True
+    extra = np.flatnonzero(~matched)
+    missing = np.flatnonzero(~present)
+    if len(extra) and (not len(missing) or key[extra].min() <= ekey[missing[0]]):
+        at = key[extra].min()
+        kind, owner = "extra", z[extra][key[extra] == at].min()
+    elif len(missing):
+        at, kind, owner = ekey[missing[0]], "missing", ez[missing[0]]
+    else:
+        return None
+    return (
+        _decode(at // len(B), *layout[0]),
+        _decode(at % len(B), *layout[1]),
+        _decode(owner, *layout[2]),
+        kind,
+    )
+
+
 def verify_realization(config, real):
     """Exhaustive check of the realization conditions: injectivity of the
     three maps, then the triangle-iff-matched sweep over all pairs of map
     values ((a,b') x (b,c')), reading triangles from the intersection data.
-    Raises RealizationInvalid with the first violating witness."""
-    t = _tensor_of(config)
-    l, m, n = real.dims
+    Raises RealizationInvalid with the first violating witness in sweep
+    order (a, b', b, c')."""
     for name, arr in (
         ("alpha", real.alpha),
         ("beta", real.beta),
         ("gamma", real.gamma),
     ):
         _check_injective(name, arr)
-    # owner[star(gamma(c,a))] = (c, a): z-classes k with p^{k*}_{i,j} > 0
-    # are exactly star(k') for k' in slice(i,j)
-    owner = {}
-    for c in range(n):
-        for a in range(l):
-            owner[t.star(int(real.gamma[c, a]))] = (c, a)
-    alpha = real.alpha
-    beta = real.beta
-    for a in range(l):
-        for bp in range(m):
-            i = int(alpha[a, bp])
-            for b in range(m):
-                for cp in range(n):
-                    j = int(beta[b, cp])
-                    zs = set()
-                    for kp in t.slice(i, j):
-                        hit = owner.get(kp)
-                        if hit is not None:
-                            zs.add(hit)
-                    if b == bp:
-                        want = {(cp, a)}
-                    else:
-                        want = set()
-                    if zs == want:
-                        continue
-                    extra = zs - want
-                    if extra:
-                        c, ap = sorted(extra)[0]
-                        raise RealizationInvalid(
-                            ("triangle", a, ap, b, bp, c, cp, "extra"),
-                            "unexpected triangle for a=%d a'=%d b=%d b'=%d "
-                            "c=%d c'=%d" % (a, ap, b, bp, c, cp),
-                        )
-                    c, ap = sorted(want - zs)[0]
-                    raise RealizationInvalid(
-                        ("triangle", a, ap, b, bp, c, cp, "missing"),
-                        "matched triple is not a triangle for a=%d a'=%d "
-                        "b=%d b'=%d c=%d c'=%d" % (a, ap, b, bp, c, cp),
-                    )
-    return True
+    fail = _sweep(config.intersection(), [real])
+    if fail is None:
+        return True
+    (_, a, bp), (_, b, cp), (_, c, ap), kind = fail
+    message = {
+        "extra": "unexpected triangle for",
+        "missing": "matched triple is not a triangle for",
+    }[kind]
+    raise RealizationInvalid(
+        ("triangle", a, ap, b, bp, c, cp, kind),
+        "%s a=%d a'=%d b=%d b'=%d c=%d c'=%d" % (message, a, ap, b, bp, c, cp),
+    )
 
 
 def verify_simultaneous(config, reals):
     """Simultaneous realization check: per-component injectivity, pairwise
     disjoint alpha images (likewise beta, gamma), and the sweep demanding a
-    triangle exactly for matched indices within one component."""
-    t = _tensor_of(config)
+    triangle exactly for matched indices within one component. The witness
+    is the first failure in sweep order (ia, a, b', ib, b, c')."""
     reals = list(reals)
     for slot in ("alpha", "beta", "gamma"):
         seen = {}
@@ -165,46 +204,15 @@ def verify_simultaneous(config, reals):
                         % (slot, seen[v], ci, v),
                     )
                 seen[v] = ci
-    owner = {}
-    for ci, real in enumerate(reals):
-        nn, ll = real.gamma.shape
-        for c in range(nn):
-            for a in range(ll):
-                owner[t.star(int(real.gamma[c, a]))] = (ci, c, a)
-    for ia, ra in enumerate(reals):
-        la, ma = ra.alpha.shape
-        for a in range(la):
-            for bp in range(ma):
-                i = int(ra.alpha[a, bp])
-                for ib, rb in enumerate(reals):
-                    mb, nb = rb.beta.shape
-                    for b in range(mb):
-                        for cp in range(nb):
-                            j = int(rb.beta[b, cp])
-                            zs = set()
-                            for kp in t.slice(i, j):
-                                hit = owner.get(kp)
-                                if hit is not None:
-                                    zs.add(hit)
-                            if ia == ib and b == bp:
-                                want = {(ia, cp, a)}
-                            else:
-                                want = set()
-                            if zs != want:
-                                raise RealizationInvalid(
-                                    (
-                                        "triangle",
-                                        (ia, a),
-                                        (ib, b, bp),
-                                        (cp,),
-                                        sorted(zs - want or want - zs)[0],
-                                    ),
-                                    "simultaneous triangle condition fails "
-                                    "between components %d and %d at "
-                                    "a=%d b'=%d b=%d c'=%d"
-                                    % (ia, ib, a, bp, b, cp),
-                                )
-    return True
+    fail = _sweep(config.intersection(), reals)
+    if fail is None:
+        return True
+    (ia, a, bp), (ib, b, cp), owner, _ = fail
+    raise RealizationInvalid(
+        ("triangle", (ia, a), (ib, b, bp), (cp,), owner),
+        "simultaneous triangle condition fails between components %d and %d "
+        "at a=%d b'=%d b=%d c'=%d" % (ia, ib, a, bp, b, cp),
+    )
 
 
 def fibers_realization(config, check=True):
@@ -438,12 +446,15 @@ def diagonal_example(n, S=None, check="full"):
 # symmetric-power realizations
 
 
+SYM_CHUNK = 1 << 18  # products formed at once by SymmetricPowerView.triangles
+
+
 class SymmetricPowerView:
     """Intersection data of Sym^k C computed from C's tensor without
     materializing the point set. Class ids are interned sorted k-tuples of
     base class ids; slice() sums coordinate-product counts over all
     alignments of the two multisets, divided by the orbit size of the
-    result multiset."""
+    result multiset. The view is its own intersection data."""
 
     def __init__(self, base_tensor, k):
         self.base = base_tensor
@@ -451,6 +462,9 @@ class SymmetricPowerView:
         self.rank = math.comb(base_tensor.rank + k - 1, k)
         self._ids = {}
         self._tuples = []
+
+    def intersection(self):
+        return self
 
     def intern(self, multiset):
         key = tuple(sorted(int(v) for v in multiset))
@@ -498,6 +512,62 @@ class SymmetricPowerView:
                 )
             out[self.intern(key)] = total // orbit
         return out
+
+    def _coords(self, ids):
+        return np.array([self._tuples[v] for v in ids], dtype=np.int64).reshape(-1, self.k)
+
+    def triangles(self, A, B, K):
+        """Same contract as IntersectionTensor.triangles, except that a
+        triple may repeat. Up to a common reordering of coordinates, a
+        triangle (I, J, K) of Sym^k C is k base triangles (I_c, j_c, k_c)
+        whose j_c form J and whose k_c form K: every alignment count is
+        nonnegative, so a product of positive base counts is a positive
+        count. Only base nonzeros between coordinate classes of the images
+        are gathered; their k-fold products along each alpha tuple are
+        formed in chunks of about SYM_CHUNK products, and each product's
+        sorted j and k coordinates are looked up as one base-r integer."""
+        r = self.base.rank
+        if r**self.k >= 1 << 62:
+            raise ValueError("Sym^%d of rank %d is too large to sweep" % (self.k, r))
+        weights = r ** np.arange(self.k - 1, -1, -1)
+        ta, tb, tk = (self._coords(ids) for ids in (A, B, K))
+        i, j, k, _ = self.base.arrays()
+        keep = np.ones(len(i), dtype=bool)
+        for coords, c in ((ta, i), (tb, j), (tk, k)):
+            member = np.zeros(r, dtype=bool)
+            member[coords.ravel()] = True
+            keep &= member[c]
+        i, j, k = i[keep], j[keep], k[keep]  # still sorted by i
+        first = np.searchsorted(i, np.arange(r))
+        count = np.bincount(i, minlength=r)
+        total = count[ta].prod(axis=1)
+        ends = np.cumsum(total)
+        out = []
+        lo = 0
+        while lo < len(ta):
+            cut = ends[lo] - total[lo] + SYM_CHUNK
+            hi = max(lo + 1, int(np.searchsorted(ends, cut, "right")))
+            sizes = total[lo:hi]
+            rows = np.repeat(np.arange(lo, hi), sizes)
+            local = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            idx = np.empty((len(rows), self.k), dtype=np.int64)
+            for c in reversed(range(self.k)):
+                cls = ta[rows, c]
+                local, idx[:, c] = np.divmod(local, count[cls])
+                idx[:, c] += first[cls]
+            y = _position_of(tb @ weights, np.sort(j[idx], axis=1) @ weights)
+            z = _position_of(tk @ weights, np.sort(k[idx], axis=1) @ weights)
+            hit = (y >= 0) & (z >= 0)
+            out.append((rows[hit], y[hit], z[hit]))
+            lo = hi
+        return tuple(np.concatenate(a) for a in zip(*out))
+
+
+def _position_of(codes, values):
+    """Index of each value in the array of distinct codes, or -1."""
+    order = np.argsort(codes)
+    pos = np.minimum(np.searchsorted(codes, values, sorter=order), len(codes) - 1)
+    return np.where(codes[order[pos]] == values, order[pos], -1)
 
 
 def _product_maps(reals, combine):
@@ -721,6 +791,8 @@ def read_real(path):
             lines = collect(fh)
     if not lines or lines[0].split() != ["real", "1"]:
         raise ValueError("not a real 1 file")
+    if len(lines) < 2:
+        raise ValueError("real file ends before its dims line")
     head = lines[1].split()
     if len(head) != 4 or head[0] != "dims":
         raise ValueError("bad dims line %r" % lines[1])

@@ -137,20 +137,22 @@ class WeightedMatMul:
         self.dims = real.dims
         l, m, n = real.dims
         t = config.intersection()
-        w = np.zeros((l, m, n), dtype=np.int64)
-        for a in range(l):
-            for b in range(m):
-                for c in range(n):
-                    w[a, b, c] = t.p(
-                        int(real.alpha[a, b]),
-                        int(real.beta[b, c]),
-                        t.star(int(real.gamma[c, a])),
-                    )
+        pair, k, p = t.pair_nonzeros(real.alpha[:, :, None], real.beta[None, :, :])
+        # the readout class of pair (a, b, c) is star(gamma(c, a))
+        readout = np.broadcast_to(t.star_vector[real.gamma].T[:, None, :], (l, m, n))
+        hit = k == readout.ravel()[pair]
+        w = np.zeros(l * m * n, dtype=np.int64)
+        w[pair[hit]] = p[hit]
+        w = w.reshape(l, m, n)
         if (w <= 0).any():
             raise AssertionError(
                 "nonpositive weight despite verified realization"
             )
         self.weights = w
+        # pairs[(a*m + b)*n + c]: the (k, p^k) of alpha(a,b), beta(b,c)
+        rows = list(zip(k.tolist(), p.tolist()))
+        ends = np.cumsum(np.bincount(pair, minlength=l * m * n)).tolist()
+        self.pairs = [rows[s:e] for s, e in zip([0] + ends[:-1], ends)]
 
 
 def _as_fraction_rows(M, rows, cols, name):
@@ -172,20 +174,21 @@ def embedded_matmul(W, A, B):
     A = _as_fraction_rows(A, l, m, "A")
     B = _as_fraction_rows(B, m, n, "B")
     t = W.config.intersection()
-    alpha, beta, gamma = W.real.alpha, W.real.beta, W.real.gamma
+    gamma = W.real.gamma
     readout = [
         [t.star(int(gamma[c, a])) for c in range(n)] for a in range(l)
     ]
     C = [[Fraction(0)] * n for _ in range(l)]
     for b in range(m):
-        x = {int(alpha[a, b]): A[a][b] for a in range(l) if A[a][b]}
-        y = {int(beta[b, c]): B[b][c] for c in range(n) if B[b][c]}
         acc = {}
-        for i, xa in x.items():
-            for j, yc in y.items():
-                f = xa * yc
-                for k, p in t.slice(i, j).items():
-                    acc[k] = acc.get(k, Fraction(0)) + f * p
+        for a in range(l):
+            if not A[a][b]:
+                continue
+            for c in range(n):
+                if B[b][c]:
+                    f = A[a][b] * B[b][c]
+                    for k, p in W.pairs[(a * m + b) * n + c]:
+                        acc[k] = acc.get(k, Fraction(0)) + f * p
         for a in range(l):
             for c in range(n):
                 val = acc.get(readout[a][c])
@@ -453,5 +456,12 @@ def read_matrix(path):
         parts = ln.split()
         if len(parts) != cols:
             raise ValueError("row has %d entries, expected %d" % (len(parts), cols))
-        out.append([Fraction(p) for p in parts])
+        out.append([_entry(p) for p in parts])
     return out
+
+
+def _entry(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("matrix entry %r has a zero denominator" % text) from None

@@ -390,3 +390,46 @@ def test_output_is_byte_stable_across_runs(tmp_path, capsys):
     rc, out2, err = run(capsys, "degrees", cc)
     assert out1 == out2
     assert out1.startswith("degrees: 3 3 3 ; residual: ")
+
+
+def test_headerless_ccfg_is_exit_two(tmp_path, capsys):
+    cc = tmp_path / "head.ccfg"
+    cc.write_text("ccfg 1\n")
+    rc, out, err = run(capsys, "info", str(cc))
+    assert rc == 2
+    assert err == "error: ccfg file ends before its points/classes line\n"
+
+
+def test_headerless_real_is_exit_two(tmp_path, capsys):
+    cc = str(tmp_path / "t2.ccfg")
+    run(capsys, "build", "trivial", "2", "-o", cc)
+    rr = tmp_path / "head.real"
+    rr.write_text("real 1\n")
+    rc, out, err = run(capsys, "realize", "verify", "--ccfg", cc, "--real", str(rr))
+    assert rc == 2
+    assert err == "error: real file ends before its dims line\n"
+
+
+def test_matmul_zero_denominator_is_exit_two(tmp_path, capsys):
+    cc = str(tmp_path / "t2.ccfg")
+    run(capsys, "build", "trivial", "2", "-o", cc)
+    rr = str(tmp_path / "t2.real")
+    run(capsys, "realize", "fibers", "--ccfg", cc, "-o", rr)
+    a = _write_matrix_file(tmp_path / "a.mat", "2 2\n1 1/0\n0 1\n")
+    b = _write_matrix_file(tmp_path / "b.mat", "2 2\n1 0\n0 1\n")
+    rc, out, err = run(capsys, "matmul", "--ccfg", cc, "--real", rr, "--a", a, "--b", b)
+    assert rc == 2
+    assert err == "error: matrix entry '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "what, usage",
+    [("product", "CCFG CCFG"), ("sympow", "CCFG K"), ("fuse", "CCFG PARTITION")],
+)
+def test_build_with_too_few_specs_is_exit_two(tmp_path, capsys, what, usage):
+    a = str(tmp_path / "a.ccfg")
+    run(capsys, "build", "gas", "sym:3", "-o", a)
+    rc, out, err = run(capsys, "build", what, a)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: usage: ccmm build %s %s\n" % (what, usage)

