@@ -31,12 +31,10 @@ from .exponent import (
     solve_asi,
 )
 from .groups import (
-    GroupAction,
-    SymmetricGroup,
     conjugation_action,
     left_translation_action,
     make_group,
-    perm_unrank,
+    natural_action,
 )
 from .realization import (
     HypothesisViolation,
@@ -86,11 +84,7 @@ def _parse_action(desc):
     if kind == "diagonal" and rest:
         return diagonal_action(int(rest))
     if kind == "natural" and rest.startswith("sym:"):
-        n = int(rest.split(":", 1)[1])
-        G = SymmetricGroup(n)
-        return GroupAction.from_function(
-            G, n, lambda g, x: perm_unrank(g, n)[x], name="natural"
-        )
+        return natural_action(int(rest.split(":", 1)[1]))
     raise ValueError(
         "unknown action %r (want translation:G, conjugation:G, diagonal:N,"
         " natural:sym:N)" % desc

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 POINT_CAP = 20000
+KEY_BLOCK = 1 << 20  # composition keys sorted per block by the axiom-3 sweep and the tensor build
 
 
 class AxiomViolation(Exception):
@@ -120,59 +121,66 @@ def _profile_mismatch_witness(matrix, r, x, y, xr, yr):
     raise AssertionError("no differing composition count found")
 
 
+def _key_arrays(matrix, r):
+    """left[x, z] = class(x,z)*r and right[y, z] = class(z,y), contiguous,
+    in the narrowest dtype that holds every composition key below r*r:
+    int32 when r*r < 2**31, else int64. The composition keys of a pair
+    (x, y) are then left[x] + right[y]."""
+    dtype = np.int32 if r * r < 1 << 31 else np.int64
+    M = matrix.astype(dtype)
+    return M * dtype(r), np.ascontiguousarray(M.T)
+
+
+def _sorted_keys(left, right):
+    """Sorted composition keys, one row per pair: the broadcast sum of rows
+    of the left and right key arrays, as rows of length n, each sorted."""
+    keys = (left + right).reshape(-1, left.shape[-1])
+    keys.sort(axis=1)
+    return keys
+
+
 def _check_axiom3(matrix, r, x0, y0, rows=None):
-    """Sweep rows, comparing every pair's composition profile against the
-    profile of the first representative of its class. The profile of (x,y)
-    is the multiset over z of (class(x,z), class(z,y)), encoded as one
-    int64 key per z and compared in sorted order."""
+    """Sweep pairs (x, y) for x in rows (default: all rows), ascending,
+    comparing every pair's composition profile against the profile of the
+    first pair of its class. The profile of (x,y) is the multiset over z of
+    (class(x,z), class(z,y)), encoded as one key per z and compared in
+    sorted order; the r x n reference profiles are sorted the same way.
+    Each block sorts about KEY_BLOCK keys: whole rows for small n, else
+    runs of y within one row."""
     n = matrix.shape[0]
-    m64 = matrix.astype(np.int64)
-    by_row = [[] for _ in range(n)]
-    for c in range(r):
-        by_row[x0[c]].append(c)
-    ref = np.empty((n, r), dtype=np.int64)
-    seen = np.zeros(r, dtype=bool)
-    chunk = n if n <= 2048 else max(256, (1 << 22) // n)
-    # rows must cover all first-occurrence rows and come in ascending order,
-    # so a reference profile always exists by the time a class recurs
-    row_iter = range(n) if rows is None else rows
-    for x in row_iter:
-        base = m64[x] * r
-        for ys in range(0, n, chunk):
-            ye = min(n, ys + chunk)
-            keys = base[:, None] + m64[:, ys:ye]  # keys[z, y-ys]
-            keys.sort(axis=0)
-            for c in by_row[x]:
-                if ys <= y0[c] < ye and not seen[c]:
-                    ref[:, c] = keys[:, y0[c] - ys]
-                    seen[c] = True
-            row_classes = matrix[x, ys:ye]
-            assert seen[row_classes].all()
-            expected = ref[:, row_classes]
-            if not np.array_equal(keys, expected):
-                bad_cols = np.flatnonzero((keys != expected).any(axis=0))
-                yy = ys + int(bad_cols[0])
-                c = int(matrix[x, yy])
-                wit = _profile_mismatch_witness(
-                    matrix, r, x, yy, int(x0[c]), int(y0[c])
-                )
-                raise AxiomViolation(
-                    3,
-                    wit,
-                    "pairs (%d,%d) and (%d,%d) of class %d disagree on the "
-                    "count for composition (%d,%d): %d vs %d"
-                    % (
-                        wit[0],
-                        wit[1],
-                        wit[2],
-                        wit[3],
-                        c,
-                        wit[4],
-                        wit[5],
-                        wit[6],
-                        wit[7],
-                    ),
-                )
+    left, right = _key_arrays(matrix, r)
+    step = max(1, KEY_BLOCK // n)
+    ref = np.concatenate(
+        [
+            _sorted_keys(left[x0[lo : lo + step]], right[y0[lo : lo + step]])
+            for lo in range(0, r, step)
+        ]
+    )
+    xs = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    # blocks of 1, 2, 4, ... rows, so a failure in an early row is found
+    # after at most twice the rows it needs
+    lo, per = 0, 1
+    while lo < len(xs):
+        xb = xs[lo : lo + per]
+        lo, per = lo + len(xb), min(2 * per, max(1, step // n))
+        for ys in range(0, n, step):
+            ye = min(n, ys + step)
+            keys = _sorted_keys(left[xb, None], right[None, ys:ye])
+            classes = matrix[xb, ys:ye].ravel()
+            bad = (keys != ref[classes]).any(axis=1)
+            if not bad.any():
+                continue
+            x, y = divmod(int(np.argmax(bad)), ye - ys)
+            x, y = int(xb[x]), ys + y
+            c = int(matrix[x, y])
+            wit = _profile_mismatch_witness(matrix, r, x, y, int(x0[c]), int(y0[c]))
+            raise AxiomViolation(
+                3,
+                wit,
+                "pairs (%d,%d) and (%d,%d) of class %d disagree on the "
+                "count for composition (%d,%d): %d vs %d"
+                % ((wit[0], wit[1], wit[2], wit[3], c) + wit[4:]),
+            )
 
 
 class CoherentConfiguration:
@@ -416,22 +424,22 @@ def _build_tensor(config):
     each run of equal keys i*r + j is one nonzero p^k_{i,j}. The sorted row
     of a second representative, where the class has one, must be equal.
     Rows are built in chunks of classes to bound memory."""
-    M = config.matrix.astype(np.int64)
     n = config.n_points
     r = config.rank
     x0, y0 = config._x0, config._y0
-    flat = M.ravel()
+    left, right = _key_arrays(config.matrix, r)
+    flat = config.matrix.ravel()
     order = np.argsort(flat, kind="stable")
     starts = np.zeros(r + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat, minlength=r), out=starts[1:])
     # the second row-major pair of each class, or its first if it has one
     x1, y1 = np.divmod(order[np.minimum(starts[:-1] + 1, starts[1:] - 1)], n)
-    chunk = max(1, (1 << 20) // n)
+    chunk = max(1, KEY_BLOCK // n)
     parts = []
     for lo in range(0, r, chunk):
         ks = np.arange(lo, min(r, lo + chunk))
-        rows = np.sort(M[x0[ks]] * r + M[:, y0[ks]].T, axis=1)
-        bad = (rows != np.sort(M[x1[ks]] * r + M[:, y1[ks]].T, axis=1)).any(axis=1)
+        rows = _sorted_keys(left[x0[ks]], right[y0[ks]])
+        bad = (rows != _sorted_keys(left[x1[ks]], right[y1[ks]])).any(axis=1)
         if bad.any():
             k = int(ks[np.argmax(bad)])
             raise AxiomViolation(
@@ -444,7 +452,7 @@ def _build_tensor(config):
         new[:, 1:] = rows[:, 1:] != rows[:, :-1]
         run = np.flatnonzero(new)  # run starts, row-major; each row starts one
         parts.append((rows.ravel()[run], ks[run // n], np.diff(np.r_[run, rows.size])))
-    key, k, p = (np.concatenate(a) for a in zip(*parts))
+    key, k, p = (np.concatenate(a).astype(np.int64) for a in zip(*parts))
     order = np.lexsort((k, key))
     i, j = np.divmod(key[order], r)
     return IntersectionTensor(

@@ -119,31 +119,46 @@ def fusion(config, blocks, check="full"):
     return CoherentConfiguration.from_class_matrix(M, check=check)
 
 
+def _power_points(n, k, point_cap):
+    """The k coordinate arrays of the n**k points of a k-fold power, in
+    lexicographic order with coordinate 0 most significant."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    N = n**k
+    if N > point_cap:
+        raise ValueError("%d**%d = %d points exceeds cap %d" % (n, k, N, point_cap))
+    coords = []
+    rem = np.arange(N)
+    for _ in range(k):
+        rem, digit = np.divmod(rem, n)
+        coords.append(digit)
+    return coords[::-1]
+
+
+def _sorted_classes(M, coords, rows):
+    """For the points rows (as an index into coords) against every point,
+    the k coordinate classes of each cell in ascending order: k arrays of
+    shape (len(rows), N), sorted elementwise by a network of k(k-1)/2
+    compare-exchanges."""
+    s = [M[np.ix_(c[rows], c)] for c in coords]
+    for top in range(len(s) - 1, 0, -1):
+        for a in range(top):
+            lo = np.minimum(s[a], s[a + 1])
+            np.maximum(s[a], s[a + 1], out=s[a + 1])
+            s[a] = lo
+    return s
+
+
 def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     """Fuse the k-fold direct power under coordinate permutations. Points
     are all k-tuples of source points (lexicographic); classes are multisets
     of source classes, so the rank is C(r+k-1, k). The count and the axioms
     are both verified, never assumed."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    n = config.n_points
     r = config.rank
-    N = n**k
-    if N > point_cap:
-        raise ValueError("%d**%d = %d points exceeds cap %d" % (n, k, N, point_cap))
-    M = config.matrix.astype(np.int64)
-    idx = np.arange(N)
-    coords = []
-    rem = idx
-    for _ in range(k):
-        coords.append(rem % n)
-        rem = rem // n
-    coords.reverse()  # coordinate 0 most significant
-    stack = np.empty((k, N, N), dtype=np.int64)
-    for c in range(k):
-        stack[c] = M[np.ix_(coords[c], coords[c])]
-    stack.sort(axis=0)
-    flat = stack.reshape(k, -1).T
+    coords = _power_points(config.n_points, k, point_cap)
+    N = len(coords[0])
+    stack = _sorted_classes(config.matrix.astype(np.int64), coords, slice(None))
+    flat = np.stack(stack).reshape(k, -1).T
     uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
     expected_rank = math.comb(r + k - 1, k)
     if len(uniq) != expected_rank:
@@ -163,33 +178,18 @@ def symmetric_power_rank(config, k, point_cap=POINT_CAP, chunk=64, bitmap_cap=1 
     N x N class matrix: rows are processed in chunks, each cell's sorted
     k-tuple of coordinate classes is encoded in base r and marked. Usable
     where symmetric_power itself would not fit in memory."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    n = config.n_points
     r = config.rank
-    N = n**k
-    if N > point_cap:
-        raise ValueError("%d**%d = %d points exceeds cap %d" % (n, k, N, point_cap))
+    coords = _power_points(config.n_points, k, point_cap)
+    N = len(coords[0])
     codes = r**k
     if codes > 1 << 62:
         raise ValueError("class encoding does not fit 63 bits")
     M = config.matrix.astype(np.int64)
-    idx = np.arange(N)
-    coords = []
-    rem = idx
-    for _ in range(k):
-        coords.append(rem % n)
-        rem = rem // n
-    coords.reverse()  # coordinate 0 most significant, as in symmetric_power
     use_bitmap = codes <= bitmap_cap
     seen_bitmap = np.zeros(codes, dtype=bool) if use_bitmap else None
     seen_set = set() if not use_bitmap else None
     for lo in range(0, N, chunk):
-        rows = idx[lo : lo + chunk]
-        stack = np.empty((k, len(rows), N), dtype=np.int64)
-        for c in range(k):
-            stack[c] = M[np.ix_(coords[c][rows], coords[c])]
-        stack.sort(axis=0)
+        stack = _sorted_classes(M, coords, slice(lo, lo + chunk))
         enc = stack[0]
         for c in range(1, k):
             enc = enc * r + stack[c]

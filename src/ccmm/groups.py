@@ -13,10 +13,17 @@ from descriptor strings:
 Two further kinds exist as plumbing only (not parseable from descriptors):
 explicit multiplication tables, used by corruption oracles in tests, and
 direct products, used for two-sided actions such as conjugation.
+
+Each kind has one product formula, written on integer arrays (_product).
+The multiplication table is built from it in row blocks, and scalar mult
+evaluates the same formula on two codes. Symmetric and wreath products
+compose rows of the cached array of all n! permutations and rank the
+results with a vectorized Lehmer code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +31,8 @@ import numpy as np
 
 TABLE_CAP = 4096  # largest order for which a multiplication table is materialized
 VERIFY_CAP = 1024  # largest order for which verify_group runs the exhaustive sweep
+PERM_CAP = 40320  # largest n! for which the array of all permutations is built
+TABLE_BLOCK = 1 << 18  # table entries computed per array product
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +74,34 @@ def perm_inverse(p):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def permutation_array(n):
+    """Read-only (n!, n) array whose row r is perm_unrank(r, n), built once
+    per n. Refused when n! exceeds PERM_CAP."""
+    count = math.factorial(n)
+    if count > PERM_CAP:
+        raise ValueError("%d! permutations exceed cap %d" % (n, PERM_CAP))
+    P = np.array([perm_unrank(r, n) for r in range(count)], dtype=np.int8)
+    P.flags.writeable = False
+    return P
+
+
+def _rank_rows(q):
+    """perm_rank of each permutation along the last axis: the Lehmer digit
+    of place i counts the later entries below q[i]."""
+    n = q.shape[-1]
+    r = np.zeros(q.shape[:-1], dtype=np.int64)
+    for i in range(n - 1):
+        r = r * (n - i) + (q[..., i + 1 :] < q[..., i, None]).sum(axis=-1)
+    return r
+
+
+def _compose_rank(a, b, n):
+    """perm_rank(perm_compose(p_a, p_b)) for arrays of codes a, b."""
+    P = permutation_array(n)
+    return _rank_rows(np.take_along_axis(P[a], P[b], axis=-1))
+
+
 def perm_cycles(p):
     """Cycles of p as tuples of positions, each starting at its minimum."""
     n = len(p)
@@ -88,7 +125,8 @@ def perm_cycles(p):
 
 class FiniteGroup:
     """Base class. Subclasses set .kind, .order, .descriptor and implement
-    mult / inverse on integer codes."""
+    _product (elementwise on equal-shape integer arrays, or on two codes)
+    and inverse on integer codes."""
 
     kind = "?"
     descriptor = "?"
@@ -100,24 +138,29 @@ class FiniteGroup:
         self._inv = None
         self._classes = None
 
-    def mult(self, a, b):
+    def _product(self, a, b):
         raise NotImplementedError
+
+    def mult(self, a, b):
+        return int(self._product(a, b))
 
     def inverse(self, a):
         raise NotImplementedError
 
     def table(self):
-        """Full multiplication table T[a, b] = a*b, cached. Orders above
-        TABLE_CAP are refused so memory stays bounded."""
+        """Full multiplication table T[a, b] = a*b, cached, filled in row
+        blocks of about TABLE_BLOCK entries by one _product call each.
+        Orders above TABLE_CAP are refused so memory stays bounded."""
         if self._table is None:
-            if self.order > TABLE_CAP:
-                raise ValueError(
-                    "order %d exceeds table cap %d" % (self.order, TABLE_CAP)
-                )
-            T = np.empty((self.order, self.order), dtype=np.int32)
-            for a in range(self.order):
-                for b in range(self.order):
-                    T[a, b] = self.mult(a, b)
+            n = self.order
+            if n > TABLE_CAP:
+                raise ValueError("order %d exceeds table cap %d" % (n, TABLE_CAP))
+            T = np.empty((n, n), dtype=np.int32)
+            rows = max(1, TABLE_BLOCK // n)
+            for lo in range(0, n, rows):
+                hi = min(n, lo + rows)
+                a, b = np.divmod(np.arange(lo * n, hi * n), n)
+                T[lo:hi] = self._product(a, b).reshape(hi - lo, n)
             self._table = T
         return self._table
 
@@ -172,7 +215,7 @@ class CyclicGroup(FiniteGroup):
         self.order = m
         self.descriptor = "cyclic:%d" % m
 
-    def mult(self, a, b):
+    def _product(self, a, b):
         return (a + b) % self.m
 
     def inverse(self, a):
@@ -207,9 +250,14 @@ class AbelianGroup(FiniteGroup):
             a = a * m + d % m
         return a
 
-    def mult(self, a, b):
-        va, vb = self.decode(a), self.decode(b)
-        return self.encode([x + y for x, y in zip(va, vb)])
+    def _product(self, a, b):
+        out, place = 0, 1
+        for m in reversed(self.moduli):
+            a, da = divmod(a, m)
+            b, db = divmod(b, m)
+            out = out + (da + db) % m * place
+            place *= m
+        return out
 
     def inverse(self, a):
         return self.encode([-x for x in self.decode(a)])
@@ -226,8 +274,8 @@ class SymmetricGroup(FiniteGroup):
         self.order = math.factorial(n)
         self.descriptor = "sym:%d" % n
 
-    def mult(self, a, b):
-        return perm_rank(perm_compose(perm_unrank(a, self.n), perm_unrank(b, self.n)))
+    def _product(self, a, b):
+        return _compose_rank(a, b, self.n)
 
     def inverse(self, a):
         return perm_rank(perm_inverse(perm_unrank(a, self.n)))
@@ -273,14 +321,16 @@ class WreathGroup(FiniteGroup):
             hcode = hcode * self.h_order + d
         return perm_rank(p) * self.vec_order + hcode
 
-    def mult(self, a, b):
-        h1, p1 = self.decode(a)
-        h2, p2 = self.decode(b)
-        p1inv = perm_inverse(p1)
-        h = tuple(
-            self.base.mult(h1[i], h2[p1inv[i]]) for i in range(self.n)
-        )
-        return self.encode(h, perm_compose(p1, p2))
+    def _product(self, a, b):
+        pa, ha = divmod(a, self.vec_order)
+        pb, hb = divmod(b, self.vec_order)
+        place = self.h_order ** np.arange(self.n - 1, -1, -1)
+        da, db = ((np.asarray(h)[..., None] // place) % self.h_order for h in (ha, hb))
+        # (p1.h2)[p1(j)] = h2[j]
+        moved = np.empty_like(db)
+        np.put_along_axis(moved, permutation_array(self.n)[pa], db, axis=-1)
+        h = self.base.table()[da, moved] @ place
+        return _compose_rank(pa, pb, self.n) * self.vec_order + h
 
     def inverse(self, a):
         h, p = self.decode(a)
@@ -317,8 +367,8 @@ class TableGroup(FiniteGroup):
         self.descriptor = descriptor
         self._table = table
 
-    def mult(self, a, b):
-        return int(self._table[a, b])
+    def _product(self, a, b):
+        return self._table[a, b]
 
     def inverse(self, a):
         row = np.flatnonzero(self._table[a] == 0)
@@ -345,10 +395,10 @@ class ProductGroup(FiniteGroup):
     def join(self, a1, a2):
         return a1 * self.g2.order + a2
 
-    def mult(self, a, b):
+    def _product(self, a, b):
         a1, a2 = self.split(a)
         b1, b2 = self.split(b)
-        return self.join(self.g1.mult(a1, b1), self.g2.mult(a2, b2))
+        return self.join(self.g1._product(a1, b1), self.g2._product(a2, b2))
 
     def inverse(self, a):
         a1, a2 = self.split(a)
@@ -449,14 +499,6 @@ class GroupAction:
         self.n_points = table.shape[1]
         self.name = name
 
-    @classmethod
-    def from_function(cls, group, n_points, f, name="action"):
-        T = np.empty((group.order, n_points), dtype=np.int32)
-        for g in range(group.order):
-            for x in range(n_points):
-                T[g, x] = f(g, x)
-        return cls(group, T, name)
-
     def act(self, g, x):
         return int(self.table[g, x])
 
@@ -479,6 +521,12 @@ def verify_action(action):
             raise ValueError(
                 "compatibility fails at g=%d h=%d x=%d" % (g, h, x)
             )
+
+
+def natural_action(n):
+    """S_n permuting range(n): g sends x to perm_unrank(g, n)[x], so the
+    table is the permutation array."""
+    return GroupAction(SymmetricGroup(n), permutation_array(n), name="natural:%d" % n)
 
 
 def left_translation_action(group):

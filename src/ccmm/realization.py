@@ -97,6 +97,23 @@ def _check_injective(name, arr):
             seen[v] = idx
 
 
+def check_class_ids(reals, rank):
+    """Every entry of every map is a class id in [0, rank); else ValueError
+    naming the map (with its component index when there are several), the
+    entry and the id."""
+    for slot in ("alpha", "beta", "gamma"):
+        for ci, real in enumerate(reals):
+            arr = getattr(real, slot)
+            bad = np.argwhere((arr < 0) | (arr >= rank))
+            if len(bad):
+                name = slot if len(reals) == 1 else "%s[%d]" % (slot, ci)
+                row, col = (int(v) for v in bad[0])
+                raise ValueError(
+                    "%s entry (%d,%d) is class %d, outside [0,%d)"
+                    % (name, row, col, int(arr[row, col]), rank)
+                )
+
+
 def _decode(flat, offsets, cols):
     """Flat position -> (component, row, column) as Python ints."""
     ci = int(np.searchsorted(offsets, flat, side="right")) - 1
@@ -116,6 +133,7 @@ def _sweep(t, reals):
     first failing sweep position (x, y) with the z of its least unexpected
     triangle, else of its missing matched one, each decoded to
     (component, row, column), and the kind "extra" or "missing"."""
+    check_class_ids(reals, t.rank)
     slots = [[getattr(real, s) for real in reals] for s in ("alpha", "beta", "gamma")]
     # per map: the offset of each component's flat positions, and row length
     layout = [
@@ -815,6 +833,8 @@ def read_real(path):
             x, y, cls = int(parts[0]), int(parts[1]), int(parts[3])
             if not (0 <= x < rows and 0 <= y < cols):
                 raise ValueError("index out of range in %r" % lines[pos])
+            if cls < 0:
+                raise ValueError("negative class id in %r" % lines[pos])
             arr[x, y] = cls
             pos += 1
         if (arr < 0).any():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .realization import verify_realization
+from .realization import check_class_ids, verify_realization
 from .sets import TriangleFreeSet, simplex_slice, triangle_free_set
 
 UNWEIGHT_CAP = 3  # the substitution sweep touches n^9 monomials
@@ -132,6 +132,7 @@ class WeightedMatMul:
     def __init__(self, config, real, check=True):
         if check:
             verify_realization(config, real)
+        check_class_ids([real], config.rank)
         self.config = config
         self.real = real
         self.dims = real.dims

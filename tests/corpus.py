@@ -19,11 +19,10 @@ from ccmm.constructions import (
     trivial_configuration,
 )
 from ccmm.groups import (
-    GroupAction,
-    SymmetricGroup,
     TableGroup,
     conjugation_action,
     make_group,
+    natural_action,
     perm_unrank,
     verify_group,
 )
@@ -122,13 +121,6 @@ def groups_up_to_order_12():
 # -- the configuration corpus ------------------------------------------------
 
 
-def _natural_action(n):
-    G = SymmetricGroup(n)
-    return GroupAction.from_function(
-        G, n, lambda g, x: perm_unrank(g, n)[x], name="natural:%d" % n
-    )
-
-
 def build_corpus():
     """Fresh list of (name, configuration) pairs, every entry fully checked
     at construction time."""
@@ -136,8 +128,8 @@ def build_corpus():
     for g in groups_up_to_order_12():
         entries.append(("grp:%s" % g.descriptor, group_scheme(g, check="full")))
 
-    entries.append(("schurian:natural-sym-3", schurian(_natural_action(3))))
-    entries.append(("schurian:natural-sym-4", schurian(_natural_action(4))))
+    entries.append(("schurian:natural-sym-3", schurian(natural_action(3))))
+    entries.append(("schurian:natural-sym-4", schurian(natural_action(4))))
     entries.append(("schurian:diagonal-2", schurian(diagonal_action(2))))
     entries.append(("schurian:diagonal-3", schurian(diagonal_action(3))))
     entries.append(

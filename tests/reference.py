@@ -1,11 +1,15 @@
 """Reference implementations kept for the tests: the pure-Python pair
-loops of the realization sweep, the dict-of-dicts intersection builder, and
-the dense r x r x r intersection array. They read the intersection data
-only through slice(), star() and iter_nonzero(), so they run against
-tensors and symmetric-power views alike."""
+loops of the realization sweep, the dict-of-dicts intersection builder, the
+dense r x r x r intersection array, the per-pair group table loop over
+scalar products written on tuples, and the axiom-3 row sweep with int64
+keys sorted along the strided axis. The realization loops read the
+intersection data only through slice(), star() and iter_nonzero(), so they
+run against tensors and symmetric-power views alike."""
 
 import numpy as np
 
+from ccmm.configuration import AxiomViolation, _profile_mismatch_witness
+from ccmm.groups import GroupAction, perm_compose, perm_inverse, perm_rank, perm_unrank
 from ccmm.realization import RealizationInvalid, _check_injective
 
 DENSE_TENSOR_CAP = 512
@@ -121,3 +125,82 @@ def loop_verify_simultaneous(t, reals):
                                     % (ia, ib, a, bp, b, cp),
                                 )
     return True
+
+
+def action_from_function(group, n_points, f, name="action"):
+    """The action whose table holds f(g, x), one call per (g, x)."""
+    T = np.empty((group.order, n_points), dtype=np.int32)
+    for g in range(group.order):
+        for x in range(n_points):
+            T[g, x] = f(g, x)
+    return GroupAction(group, T, name)
+
+
+def loop_mult(G, a, b):
+    """a*b in a cyclic, abelian, sym or wreath group, on digit and
+    permutation tuples, one pair at a time."""
+    if G.kind == "cyclic":
+        return (a + b) % G.m
+    if G.kind == "abelian":
+        va, vb = G.decode(a), G.decode(b)
+        return G.encode([x + y for x, y in zip(va, vb)])
+    if G.kind == "sym":
+        return perm_rank(perm_compose(perm_unrank(a, G.n), perm_unrank(b, G.n)))
+    if G.kind == "wreath":
+        h1, p1 = G.decode(a)
+        h2, p2 = G.decode(b)
+        p1inv = perm_inverse(p1)
+        h = tuple(loop_mult(G.base, h1[i], h2[p1inv[i]]) for i in range(G.n))
+        return G.encode(h, perm_compose(p1, p2))
+    raise ValueError("no loop product for kind %r" % G.kind)
+
+
+def loop_table(G):
+    """The multiplication table filled one loop_mult call per pair."""
+    T = np.empty((G.order, G.order), dtype=np.int32)
+    for a in range(G.order):
+        for b in range(G.order):
+            T[a, b] = loop_mult(G, a, b)
+    return T
+
+
+def loop_check_axiom3(matrix, r, x0, y0, rows=None):
+    """_check_axiom3 as a row sweep: int64 keys[z, y] sorted along axis 0,
+    each column compared with the profile of its class's first pair, seen
+    earlier in the same ascending row order."""
+    n = matrix.shape[0]
+    m64 = matrix.astype(np.int64)
+    by_row = [[] for _ in range(n)]
+    for c in range(r):
+        by_row[x0[c]].append(c)
+    ref = np.empty((n, r), dtype=np.int64)
+    seen = np.zeros(r, dtype=bool)
+    chunk = n if n <= 2048 else max(256, (1 << 22) // n)
+    row_iter = range(n) if rows is None else rows
+    for x in row_iter:
+        base = m64[x] * r
+        for ys in range(0, n, chunk):
+            ye = min(n, ys + chunk)
+            keys = base[:, None] + m64[:, ys:ye]  # keys[z, y-ys]
+            keys.sort(axis=0)
+            for c in by_row[x]:
+                if ys <= y0[c] < ye and not seen[c]:
+                    ref[:, c] = keys[:, y0[c] - ys]
+                    seen[c] = True
+            row_classes = matrix[x, ys:ye]
+            assert seen[row_classes].all()
+            expected = ref[:, row_classes]
+            if not np.array_equal(keys, expected):
+                bad_cols = np.flatnonzero((keys != expected).any(axis=0))
+                yy = ys + int(bad_cols[0])
+                c = int(matrix[x, yy])
+                wit = _profile_mismatch_witness(
+                    matrix, r, x, yy, int(x0[c]), int(y0[c])
+                )
+                raise AxiomViolation(
+                    3,
+                    wit,
+                    "pairs (%d,%d) and (%d,%d) of class %d disagree on the "
+                    "count for composition (%d,%d): %d vs %d"
+                    % ((wit[0], wit[1], wit[2], wit[3], c) + wit[4:]),
+                )

@@ -433,3 +433,47 @@ def test_build_with_too_few_specs_is_exit_two(tmp_path, capsys, what, usage):
     assert rc == 2
     assert out == ""
     assert err == "error: usage: ccmm build %s %s\n" % (what, usage)
+
+
+def _fibers_real_with(tmp_path, capsys, slot, entry, cls):
+    """trivial 2 (rank 4) and its fibers realization with one entry of one
+    map replaced by cls."""
+    cc = str(tmp_path / "t2.ccfg")
+    run(capsys, "build", "trivial", "2", "-o", cc)
+    rr = tmp_path / "t2.real"
+    run(capsys, "realize", "fibers", "--ccfg", cc, "-o", str(rr))
+    text = rr.read_text().splitlines()
+    k = text.index(slot) + 1 + entry[0] * 2 + entry[1]
+    text[k] = "%d %d -> %d" % (entry + (cls,))
+    rr.write_text("\n".join(text) + "\n")
+    return cc, str(rr)
+
+
+def test_realize_verify_class_id_at_rank_is_exit_two(tmp_path, capsys):
+    cc, rr = _fibers_real_with(tmp_path, capsys, "gamma", (1, 0), 4)
+    rc, out, err = run(capsys, "realize", "verify", "--ccfg", cc, "--real", rr)
+    assert rc == 2
+    assert err == "error: gamma entry (1,0) is class 4, outside [0,4)\n"
+
+
+def test_matmul_class_id_at_rank_is_exit_two(tmp_path, capsys):
+    cc, rr = _fibers_real_with(tmp_path, capsys, "alpha", (0, 1), 4)
+    a = _write_matrix_file(tmp_path / "a.mat", "2 2\n1 0\n0 1\n")
+    rc, out, err = run(capsys, "matmul", "--ccfg", cc, "--real", rr, "--a", a, "--b", a)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: alpha entry (0,1) is class 4, outside [0,4)\n"
+
+
+@pytest.mark.parametrize("verb", ["realize", "matmul"])
+def test_negative_class_id_in_real_file_is_exit_two(tmp_path, capsys, verb):
+    cc, rr = _fibers_real_with(tmp_path, capsys, "alpha", (0, 1), -1)
+    a = _write_matrix_file(tmp_path / "a.mat", "2 2\n1 0\n0 1\n")
+    argv = {
+        "realize": ["realize", "verify", "--ccfg", cc, "--real", rr],
+        "matmul": ["matmul", "--ccfg", cc, "--real", rr, "--a", a, "--b", a],
+    }[verb]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: negative class id in '0 1 -> -1'\n"

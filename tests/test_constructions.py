@@ -10,6 +10,8 @@ import pytest
 
 from ccmm.configuration import AxiomViolation, CoherentConfiguration
 from ccmm.constructions import (
+    _power_points,
+    _sorted_classes,
     direct_product,
     fusion,
     gas_equals_schurian_conjugation,
@@ -21,9 +23,9 @@ from ccmm.constructions import (
     trivial_configuration,
 )
 from ccmm.realization import diagonal_action
+from reference import action_from_function
 from ccmm.groups import (
     CyclicGroup,
-    GroupAction,
     SymmetricGroup,
     conjugation_action,
     left_translation_action,
@@ -86,14 +88,14 @@ def test_group_scheme_cap():
 
 def test_schurian_trivial_action_gives_trivial_configuration():
     g = make_group("cyclic:2")
-    act = GroupAction.from_function(g, 3, lambda gg, x: x)
+    act = action_from_function(g, 3, lambda gg, x: x)
     cfg = schurian(act)
     assert np.array_equal(cfg.matrix, trivial_configuration(3).matrix)
 
 
 def test_schurian_natural_s3_action():
     g = make_group("sym:3")
-    act = GroupAction.from_function(
+    act = action_from_function(
         g, 3, lambda code, x: perm_unrank(code, 3)[x]
     )
     cfg = schurian(act)
@@ -359,3 +361,15 @@ def test_streaming_rank_respects_point_cap():
 def test_streaming_rank_k1_is_rank():
     cfg = group_scheme(SymmetricGroup(3))
     assert symmetric_power_rank(cfg, 1) == cfg.rank
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_sorting_network_sorts_coordinate_classes(k):
+    rng = np.random.default_rng(k)
+    M = rng.integers(0, 4, size=(3, 3))
+    coords = _power_points(3, k, 10**6)
+    assert len(coords) == k
+    rows = slice(2, 7)
+    got = _sorted_classes(M, coords, rows)
+    want = np.sort(np.stack([M[np.ix_(c[rows], c)] for c in coords]), axis=0)
+    assert np.array_equal(np.stack(got), want)

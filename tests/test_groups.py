@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import action_from_function, loop_table
 
 from ccmm.groups import (
     AbelianGroup,
     CyclicGroup,
-    GroupAction,
     ProductGroup,
     SymmetricGroup,
     TableGroup,
@@ -23,10 +23,12 @@ from ccmm.groups import (
     count_conjugacy_wreath,
     left_translation_action,
     make_group,
+    natural_action,
     perm_compose,
     perm_inverse,
     perm_rank,
     perm_unrank,
+    permutation_array,
     verify_action,
     verify_group,
     wreath_conjugacy_bound_check,
@@ -288,8 +290,72 @@ def test_conjugation_action_values():
 
 def test_action_from_function_and_verify_rejects():
     G = make_group("cyclic:4")
-    act = GroupAction.from_function(G, 4, lambda g, x: (x + g) % 4)
+    act = action_from_function(G, 4, lambda g, x: (x + g) % 4)
     verify_action(act)
-    bad = GroupAction.from_function(G, 4, lambda g, x: (x + g * g) % 4)
+    bad = action_from_function(G, 4, lambda g, x: (x + g * g) % 4)
     with pytest.raises(ValueError):
         verify_action(bad)
+
+
+# --- array-built tables against the per-pair loop ---------------------------
+
+LOOP_TABLE_GROUPS = (
+    ["cyclic:1", "cyclic:2", "cyclic:7", "abelian:2x3x5", "abelian:4x4"]
+    + ["sym:%d" % n for n in range(1, 6)]
+    + ["wreath:%d:%s" % (n, base) for n in (1, 2, 3) for base in ("cyclic:1", "cyclic:3", "abelian:2x2")]
+)
+
+
+@pytest.mark.parametrize("desc", LOOP_TABLE_GROUPS)
+def test_table_equals_pair_loop(desc, monkeypatch):
+    G = make_group(desc)
+    want = loop_table(G)
+
+    def refuse(self, a, b):
+        raise AssertionError("table() called scalar mult")
+
+    monkeypatch.setattr(type(G), "mult", refuse)
+    T = G.table()
+    assert T.dtype == np.int32
+    assert np.array_equal(T, want)
+    monkeypatch.undo()
+    # scalar mult runs the same formula
+    for a in range(0, G.order, max(1, G.order // 7)):
+        assert [G.mult(a, b) for b in range(G.order)] == want[a].tolist()
+
+
+def test_table_blocks_do_not_change_the_table(monkeypatch):
+    import ccmm.groups as groups
+
+    want = make_group("wreath:2:cyclic:3").table()
+    monkeypatch.setattr(groups, "TABLE_BLOCK", 80)  # four of the 18 rows per block, a partial last block
+    assert np.array_equal(make_group("wreath:2:cyclic:3").table(), want)
+    monkeypatch.setattr(groups, "TABLE_BLOCK", 7)  # fewer entries than one row
+    assert np.array_equal(make_group("wreath:2:cyclic:3").table(), want)
+
+
+def test_product_group_mult_matches_table():
+    G = ProductGroup(make_group("sym:3"), make_group("cyclic:4"))
+    T = G.table()
+    assert all(G.mult(a, b) == T[a, b] for a in range(G.order) for b in range(G.order))
+
+
+def test_permutation_array_rows_and_cap():
+    for n in range(1, 6):
+        P = permutation_array(n)
+        assert [tuple(row) for row in P.tolist()] == [perm_unrank(r, n) for r in range(math.factorial(n))]
+        assert not P.flags.writeable
+    assert permutation_array(4) is permutation_array(4)
+    with pytest.raises(ValueError, match="exceed cap"):
+        permutation_array(9)
+    with pytest.raises(ValueError, match="exceed cap"):
+        make_group("sym:9").mult(1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_natural_action_is_the_permutation_array(n):
+    act = natural_action(n)
+    want = action_from_function(SymmetricGroup(n), n, lambda g, x: perm_unrank(g, n)[x])
+    assert act.group.descriptor == "sym:%d" % n
+    assert np.array_equal(act.table, want.table)
+    verify_action(act)

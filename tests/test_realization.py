@@ -19,10 +19,11 @@ import pytest
 from ccmm.configuration import CoherentConfiguration
 from ccmm.constructions import group_scheme, schurian, trivial_configuration
 from ccmm.groups import (
-    GroupAction,
     make_group,
     left_translation_action,
 )
+from reference import action_from_function
+
 from ccmm.realization import (
     HypothesisViolation,
     Realization,
@@ -128,7 +129,7 @@ def test_fibers_realization_group_scheme():
 
 def test_fibers_realization_three_orbits():
     g = make_group("cyclic:2")
-    act = GroupAction.from_function(g, 3, lambda gg, x: x)
+    act = action_from_function(g, 3, lambda gg, x: x)
     real = fibers_realization(schurian(act))
     assert real.dims == (3, 3, 3)
 
@@ -279,7 +280,7 @@ def test_action_realization_witness_is_genuine():
 
 def test_action_realization_fixed_point():
     g = make_group("cyclic:2")
-    act = GroupAction.from_function(g, 2, lambda gg, x: x)
+    act = action_from_function(g, 2, lambda gg, x: x)
     cfg, real = action_realization(act, [0], [0], [0])
     assert real.dims == (1, 1, 1)
 

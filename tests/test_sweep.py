@@ -211,3 +211,21 @@ def test_weights_match_pointwise_lookup():
                         t.star(int(real.gamma[c, a])), 0
                     )
                     assert W.weights[a, b, c] == want
+
+
+def test_class_ids_outside_the_rank_are_value_errors():
+    cfg, reals = diagonal_example(3)
+    r = cfg.rank
+    real = reals[0]
+    gamma = real.gamma.copy()
+    gamma[1, 2] = r
+    with pytest.raises(ValueError, match=r"^gamma entry \(1,2\) is class %d, outside \[0,%d\)$" % (r, r)):
+        verify_realization(cfg, Realization(real.alpha, real.beta, gamma))
+    alpha = reals[1].alpha.copy()
+    alpha[0, 1] = -1
+    bad = Realization(alpha, reals[1].beta, reals[1].gamma)
+    with pytest.raises(ValueError, match=r"^alpha\[1\] entry \(0,1\) is class -1, outside \[0,%d\)$" % r):
+        verify_simultaneous(cfg, [reals[0], bad] + list(reals[2:]))
+    for check in (True, False):
+        with pytest.raises(ValueError, match=r"^alpha entry \(0,1\) is class -1"):
+            WeightedMatMul(cfg, bad, check=check)
