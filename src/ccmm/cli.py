@@ -351,8 +351,8 @@ def cmd_matmul(args):
 
 def cmd_boolmm(args):
     W = _load_weighted(args)
-    A = [[int(v) for v in row] for row in read_matrix(args.a)]
-    B = [[int(v) for v in row] for row in read_matrix(args.b)]
+    A = read_matrix(args.a)
+    B = read_matrix(args.b)
     if args.randomized:
         if args.seed is None:
             raise ValueError("randomized boolmm requires --seed")

@@ -29,35 +29,20 @@ class AxiomViolation(Exception):
         super().__init__("axiom (%d): %s; witness %s" % (axiom, message, witness))
 
 
-def _normalization_perm(matrix, r):
+def _normalization_perm(matrix, first):
     """Old id -> new id permutation: diagonal classes first by smallest
-    point, then the rest by first row-major occurrence."""
-    diag = np.diagonal(matrix)
-    diag_classes, diag_first = np.unique(diag, return_index=True)
-    diag_order = diag_classes[np.argsort(diag_first, kind="stable")]
-    diag_set = set(int(c) for c in diag_order)
-    flat_classes, flat_first = np.unique(matrix, return_index=True)
-    rest = [
-        int(c)
-        for c in flat_classes[np.argsort(flat_first, kind="stable")]
-        if int(c) not in diag_set
-    ]
-    perm = np.full(r, -1, dtype=np.int64)
-    for new, old in enumerate([int(c) for c in diag_order] + rest):
-        perm[old] = new
-    assert perm.min() >= 0
+    point, then the rest by first row-major occurrence. first[c] is the
+    row-major flat index of the first pair of class c, for every class."""
+    diag_classes, diag_first = np.unique(np.diagonal(matrix), return_index=True)
+    off = np.ones(len(first), dtype=bool)
+    off[diag_classes] = False
+    rest = np.flatnonzero(off)
+    order = np.concatenate(
+        [diag_classes[np.argsort(diag_first)], rest[np.argsort(first[rest])]]
+    )
+    perm = np.empty(len(first), dtype=np.int64)
+    perm[order] = np.arange(len(first))
     return perm
-
-
-def _first_occurrences(matrix, r):
-    """Arrays x0, y0 with (x0[c], y0[c]) the row-major first pair of class c."""
-    n = matrix.shape[0]
-    classes, first = np.unique(matrix, return_index=True)
-    x0 = np.empty(r, dtype=np.int64)
-    y0 = np.empty(r, dtype=np.int64)
-    x0[classes] = first // n
-    y0[classes] = first % n
-    return x0, y0
 
 
 def _check_axiom1(matrix, r):
@@ -187,13 +172,13 @@ class CoherentConfiguration:
     """Immutable after construction. Build through from_class_matrix (or the
     constructions module); direct __init__ expects normalized input."""
 
-    def __init__(self, matrix, rank, verification, class_labels=None):
+    def __init__(self, matrix, rank, verification, class_labels, x0, y0):
         self.matrix = matrix
         self.n_points = matrix.shape[0]
         self.rank = rank
         self.verification = verification  # "full", "sampled", or "trusted"
         self.class_labels = class_labels
-        self._x0, self._y0 = _first_occurrences(matrix, rank)
+        self._x0, self._y0 = x0, y0  # (x0[c], y0[c]): row-major first pair of class c
         self._star = None
         self._sizes = None
         self._tensor = None
@@ -221,22 +206,23 @@ class CoherentConfiguration:
         matrix = matrix.astype(np.int32)
         if matrix.min() < 0:
             raise ValueError("negative class id")
-        present = np.unique(matrix)
-        r = int(matrix.max()) + 1 if rank is None else rank
+        present, first = np.unique(matrix, return_index=True)
+        r = int(present[-1]) + 1 if rank is None else rank
         if int(present[-1]) >= r:
             outside = present[present >= r].tolist()
             raise ValueError("class ids %s outside [0,%d)" % (outside, r))
         if len(present) != r:
             missing = sorted(set(range(r)) - set(present.tolist()))
             raise ValueError("class ids not onto [0,%d): missing %s" % (r, missing))
-        perm = _normalization_perm(matrix, r)
+        perm = _normalization_perm(matrix, first)
         matrix = perm[matrix].astype(np.int32)
         if class_labels is not None:
             relabeled = [None] * r
             for old, lab in enumerate(class_labels):
                 relabeled[perm[old]] = lab
             class_labels = relabeled
-        x0, y0 = _first_occurrences(matrix, r)
+        # the first pair of new class perm[c] is that of old class c
+        x0, y0 = np.divmod(first[np.argsort(perm)], n)
         _check_axiom1(matrix, r)
         _check_axiom2(matrix, r, x0, y0)
         if check == "full":
@@ -250,7 +236,7 @@ class CoherentConfiguration:
             verification = "trusted"
         else:
             raise ValueError("check must be full, sampled or trusted")
-        return cls(matrix, r, verification, class_labels)
+        return cls(matrix, r, verification, class_labels, x0, y0)
 
     # -- basic structure ----------------------------------------------
 

@@ -198,12 +198,3 @@ def symmetric_power_rank(config, k, point_cap=POINT_CAP, chunk=64, bitmap_cap=1 
         else:
             seen_set.update(np.unique(enc).tolist())
     return int(seen_bitmap.sum()) if use_bitmap else len(seen_set)
-
-
-def gas_equals_schurian_conjugation(G):
-    """Cross-check helper: the group association scheme has the same
-    normalized class matrix as the Schurian configuration of the two-sided
-    conjugation action."""
-    direct = group_association_scheme(G)
-    via_action = schurian(conjugation_action(G))
-    return bool(np.array_equal(direct.matrix, via_action.matrix))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import CoherentConfiguration
-from .constructions import group_association_scheme, schurian, symmetric_power
+from .constructions import schurian, symmetric_power
 from .groups import WreathGroup, conjugation_action, count_conjugacy_wreath
 
 
@@ -682,17 +682,6 @@ def grp_as_realization(family, check="full"):
         )
     cfg2, real = action_realization(act, A, B, C, config=cfg)
     return cfg, real
-
-
-def gas_realization_matches(family):
-    """Cross-check: the ambient scheme of grp_as_realization equals the
-    group association scheme built directly."""
-    H = family.group
-    n = len(family.triples)
-    G = WreathGroup(n, H)
-    cfg, _ = grp_as_realization(family)
-    direct = group_association_scheme(G)
-    return bool(np.array_equal(cfg.matrix, direct.matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Exact sparse trilinear forms and the executable bilinear algorithms.
 
-Everything here is exact rational arithmetic except jminusi_demo, where
-complex roots of unity force numerics (ranks via singular values at a
-stated tolerance)."""
+Everything here is exact except jminusi_demo, where complex roots of unity
+force numerics (ranks via singular values at a stated tolerance). The
+embedded product runs on integer numerators (int64 under an overflow bound,
+Python ints above it) with a remainder certificate at every weight
+division; Fraction appears only at its input and output."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +21,7 @@ from .realization import check_class_ids, verify_realization
 from .sets import TriangleFreeSet, simplex_slice, triangle_free_set
 
 UNWEIGHT_CAP = 3  # the substitution sweep touches n^9 monomials
+EXPONENT_CAP = 4300  # a matrix entry like 1e9999999999 would build a huge integer
 
 
 class SparseTensor:
@@ -127,7 +132,13 @@ def support_equal(t1, t2):
 class WeightedMatMul:
     """A verified realization packaged with its weight table
     lambda_{a,b,c} = p^{gamma(c,a)*}_{alpha(a,b), beta(b,c)}; the triangle
-    condition makes every weight a positive integer."""
+    condition makes every weight a positive integer.
+
+    The structure constants of every (alpha(a,b), beta(b,c)) pair are kept
+    as int64 arrays ab (= a*m + b), bc (= b*n + c) and p, sorted by the key
+    (b, k) and cut into runs beginning at starts. run[a, b, c] is the run
+    of (b, gamma(c,a)*), where the product reads out entry (a, c);
+    run_mass is the largest sum of p over one run."""
 
     def __init__(self, config, real, check=True):
         if check:
@@ -139,100 +150,85 @@ class WeightedMatMul:
         l, m, n = real.dims
         t = config.intersection()
         pair, k, p = t.pair_nonzeros(real.alpha[:, :, None], real.beta[None, :, :])
-        # the readout class of pair (a, b, c) is star(gamma(c, a))
-        readout = np.broadcast_to(t.star_vector[real.gamma].T[:, None, :], (l, m, n))
-        hit = k == readout.ravel()[pair]
-        w = np.zeros(l * m * n, dtype=np.int64)
-        w[pair[hit]] = p[hit]
-        w = w.reshape(l, m, n)
+        a, b, c = np.unravel_index(pair, (l, m, n))
+        readout = t.star_vector[real.gamma].T  # readout[a, c] = star(gamma(c, a))
+        hit = k == readout[a, c]
+        w = np.zeros((l, m, n), dtype=np.int64)
+        w[a[hit], b[hit], c[hit]] = p[hit]
         if (w <= 0).any():
             raise AssertionError(
                 "nonpositive weight despite verified realization"
             )
         self.weights = w
-        # pairs[(a*m + b)*n + c]: the (k, p^k) of alpha(a,b), beta(b,c)
-        rows = list(zip(k.tolist(), p.tolist()))
-        ends = np.cumsum(np.bincount(pair, minlength=l * m * n)).tolist()
-        self.pairs = [rows[s:e] for s, e in zip([0] + ends[:-1], ends)]
-
-
-def _as_fraction_rows(M, rows, cols, name):
-    out = [[Fraction(v) for v in row] for row in M]
-    if len(out) != rows or any(len(row) != cols for row in out):
-        raise ValueError(
-            "%s must be %dx%d" % (name, rows, cols)
+        key = b * config.rank + k
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        self.ab = (a * m + b)[order]
+        self.bc = (b * n + c)[order]
+        self.p = p[order]
+        self.starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.run = np.searchsorted(
+            key[self.starts], np.arange(m)[:, None] * config.rank + readout[:, None, :]
         )
-    return out
+        self.run_mass = int(np.add.reduceat(self.p, self.starts).max())
+
+
+def _ratio(v):
+    """(numerator, denominator) of the rational number Fraction(v)."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:
+        return Fraction(v).as_integer_ratio()
+
+
+def _numerators(M, rows, cols, name):
+    """M scaled by the lcm d of its entries' denominators: (integer rows, d)."""
+    M = [[_ratio(v) for v in row] for row in M]
+    if len(M) != rows or any(len(row) != cols for row in M):
+        raise ValueError("%s must be %dx%d" % (name, rows, cols))
+    d = math.lcm(*(q for row in M for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in M], d
+
+
+def _integer_product(W, A, B):
+    """sum_b of the (b, gamma(c,a)*) coefficient of the algebra product
+    divided by lambda_{a,b,c}, for integer rows A (l x m) and B (m x n): an
+    l x n integer array equal to A @ B. Every nonzero of every pair is
+    accumulated into its (b, k) run; a readout that is not a multiple of
+    its weight raises AssertionError. int64 while the bound on the run sums
+    and on the sum over b stays below 2^62, Python ints above it."""
+    m = W.dims[1]
+    top = max(abs(v) for row in A for v in row) * max(abs(v) for row in B for v in row)
+    wide = top * W.run_mass * m >= 1 << 62
+    dtype = object if wide else np.int64
+    A = np.array(A, dtype=dtype).ravel()
+    B = np.array(B, dtype=dtype).ravel()
+    p, w = (W.p.astype(object), W.weights.astype(object)) if wide else (W.p, W.weights)
+    acc = np.add.reduceat(A[W.ab] * B[W.bc] * p, W.starts)[W.run]
+    rem = acc % w
+    if rem.any():
+        a, b, c = (int(v) for v in np.argwhere(rem != 0)[0])
+        raise AssertionError(
+            "readout %d at (a,b,c) = (%d,%d,%d) is not a multiple of its weight %d"
+            % (acc[a, b, c], a, b, c, w[a, b, c])
+        )
+    return (acc // w).sum(axis=1)
 
 
 def embedded_matmul(W, A, B):
-    """Exact product A @ B computed inside the adjacency algebra: embed the
-    b-th column of A and row of B on the alpha/beta classes, multiply via
-    structure constants, read the gamma(c,a)* coefficient, and divide by
-    the known weight. Splitting over b keeps the division exact even when
-    weights vary with b."""
+    """Exact product A @ B computed inside the adjacency algebra. A and B
+    are scaled to integer numerators by the lcm of their own denominators;
+    the b-th column of A and row of B are embedded on the alpha/beta
+    classes, multiplied via structure constants, the gamma(c,a)*
+    coefficient is read out and divided by the known weight. Splitting over
+    b keeps the division exact even when weights vary with b, and a
+    nonzero remainder is a certificate failure (AssertionError). Fraction
+    appears only at the output."""
     l, m, n = W.dims
-    A = _as_fraction_rows(A, l, m, "A")
-    B = _as_fraction_rows(B, m, n, "B")
-    t = W.config.intersection()
-    gamma = W.real.gamma
-    readout = [
-        [t.star(int(gamma[c, a])) for c in range(n)] for a in range(l)
-    ]
-    C = [[Fraction(0)] * n for _ in range(l)]
-    for b in range(m):
-        acc = {}
-        for a in range(l):
-            if not A[a][b]:
-                continue
-            for c in range(n):
-                if B[b][c]:
-                    f = A[a][b] * B[b][c]
-                    for k, p in W.pairs[(a * m + b) * n + c]:
-                        acc[k] = acc.get(k, Fraction(0)) + f * p
-        for a in range(l):
-            for c in range(n):
-                val = acc.get(readout[a][c])
-                if val:
-                    C[a][c] += val / int(W.weights[a, b, c])
-    return C
-
-
-def adjacency_matmul(W, A, B):
-    """Cross-check oracle for embedded_matmul: the same embedding carried
-    out with explicit point-level adjacency matrices."""
-    l, m, n = W.dims
-    A = _as_fraction_rows(A, l, m, "A")
-    B = _as_fraction_rows(B, m, n, "B")
-    cfg = W.config
-    N = cfg.n_points
-    alpha, beta, gamma = W.real.alpha, W.real.beta, W.real.gamma
-    adj = {}
-
-    def mat(k):
-        if k not in adj:
-            adj[k] = cfg.adjacency_matrix(k).astype(object)
-        return adj[k]
-
-    C = [[Fraction(0)] * n for _ in range(l)]
-    for b in range(m):
-        X = np.zeros((N, N), dtype=object)
-        Y = np.zeros((N, N), dtype=object)
-        for a in range(l):
-            if A[a][b]:
-                X = X + A[a][b] * mat(int(alpha[a, b]))
-        for c in range(n):
-            if B[b][c]:
-                Y = Y + B[b][c] * mat(int(beta[b, c]))
-        Z = np.dot(X, Y)
-        for a in range(l):
-            for c in range(n):
-                k = cfg.intersection().star(int(gamma[c, a]))
-                x0, y0 = cfg.rep_pair(k)
-                val = Z[x0, y0]
-                if val:
-                    C[a][c] += Fraction(val) / int(W.weights[a, b, c])
-    return C
+    A, dA = _numerators(A, l, m, "A")
+    B, dB = _numerators(B, m, n, "B")
+    d = dA * dB
+    return [[Fraction(v, d) for v in row] for row in _integer_product(W, A, B).tolist()]
 
 
 def boolean_matmul(W, A, B, seed=None, repetitions=20, deterministic=True):
@@ -248,12 +244,10 @@ def boolean_matmul(W, A, B, seed=None, repetitions=20, deterministic=True):
         raise ValueError("matrix shapes do not match the realization dims")
     if not (np.isin(A, (0, 1)).all() and np.isin(B, (0, 1)).all()):
         raise ValueError("entries must be 0 or 1")
+    A = (A != 0).astype(np.int64).tolist()
+    B = (B != 0).astype(np.int64).tolist()
     if deterministic:
-        C = embedded_matmul(W, A.tolist(), B.tolist())
-        return np.array(
-            [[1 if C[a][c] else 0 for c in range(n)] for a in range(l)],
-            dtype=np.int64,
-        )
+        return (_integer_product(W, A, B) != 0).astype(np.int64)
     if seed is None:
         raise ValueError("randomized mode requires a seed")
     if repetitions < 1:
@@ -261,19 +255,9 @@ def boolean_matmul(W, A, B, seed=None, repetitions=20, deterministic=True):
     rnd = random.Random(seed)
     out = np.zeros((l, n), dtype=np.int64)
     for _ in range(repetitions):
-        LA = [
-            [Fraction(rnd.randint(1, 2)) if A[a, b] else Fraction(0) for b in range(m)]
-            for a in range(l)
-        ]
-        LB = [
-            [Fraction(rnd.randint(1, 2)) if B[b, c] else Fraction(0) for c in range(n)]
-            for b in range(m)
-        ]
-        C = embedded_matmul(W, LA, LB)
-        for a in range(l):
-            for c in range(n):
-                if C[a][c]:
-                    out[a, c] = 1
+        LA = [[rnd.randint(1, 2) if v else 0 for v in row] for row in A]
+        LB = [[rnd.randint(1, 2) if v else 0 for v in row] for row in B]
+        out[_integer_product(W, LA, LB) != 0] = 1
     return out
 
 
@@ -462,6 +446,9 @@ def read_matrix(path):
 
 
 def _entry(text):
+    exp = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
+    if exp and abs(int(exp.group(1))) > EXPONENT_CAP:
+        raise ValueError("matrix entry %r has an exponent beyond %d" % (text, EXPONENT_CAP))
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -4,13 +4,28 @@ dense r x r x r intersection array, the per-pair group table loop over
 scalar products written on tuples, and the axiom-3 row sweep with int64
 keys sorted along the strided axis. The realization loops read the
 intersection data only through slice(), star() and iter_nonzero(), so they
-run against tensors and symmetric-power views alike."""
+run against tensors and symmetric-power views alike. The embedded product
+is kept twice: the per-term Fraction loop over the structure constants of
+each (alpha(a,b), beta(b,c)) pair, and the point-level adjacency-matrix
+product. Last come the cross-checks of the group association scheme."""
+
+import random
+from fractions import Fraction
 
 import numpy as np
 
 from ccmm.configuration import AxiomViolation, _profile_mismatch_witness
-from ccmm.groups import GroupAction, perm_compose, perm_inverse, perm_rank, perm_unrank
-from ccmm.realization import RealizationInvalid, _check_injective
+from ccmm.constructions import group_association_scheme, schurian
+from ccmm.groups import (
+    GroupAction,
+    WreathGroup,
+    conjugation_action,
+    perm_compose,
+    perm_inverse,
+    perm_rank,
+    perm_unrank,
+)
+from ccmm.realization import RealizationInvalid, _check_injective, grp_as_realization
 
 DENSE_TENSOR_CAP = 512
 
@@ -204,3 +219,122 @@ def loop_check_axiom3(matrix, r, x0, y0, rows=None):
                     "count for composition (%d,%d): %d vs %d"
                     % ((wit[0], wit[1], wit[2], wit[3], c) + wit[4:]),
                 )
+
+
+def _as_fraction_rows(M, rows, cols, name):
+    out = [[Fraction(v) for v in row] for row in M]
+    if len(out) != rows or any(len(row) != cols for row in out):
+        raise ValueError(
+            "%s must be %dx%d" % (name, rows, cols)
+        )
+    return out
+
+
+def fraction_embedded_matmul(W, A, B):
+    """embedded_matmul as a per-term Fraction loop: for each b, accumulate
+    A[a][b] B[b][c] p^k over every nonzero k of every pair, then divide the
+    gamma(c,a)* coefficient by the weight."""
+    l, m, n = W.dims
+    A = _as_fraction_rows(A, l, m, "A")
+    B = _as_fraction_rows(B, m, n, "B")
+    t = W.config.intersection()
+    alpha, beta, gamma = W.real.alpha, W.real.beta, W.real.gamma
+    readout = [[t.star(int(gamma[c, a])) for c in range(n)] for a in range(l)]
+    C = [[Fraction(0)] * n for _ in range(l)]
+    for b in range(m):
+        acc = {}
+        for a in range(l):
+            if not A[a][b]:
+                continue
+            for c in range(n):
+                if B[b][c]:
+                    f = A[a][b] * B[b][c]
+                    for k, p in t.slice(int(alpha[a, b]), int(beta[b, c])).items():
+                        acc[k] = acc.get(k, Fraction(0)) + f * p
+        for a in range(l):
+            for c in range(n):
+                val = acc.get(readout[a][c])
+                if val:
+                    C[a][c] += val / int(W.weights[a, b, c])
+    return C
+
+
+def fraction_boolean_matmul(W, A, B, seed, repetitions, engine=fraction_embedded_matmul):
+    """The randomized mode of boolean_matmul with Fraction lifts: the same
+    rnd.randint(1, 2) draws, A row by row and then B, per repetition."""
+    l, m, n = W.dims
+    A = np.asarray(A)
+    B = np.asarray(B)
+    rnd = random.Random(seed)
+    out = np.zeros((l, n), dtype=np.int64)
+    for _ in range(repetitions):
+        LA = [
+            [Fraction(rnd.randint(1, 2)) if A[a, b] else Fraction(0) for b in range(m)]
+            for a in range(l)
+        ]
+        LB = [
+            [Fraction(rnd.randint(1, 2)) if B[b, c] else Fraction(0) for c in range(n)]
+            for b in range(m)
+        ]
+        C = engine(W, LA, LB)
+        for a in range(l):
+            for c in range(n):
+                if C[a][c]:
+                    out[a, c] = 1
+    return out
+
+def adjacency_matmul(W, A, B):
+    """Cross-check oracle for embedded_matmul: the same embedding carried
+    out with explicit point-level adjacency matrices."""
+    l, m, n = W.dims
+    A = _as_fraction_rows(A, l, m, "A")
+    B = _as_fraction_rows(B, m, n, "B")
+    cfg = W.config
+    N = cfg.n_points
+    alpha, beta, gamma = W.real.alpha, W.real.beta, W.real.gamma
+    adj = {}
+
+    def mat(k):
+        if k not in adj:
+            adj[k] = cfg.adjacency_matrix(k).astype(object)
+        return adj[k]
+
+    C = [[Fraction(0)] * n for _ in range(l)]
+    for b in range(m):
+        X = np.zeros((N, N), dtype=object)
+        Y = np.zeros((N, N), dtype=object)
+        for a in range(l):
+            if A[a][b]:
+                X = X + A[a][b] * mat(int(alpha[a, b]))
+        for c in range(n):
+            if B[b][c]:
+                Y = Y + B[b][c] * mat(int(beta[b, c]))
+        Z = np.dot(X, Y)
+        for a in range(l):
+            for c in range(n):
+                k = cfg.intersection().star(int(gamma[c, a]))
+                x0, y0 = cfg.rep_pair(k)
+                val = Z[x0, y0]
+                if val:
+                    C[a][c] += Fraction(val) / int(W.weights[a, b, c])
+    return C
+
+
+def gas_equals_schurian_conjugation(G):
+    """Cross-check helper: the group association scheme has the same
+    normalized class matrix as the Schurian configuration of the two-sided
+    conjugation action."""
+    direct = group_association_scheme(G)
+    via_action = schurian(conjugation_action(G))
+    return bool(np.array_equal(direct.matrix, via_action.matrix))
+
+
+def gas_realization_matches(family):
+    """Cross-check: the ambient scheme of grp_as_realization equals the
+    group association scheme built directly."""
+    H = family.group
+    n = len(family.triples)
+    G = WreathGroup(n, H)
+    cfg, _ = grp_as_realization(family)
+    direct = group_association_scheme(G)
+    return bool(np.array_equal(cfg.matrix, direct.matrix))

@@ -477,3 +477,41 @@ def test_negative_class_id_in_real_file_is_exit_two(tmp_path, capsys, verb):
     assert rc == 2
     assert out == ""
     assert err == "error: negative class id in '0 1 -> -1'\n"
+
+
+def _diagonal_three(tmp_path, capsys):
+    prefix = str(tmp_path / "d3")
+    rc, out, err = run(capsys, "realize", "diagonal-example", "--n", "3", "--out-prefix", prefix)
+    assert rc == 0
+    return prefix + ".ccfg", prefix + ".0.real"
+
+
+@pytest.mark.parametrize("entry", ["1/2", "3/2", "2"])
+@pytest.mark.parametrize("mode", [[], ["--randomized", "--seed", "5"]])
+def test_boolmm_entry_other_than_zero_or_one_is_exit_two(tmp_path, capsys, entry, mode):
+    cc, rr = _diagonal_three(tmp_path, capsys)
+    a = _write_matrix_file(tmp_path / "a.mat", "3 3\n1 0 %s\n0 1 0\n0 0 1\n" % entry)
+    b = _write_matrix_file(tmp_path / "b.mat", "3 3\n1 1 0\n0 1 0\n1 0 1\n")
+    for first, second in ((a, b), (b, a)):
+        rc, out, err = run(capsys, "boolmm", "--ccfg", cc, "--real", rr,
+                           "--a", first, "--b", second, *mode)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: entries must be 0 or 1\n"
+
+
+def test_boolmm_reads_zero_and_one_in_any_notation(tmp_path, capsys):
+    cc, rr = _diagonal_three(tmp_path, capsys)
+    a = _write_matrix_file(tmp_path / "a.mat", "3 3\n2/2 0/5 0\n0 1.0 0\n0 0 1e0\n")
+    rc, out, err = run(capsys, "boolmm", "--ccfg", cc, "--real", rr, "--a", a, "--b", a)
+    assert rc == 0
+    assert out == "3 3\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+def test_matmul_entry_with_huge_exponent_is_exit_two(tmp_path, capsys):
+    cc, rr = _diagonal_three(tmp_path, capsys)
+    a = _write_matrix_file(tmp_path / "a.mat", "3 3\n1 0 0\n0 1e9999999999 0\n0 0 1\n")
+    rc, out, err = run(capsys, "matmul", "--ccfg", cc, "--real", rr, "--a", a, "--b", a)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: matrix entry '1e9999999999' has an exponent beyond 4300\n"

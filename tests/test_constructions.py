@@ -14,7 +14,6 @@ from ccmm.constructions import (
     _sorted_classes,
     direct_product,
     fusion,
-    gas_equals_schurian_conjugation,
     group_association_scheme,
     group_scheme,
     schurian,
@@ -23,7 +22,7 @@ from ccmm.constructions import (
     trivial_configuration,
 )
 from ccmm.realization import diagonal_action
-from reference import action_from_function
+from reference import action_from_function, gas_equals_schurian_conjugation
 from ccmm.groups import (
     CyclicGroup,
     SymmetricGroup,

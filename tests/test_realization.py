@@ -22,7 +22,7 @@ from ccmm.groups import (
     make_group,
     left_translation_action,
 )
-from reference import action_from_function
+from reference import action_from_function, gas_realization_matches
 
 from ccmm.realization import (
     HypothesisViolation,
@@ -33,7 +33,6 @@ from ccmm.realization import (
     diagonal_action,
     diagonal_example,
     fibers_realization,
-    gas_realization_matches,
     grp_as_realization,
     is_triangle,
     read_real,

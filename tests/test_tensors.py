@@ -18,11 +18,11 @@ from ccmm.realization import (
     is_triangle,
 )
 from ccmm.sets import TriangleFreeSet, simplex_slice, triangle_free_set
+from reference import adjacency_matmul
 from ccmm.tensors import (
     SparseTensor,
     UnweightingReport,
     WeightedMatMul,
-    adjacency_matmul,
     boolean_matmul,
     direct_sum,
     embedded_matmul,
