@@ -17,6 +17,8 @@ from .groups import conjugation_action
 def trivial_configuration(n, check="full"):
     """Every ordered pair its own class: rank n**2, n fibers. The adjacency
     algebra is the full n x n matrix algebra."""
+    if n < 1:
+        raise ValueError("need at least one point")
     M = np.arange(n * n, dtype=np.int64).reshape(n, n)
     return CoherentConfiguration.from_class_matrix(M, check=check)
 
@@ -127,12 +129,12 @@ def _power_points(n, k, point_cap):
     N = n**k
     if N > point_cap:
         raise ValueError("%d**%d = %d points exceeds cap %d" % (n, k, N, point_cap))
-    coords = []
-    rem = np.arange(N)
-    for _ in range(k):
-        rem, digit = np.divmod(rem, n)
-        coords.append(digit)
-    return coords[::-1]
+    return np.unravel_index(np.arange(N), (n,) * k)
+
+
+def _sorted_rows(coords):
+    """Indices of the C(n+k-1, k) points with non-decreasing coordinates."""
+    return np.flatnonzero(np.all(np.diff(np.stack(coords), axis=0) >= 0, axis=0))
 
 
 def _sorted_classes(M, coords, rows):
@@ -149,6 +151,17 @@ def _sorted_classes(M, coords, rows):
     return s
 
 
+def _class_codes(M, coords, rows, r):
+    """Each cell's sorted k-tuple of coordinate classes as one base-r code
+    (int32 when r**k < 2**31, else int64), ascending as the tuples are."""
+    dtype = np.int32 if r ** len(coords) < 1 << 31 else np.int64
+    s = _sorted_classes(M.astype(dtype), coords, rows)
+    codes = s[0]
+    for c in s[1:]:
+        codes = codes * dtype(r) + c
+    return codes
+
+
 def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     """Fuse the k-fold direct power under coordinate permutations. Points
     are all k-tuples of source points (lexicographic); classes are multisets
@@ -156,45 +169,33 @@ def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     are both verified, never assumed."""
     r = config.rank
     coords = _power_points(config.n_points, k, point_cap)
-    N = len(coords[0])
-    stack = _sorted_classes(config.matrix.astype(np.int64), coords, slice(None))
-    flat = np.stack(stack).reshape(k, -1).T
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    codes = _class_codes(config.matrix, coords, slice(None), r)
+    uniq, inverse = np.unique(codes.ravel(), return_inverse=True)
     expected_rank = math.comb(r + k - 1, k)
     if len(uniq) != expected_rank:
         raise AssertionError(
             "fused class count %d differs from C(%d+%d-1,%d) = %d"
             % (len(uniq), r, k, k, expected_rank)
         )
-    Msym = inverse.reshape(N, N)
-    labels = [tuple(int(v) for v in row) for row in uniq]
+    labels = list(zip(*(d.tolist() for d in np.unravel_index(uniq, (r,) * k))))
     return CoherentConfiguration.from_class_matrix(
-        Msym, class_labels=labels, check=check
+        inverse.reshape(codes.shape), class_labels=labels, check=check
     )
 
 
 def symmetric_power_rank(config, k, point_cap=POINT_CAP, chunk=64, bitmap_cap=1 << 26):
     """Number of classes of Sym^k C, counted without materializing the
-    N x N class matrix: rows are processed in chunks, each cell's sorted
-    k-tuple of coordinate classes is encoded in base r and marked. Usable
-    where symmetric_power itself would not fit in memory."""
+    N x N class matrix. Permuting the coordinates of both points keeps a
+    cell's class, so only the C(n+k-1, k) sorted rows are swept, in chunks,
+    marking each cell's class code."""
     r = config.rank
     coords = _power_points(config.n_points, k, point_cap)
-    N = len(coords[0])
-    codes = r**k
-    if codes > 1 << 62:
-        raise ValueError("class encoding does not fit 63 bits")
-    M = config.matrix.astype(np.int64)
-    use_bitmap = codes <= bitmap_cap
-    seen_bitmap = np.zeros(codes, dtype=bool) if use_bitmap else None
-    seen_set = set() if not use_bitmap else None
-    for lo in range(0, N, chunk):
-        stack = _sorted_classes(M, coords, slice(lo, lo + chunk))
-        enc = stack[0]
-        for c in range(1, k):
-            enc = enc * r + stack[c]
-        if use_bitmap:
-            seen_bitmap[enc.ravel()] = True
+    rows = _sorted_rows(coords)
+    seen = np.zeros(r**k, dtype=bool) if r**k <= bitmap_cap else set()
+    for lo in range(0, len(rows), chunk):
+        codes = _class_codes(config.matrix, coords, rows[lo : lo + chunk], r)
+        if isinstance(seen, set):
+            seen.update(np.unique(codes).tolist())
         else:
-            seen_set.update(np.unique(enc).tolist())
-    return int(seen_bitmap.sum()) if use_bitmap else len(seen_set)
+            seen[codes.ravel()] = True
+    return len(seen) if isinstance(seen, set) else int(seen.sum())

@@ -198,7 +198,11 @@ def _integer_product(W, A, B):
     its weight raises AssertionError. int64 while the bound on the run sums
     and on the sum over b stays below 2^62, Python ints above it."""
     m = W.dims[1]
-    top = max(abs(v) for row in A for v in row) * max(abs(v) for row in B for v in row)
+    # each factor at least 1, so an entry beyond int64 takes the Python-int
+    # path even when the other matrix is zero
+    top = (max(abs(v) for row in A for v in row) or 1) * (
+        max(abs(v) for row in B for v in row) or 1
+    )
     wide = top * W.run_mass * m >= 1 << 62
     dtype = object if wide else np.int64
     A = np.array(A, dtype=dtype).ravel()
@@ -403,19 +407,17 @@ def unweighting_check(n, S=None, seed=0):
 
 
 def write_matrix(M, path):
-    """First line `rows cols`, then rows of entries, integers or p/q."""
+    """First line `rows cols`, then rows of entries, integers or p/q. Every
+    line is formatted before the file is opened, so an entry that cannot be
+    printed leaves no partial file."""
     rows = [[Fraction(v) for v in row] for row in M]
-
-    def emit(fh):
-        fh.write("%d %d\n" % (len(rows), len(rows[0]) if rows else 0))
-        for row in rows:
-            fh.write(" ".join(str(v) for v in row) + "\n")
-
+    lines = ["%d %d\n" % (len(rows), len(rows[0]) if rows else 0)]
+    lines += [" ".join(str(v) for v in row) + "\n" for row in rows]
     if hasattr(path, "write"):
-        emit(path)
+        path.writelines(lines)
     else:
         with open(path, "w") as fh:
-            emit(fh)
+            fh.writelines(lines)
 
 
 def read_matrix(path):

@@ -7,15 +7,29 @@ intersection data only through slice(), star() and iter_nonzero(), so they
 run against tensors and symmetric-power views alike. The embedded product
 is kept twice: the per-term Fraction loop over the structure constants of
 each (alpha(a,b), beta(b,c)) pair, and the point-level adjacency-matrix
-product. Last come the cross-checks of the group association scheme."""
+product. Then the cross-checks of the group association scheme. Last, the
+symmetric-power routines over all n**k rows: the rank count that marks the
+cells of every row, and the class build by np.unique(axis=0) over the
+(N*N, k) array of sorted coordinate classes."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from ccmm.configuration import AxiomViolation, _profile_mismatch_witness
-from ccmm.constructions import group_association_scheme, schurian
+from ccmm.configuration import (
+    POINT_CAP,
+    AxiomViolation,
+    CoherentConfiguration,
+    _profile_mismatch_witness,
+)
+from ccmm.constructions import (
+    _power_points,
+    _sorted_classes,
+    group_association_scheme,
+    schurian,
+)
 from ccmm.groups import (
     GroupAction,
     WreathGroup,
@@ -338,3 +352,47 @@ def gas_realization_matches(family):
     cfg, _ = grp_as_realization(family)
     direct = group_association_scheme(G)
     return bool(np.array_equal(cfg.matrix, direct.matrix))
+
+
+def full_row_symmetric_power_rank(
+    config, k, point_cap=POINT_CAP, chunk=64, bitmap_cap=1 << 26
+):
+    """The Sym^k class count over all n**k rows: each chunk's sorted k-tuples
+    of coordinate classes encoded in base r (int64) and marked in a bitmap,
+    or in a set when r**k exceeds bitmap_cap."""
+    r = config.rank
+    coords = _power_points(config.n_points, k, point_cap)
+    N = len(coords[0])
+    codes = r**k
+    if codes > 1 << 62:
+        raise ValueError("class encoding does not fit 63 bits")
+    M = config.matrix.astype(np.int64)
+    use_bitmap = codes <= bitmap_cap
+    seen_bitmap = np.zeros(codes, dtype=bool) if use_bitmap else None
+    seen_set = set() if not use_bitmap else None
+    for lo in range(0, N, chunk):
+        stack = _sorted_classes(M, coords, slice(lo, lo + chunk))
+        enc = stack[0]
+        for c in range(1, k):
+            enc = enc * r + stack[c]
+        if use_bitmap:
+            seen_bitmap[enc.ravel()] = True
+        else:
+            seen_set.update(np.unique(enc).tolist())
+    return int(seen_bitmap.sum()) if use_bitmap else len(seen_set)
+
+
+def unique_rows_symmetric_power(config, k, check="full", point_cap=POINT_CAP):
+    """Sym^k C with its classes found as the distinct rows of the (N*N, k)
+    array of sorted coordinate classes, by np.unique(axis=0)."""
+    r = config.rank
+    coords = _power_points(config.n_points, k, point_cap)
+    N = len(coords[0])
+    stack = _sorted_classes(config.matrix.astype(np.int64), coords, slice(None))
+    flat = np.stack(stack).reshape(k, -1).T
+    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    assert len(uniq) == math.comb(r + k - 1, k)
+    labels = [tuple(int(v) for v in row) for row in uniq]
+    return CoherentConfiguration.from_class_matrix(
+        inverse.reshape(N, N), class_labels=labels, check=check
+    )

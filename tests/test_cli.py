@@ -515,3 +515,25 @@ def test_matmul_entry_with_huge_exponent_is_exit_two(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: matrix entry '1e9999999999' has an exponent beyond 4300\n"
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_matmul_product_too_long_to_print_writes_nothing(tmp_path, capsys, to_file):
+    # the product entry 10**8000 has more digits than Python will print
+    cc, rr = _diagonal_three(tmp_path, capsys)
+    a = _write_matrix_file(tmp_path / "a.mat", "3 3\n1e4000 0 0\n0 1 0\n0 0 1\n")
+    b = _write_matrix_file(tmp_path / "b.mat", "3 3\n1e4000 0 0\n0 1 0\n0 0 1\n")
+    target = tmp_path / "c.mat"
+    dest = ["-o", str(target)] if to_file else []
+    rc, out, err = run(capsys, "matmul", "--ccfg", cc, "--real", rr, "--a", a, "--b", b, *dest)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_build_trivial_negative_is_exit_two(capsys):
+    rc, out, err = run(capsys, "build", "trivial", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: need at least one point\n"

@@ -3,6 +3,7 @@ group isomorphism, so relabeling points of the product scheme by it must give
 exactly the Z/6 scheme. Fusion and power facts are checked against hand
 enumerations on groups small enough to verify by eye."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 from ccmm.configuration import AxiomViolation, CoherentConfiguration
 from ccmm.constructions import (
+    _class_codes,
     _power_points,
     _sorted_classes,
+    _sorted_rows,
     direct_product,
     fusion,
     group_association_scheme,
@@ -21,8 +24,14 @@ from ccmm.constructions import (
     symmetric_power_rank,
     trivial_configuration,
 )
-from ccmm.realization import diagonal_action
-from reference import action_from_function, gas_equals_schurian_conjugation
+from ccmm.realization import diagonal_action, diagonal_example
+from corpus import corpus
+from reference import (
+    action_from_function,
+    full_row_symmetric_power_rank,
+    gas_equals_schurian_conjugation,
+    unique_rows_symmetric_power,
+)
 from ccmm.groups import (
     CyclicGroup,
     SymmetricGroup,
@@ -44,6 +53,12 @@ def test_trivial_configuration(n):
     assert cfg.is_association_scheme() == (n == 1)
     # every class has one pair
     assert all(int(s) == 1 for s in cfg.class_sizes())
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_trivial_configuration_needs_a_point(n):
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        trivial_configuration(n)
 
 
 # --------------------------------------------------------- group scheme
@@ -372,3 +387,87 @@ def test_sorting_network_sorts_coordinate_classes(k):
     got = _sorted_classes(M, coords, rows)
     want = np.sort(np.stack([M[np.ix_(c[rows], c)] for c in coords]), axis=0)
     assert np.array_equal(np.stack(got), want)
+
+
+# -- sorted rows against the full-row references ------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sorted_rows_are_ranks_of_multisets(n, k):
+    want = [
+        sum(t[i] * n ** (k - 1 - i) for i in range(k))
+        for t in itertools.combinations_with_replacement(range(n), k)
+    ]
+    assert _sorted_rows(_power_points(n, k, 10**6)).tolist() == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sorted_row_count_equals_full_row_count(k):
+    checked = 0
+    for name, cfg in corpus():
+        if cfg.n_points**k > 20000:
+            continue
+        want = full_row_symmetric_power_rank(cfg, k)
+        assert symmetric_power_rank(cfg, k) == want, (name, k)
+        assert symmetric_power_rank(cfg, k, bitmap_cap=0) == want, (name, k)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("r,dtype", [(215, np.int32), (216, np.int64)])
+def test_class_codes_widen_at_two_to_the_31(r, dtype):
+    # 215**4 < 2**31 <= 216**4; with classes near r - 1 and M[0, 0] = r - 1
+    # the codes reach r**4 - 1
+    M = r - 1 - np.random.default_rng(r).integers(0, 3, size=(3, 3))
+    M[0, 0] = r - 1
+    coords = _power_points(3, 4, 10**6)
+    codes = _class_codes(M, coords, slice(None), r)
+    assert codes.dtype == dtype
+    want = [
+        [
+            sum(v * r ** (3 - i) for i, v in enumerate(sorted(int(M[c[x], c[y]]) for c in coords)))
+            for y in range(81)
+        ]
+        for x in range(81)
+    ]
+    assert codes.tolist() == want
+    assert int(codes.max()) == r**4 - 1
+
+
+def _assert_same_power(got, want):
+    assert got.matrix.dtype == want.matrix.dtype
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.rank == want.rank
+    assert got.class_labels == want.class_labels
+    assert all(type(v) is int for lab in got.class_labels for v in lab)
+
+
+@pytest.mark.parametrize(
+    "base_factory,k",
+    [
+        (lambda: group_scheme(make_group("cyclic:3")), 2),
+        (lambda: group_scheme(make_group("cyclic:5")), 2),
+        (lambda: group_scheme(make_group("sym:3")), 2),
+        (lambda: group_association_scheme(make_group("sym:3")), 2),
+        (lambda: group_scheme(make_group("cyclic:2")), 3),
+        (lambda: group_scheme(make_group("cyclic:3")), 3),
+        (lambda: trivial_configuration(2), 3),
+        (lambda: diagonal_example(4)[0], 2),
+    ],
+)
+def test_symmetric_power_matches_unique_rows_reference(base_factory, k):
+    base = base_factory()
+    _assert_same_power(symmetric_power(base, k), unique_rows_symmetric_power(base, k))
+
+
+def test_symmetric_power_matches_reference_across_corpus():
+    checked = 0
+    for name, cfg in corpus():
+        for k in (2, 3):
+            if cfg.n_points**k > 400:
+                continue
+            got = symmetric_power(cfg, k, check="trusted")
+            _assert_same_power(got, unique_rows_symmetric_power(cfg, k, check="trusted"))
+            checked += 1
+    assert checked >= 40

@@ -123,6 +123,11 @@ def test_zero_and_integer_inputs():
     M = [[a * 3 + b - 4 for b in range(3)] for a in range(3)]
     assert embedded_matmul(W, Z, M) == [[Fraction(0)] * 3] * 3
     assert embedded_matmul(W, M, Z) == [[Fraction(0)] * 3] * 3
+    # an entry beyond int64 against a zero matrix still takes the
+    # Python-int path
+    huge = [[0, 0, 0], [0, 0, 0], [0, 0, 2**63]]
+    assert embedded_matmul(W, huge, Z) == [[Fraction(0)] * 3] * 3
+    assert embedded_matmul(W, Z, huge) == [[Fraction(0)] * 3] * 3
     got = embedded_matmul(W, M, M)
     assert got == naive(M, M) == fraction_embedded_matmul(W, M, M)
     assert all(v.denominator == 1 for row in got for v in row)

@@ -393,6 +393,16 @@ def test_matrix_roundtrip():
     assert read_matrix(io.StringIO(buf.getvalue())) == M
 
 
+def test_matrix_write_is_all_or_nothing():
+    # an entry past Python's int-to-str digit limit raises before any line,
+    # the header included, reaches the handle
+    M = [[Fraction(1), Fraction(2)], [Fraction(10**5000), Fraction(3)]]
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        write_matrix(M, buf)
+    assert buf.getvalue() == ""
+
+
 def test_matrix_file_format_errors():
     with pytest.raises(ValueError):
         read_matrix(io.StringIO(""))
