@@ -1,8 +1,13 @@
 """Configuration builders: group schemes, Schurian configurations from
 actions, group association schemes, direct products, fusions, and symmetric
 powers. Every builder funnels its class matrix through
-CoherentConfiguration.from_class_matrix, so the output is re-verified from
-scratch rather than trusted by construction."""
+CoherentConfiguration.from_class_matrix, so the output is verified rather
+than trusted by construction. Builders also hand it point permutations
+that the construction makes automorphisms: left translations, rows of the
+action table, lifts of the factors' or the base's automorphisms. Each is
+checked exactly against the built matrix, and the axiom-3 sweep runs over
+one row per orbit of the group they generate, which still proves the axiom
+for every pair."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import math
 
 import numpy as np
 
-from .configuration import POINT_CAP, CoherentConfiguration
+from .configuration import POINT_CAP, CoherentConfiguration, orbit_minima
 from .groups import conjugation_action
 
 
@@ -23,6 +28,21 @@ def trivial_configuration(n, check="full"):
     return CoherentConfiguration.from_class_matrix(M, check=check)
 
 
+def _orbit_generators(table):
+    """Rows of an action table that generate its point orbits: in table
+    order, a row is kept when it merges two orbits of the group the rows
+    kept before it generate, until the orbit count equals that of the whole
+    table (point x is least in its orbit iff it is least in column x)."""
+    points = np.arange(table.shape[1])
+    target = np.count_nonzero(table.min(axis=0) == points)
+    lab, gens, at = points, [], 0
+    while np.count_nonzero(lab == points) > target:
+        at += int(np.argmax((lab[table[at:]] != lab).any(axis=1)))
+        gens.append(table[at])
+        lab = orbit_minima(np.array(gens, dtype=np.int64), lab)
+    return gens
+
+
 def group_scheme(G, check="full"):
     """Classes R_g = {(h, hg)}: the class of (h, k) is h^-1 k. Association
     scheme on |G| points of rank |G|, commutative iff G is abelian."""
@@ -33,7 +53,7 @@ def group_scheme(G, check="full"):
     M = T[inv]  # M[h, k] = (h^-1) k
     labels = list(range(G.order))
     return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check
+        M, class_labels=labels, check=check, automorphisms=_orbit_generators(T)
     )
 
 
@@ -54,7 +74,7 @@ def schurian(action, check="full"):
             M[T[:, x], T[:, y]] = len(labels)
             labels.append((x, y))
     return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check
+        M, class_labels=labels, check=check, automorphisms=_orbit_generators(T)
     )
 
 
@@ -69,15 +89,18 @@ def group_association_scheme(G, check="full"):
     inv = G.inverse_vector()
     M = cmap[T[:, inv]]  # class of g h^-1
     labels = [tuple(c) for c in G.conjugacy_classes()]
+    # left translation by a keeps the class: (a g)(a h)^-1 = a (g h^-1) a^-1
     return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check
+        M, class_labels=labels, check=check, automorphisms=_orbit_generators(T)
     )
 
 
 def direct_product(c1, c2, check="full"):
     """Points are pairs, the class of ((x1,x2),(y1,y2)) is the pair of
-    coordinate classes. Rank r1*r2."""
-    n = c1.n_points * c2.n_points
+    coordinate classes. Rank r1*r2. The factors' automorphisms act on their
+    coordinate: g x id and id x g."""
+    n1, n2 = c1.n_points, c2.n_points
+    n = n1 * n2
     if n > POINT_CAP:
         raise ValueError("product on %d points exceeds cap" % n)
     m1 = c1.matrix.astype(np.int64)
@@ -92,8 +115,14 @@ def direct_product(c1, c2, check="full"):
         for i1 in range(c1.rank)
         for i2 in range(c2.rank)
     ]
+    gens = np.concatenate(
+        [
+            (c1.automorphisms[:, :, None] * n2 + np.arange(n2)).reshape(-1, n),
+            (np.arange(n1)[:, None] * n2 + c2.automorphisms[:, None, :]).reshape(-1, n),
+        ]
+    )
     return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check
+        M, class_labels=labels, check=check, automorphisms=gens
     )
 
 
@@ -101,7 +130,8 @@ def fusion(config, blocks, check="full"):
     """Merge classes along a partition of [r]. Raises ValueError for a
     malformed partition; a well-formed partition whose merged matrix breaks
     an axiom raises AxiomViolation from re-verification, which is the
-    expected rejection path for invalid fusions."""
+    expected rejection path for invalid fusions. The base's automorphisms
+    keep every merged class, so they are passed on."""
     r = config.rank
     blockmap = np.full(r, -1, dtype=np.int64)
     for b, block in enumerate(blocks):
@@ -118,7 +148,9 @@ def fusion(config, blocks, check="full"):
     if len(uncovered):
         raise ValueError("classes not covered: %s" % uncovered.tolist())
     M = blockmap[config.matrix]
-    return CoherentConfiguration.from_class_matrix(M, check=check)
+    return CoherentConfiguration.from_class_matrix(
+        M, check=check, automorphisms=config.automorphisms
+    )
 
 
 def _power_points(n, k, point_cap):
@@ -166,9 +198,11 @@ def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     """Fuse the k-fold direct power under coordinate permutations. Points
     are all k-tuples of source points (lexicographic); classes are multisets
     of source classes, so the rank is C(r+k-1, k). The count and the axioms
-    are both verified, never assumed."""
-    r = config.rank
-    coords = _power_points(config.n_points, k, point_cap)
+    are both verified, never assumed. Automorphisms: the base's acting on
+    coordinate 0, and for k >= 2 the transposition of coordinates 0 and 1
+    and (for k >= 3) the cyclic shift of the coordinates."""
+    r, n = config.rank, config.n_points
+    coords = _power_points(n, k, point_cap)
     codes = _class_codes(config.matrix, coords, slice(None), r)
     uniq, inverse = np.unique(codes.ravel(), return_inverse=True)
     expected_rank = math.comb(r + k - 1, k)
@@ -178,8 +212,13 @@ def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
             % (len(uniq), r, k, k, expected_rank)
         )
     labels = list(zip(*(d.tolist() for d in np.unravel_index(uniq, (r,) * k))))
+    rest = n ** (k - 1)
+    gens = list(config.automorphisms[:, coords[0]] * rest + np.arange(n**k) % rest)
+    shuffles = [(1, 0) + tuple(range(2, k))] if k >= 2 else []
+    shuffles += [tuple(range(1, k)) + (0,)] if k >= 3 else []
+    gens += [np.ravel_multi_index([coords[i] for i in s], (n,) * k) for s in shuffles]
     return CoherentConfiguration.from_class_matrix(
-        inverse.reshape(codes.shape), class_labels=labels, check=check
+        inverse.reshape(codes.shape), class_labels=labels, check=check, automorphisms=gens
     )
 
 

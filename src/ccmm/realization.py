@@ -53,7 +53,9 @@ class HypothesisViolation(Exception):
 
 class Realization:
     """Three injective maps into class ids, stored as integer arrays of
-    shapes (l, m), (m, n) and (n, l)."""
+    shapes (l, m), (m, n) and (n, l). record is None, or the intersection
+    data the realization last passed verification against together with
+    copies of its maps at that time."""
 
     def __init__(self, alpha, beta, gamma):
         self.alpha = np.asarray(alpha, dtype=np.int64)
@@ -70,6 +72,10 @@ class Realization:
                 % (self.alpha.shape, self.beta.shape, self.gamma.shape)
             )
         self.dims = (l, m, n)
+        self.record = None
+
+    def maps(self):
+        return self.alpha, self.beta, self.gamma
 
     def __repr__(self):
         return "<realization %d,%d,%d>" % self.dims
@@ -177,6 +183,22 @@ def _sweep(t, reals):
     )
 
 
+def _record(t, reals):
+    for real in reals:
+        real.record = (t,) + tuple(a.copy() for a in real.maps())
+
+
+def is_verified(config, real):
+    """real passed verification against config.intersection() and its maps
+    are unchanged since."""
+    rec = real.record
+    return (
+        rec is not None
+        and rec[0] is config.intersection()
+        and all(np.array_equal(a, b) for a, b in zip(rec[1:], real.maps()))
+    )
+
+
 def verify_realization(config, real):
     """Exhaustive check of the realization conditions: injectivity of the
     three maps, then the triangle-iff-matched sweep over all pairs of map
@@ -189,8 +211,10 @@ def verify_realization(config, real):
         ("gamma", real.gamma),
     ):
         _check_injective(name, arr)
-    fail = _sweep(config.intersection(), [real])
+    t = config.intersection()
+    fail = _sweep(t, [real])
     if fail is None:
+        _record(t, [real])
         return True
     (_, a, bp), (_, b, cp), (_, c, ap), kind = fail
     message = {
@@ -222,8 +246,10 @@ def verify_simultaneous(config, reals):
                         % (slot, seen[v], ci, v),
                     )
                 seen[v] = ci
-    fail = _sweep(config.intersection(), reals)
+    t = config.intersection()
+    fail = _sweep(t, reals)
     if fail is None:
+        _record(t, reals)
         return True
     (ia, a, bp), (ib, b, cp), owner, _ = fail
     raise RealizationInvalid(
@@ -767,10 +793,8 @@ def write_real(real, path):
             ("gamma", real.gamma),
         ):
             fh.write("%s\n" % name)
-            rows, cols = arr.shape
-            for x in range(rows):
-                for y in range(cols):
-                    fh.write("%d %d -> %d\n" % (x, y, int(arr[x, y])))
+            for x, row in enumerate(arr.tolist()):
+                fh.write("".join("%d %d -> %d\n" % (x, y, v) for y, v in enumerate(row)))
 
     if hasattr(path, "write"):
         emit(path)

@@ -12,12 +12,13 @@ import itertools
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .realization import check_class_ids, verify_realization
+from .realization import check_class_ids, is_verified, verify_realization
 from .sets import TriangleFreeSet, simplex_slice, triangle_free_set
 
 UNWEIGHT_CAP = 3  # the substitution sweep touches n^9 monomials
@@ -138,10 +139,12 @@ class WeightedMatMul:
     as int64 arrays ab (= a*m + b), bc (= b*n + c) and p, sorted by the key
     (b, k) and cut into runs beginning at starts. run[a, b, c] is the run
     of (b, gamma(c,a)*), where the product reads out entry (a, c);
-    run_mass is the largest sum of p over one run."""
+    run_mass is the largest sum of p over one run. check=True sweeps the
+    realization unless its record shows it passed against this
+    configuration's intersection data with the maps it has now."""
 
     def __init__(self, config, real, check=True):
-        if check:
+        if check and not is_verified(config, real):
             verify_realization(config, real)
         check_class_ids([real], config.rank)
         self.config = config
@@ -408,11 +411,19 @@ def unweighting_check(n, S=None, seed=0):
 
 def write_matrix(M, path):
     """First line `rows cols`, then rows of entries, integers or p/q. Every
-    line is formatted before the file is opened, so an entry that cannot be
-    printed leaves no partial file."""
+    line is formatted before the file is opened, so an entry past Python's
+    int-to-str digit limit raises ValueError naming it and leaves no
+    partial file."""
     rows = [[Fraction(v) for v in row] for row in M]
     lines = ["%d %d\n" % (len(rows), len(rows[0]) if rows else 0)]
-    lines += [" ".join(str(v) for v in row) + "\n" for row in rows]
+    for a, row in enumerate(rows):
+        try:
+            lines.append(" ".join(map(str, row)) + "\n")
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            big = 10**limit
+            c = next(c for c, v in enumerate(row) if max(abs(v.numerator), v.denominator) >= big)
+            raise ValueError("matrix entry (%d,%d) has more than %d digits" % (a, c, limit)) from None
     if hasattr(path, "write"):
         path.writelines(lines)
     else:

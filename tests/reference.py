@@ -10,7 +10,8 @@ each (alpha(a,b), beta(b,c)) pair, and the point-level adjacency-matrix
 product. Then the cross-checks of the group association scheme. Last, the
 symmetric-power routines over all n**k rows: the rank count that marks the
 cells of every row, and the class build by np.unique(axis=0) over the
-(N*N, k) array of sorted coordinate classes."""
+(N*N, k) array of sorted coordinate classes. Last, the per-entry text
+writers of the ccfg and real formats."""
 
 import math
 import random
@@ -396,3 +397,24 @@ def unique_rows_symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     return CoherentConfiguration.from_class_matrix(
         inverse.reshape(N, N), class_labels=labels, check=check
     )
+
+
+def loop_write_ccfg(config, fh):
+    """The ccfg text, one str(int(v)) call per matrix entry."""
+    fh.write("ccfg 1\n")
+    fh.write("points %d classes %d\n" % (config.n_points, config.rank))
+    for row in config.matrix:
+        fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def loop_write_real(real, fh):
+    """The real text, one write per map entry."""
+    l, m, n = real.dims
+    fh.write("real 1\n")
+    fh.write("dims %d %d %d\n" % (l, m, n))
+    for name, arr in (("alpha", real.alpha), ("beta", real.beta), ("gamma", real.gamma)):
+        fh.write("%s\n" % name)
+        rows, cols = arr.shape
+        for x in range(rows):
+            for y in range(cols):
+                fh.write("%d %d -> %d\n" % (x, y, int(arr[x, y])))

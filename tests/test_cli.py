@@ -537,3 +537,12 @@ def test_build_trivial_negative_is_exit_two(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: need at least one point\n"
+
+
+def test_matmul_product_too_long_to_print_message(tmp_path, capsys):
+    cc, rr = _diagonal_three(tmp_path, capsys)
+    a = _write_matrix_file(tmp_path / "a.mat", "3 3\n1e4000 0 0\n0 1 0\n0 0 1\n")
+    rc, out, err = run(capsys, "matmul", "--ccfg", cc, "--real", rr, "--a", a, "--b", a)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: matrix entry (0,0) has more than 4300 digits\n"

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense
+from corpus import corpus
+from reference import dense, loop_write_ccfg
 
 from ccmm.configuration import (
     AxiomViolation,
@@ -363,3 +364,11 @@ def test_ccfg_round_trip_property(n):
     write_ccfg(cfg, buf)
     buf.seek(0)
     assert np.array_equal(read_ccfg(buf).matrix, cfg.matrix)
+
+
+def test_write_ccfg_bytes_equal_entry_loop_on_corpus():
+    for name, cfg in corpus():
+        got, want = io.StringIO(), io.StringIO()
+        write_ccfg(cfg, got)
+        loop_write_ccfg(cfg, want)
+        assert got.getvalue() == want.getvalue(), name

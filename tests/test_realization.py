@@ -22,7 +22,11 @@ from ccmm.groups import (
     make_group,
     left_translation_action,
 )
-from reference import action_from_function, gas_realization_matches
+from corpus import corpus
+from reference import action_from_function, gas_realization_matches, loop_write_real
+
+from ccmm import realization
+from ccmm.tensors import WeightedMatMul
 
 from ccmm.realization import (
     HypothesisViolation,
@@ -498,3 +502,81 @@ def test_real_format_errors():
     assert int(real.alpha[0, 0]) == 5
     with pytest.raises(ValueError):
         read_real(io.StringIO(good + "junk\n"))
+
+
+# -- one sweep per realization -------------------------------------------------
+
+
+def counted_sweeps(monkeypatch):
+    count = [0]
+    sweep = realization._sweep
+
+    def spy(t, reals):
+        count[0] += 1
+        return sweep(t, reals)
+
+    monkeypatch.setattr(realization, "_sweep", spy)
+    return count
+
+
+def test_weighted_matmul_sweeps_each_realization_once(monkeypatch):
+    count = counted_sweeps(monkeypatch)
+    cfg, reals = diagonal_example(5)  # one simultaneous sweep
+    for real in reals:
+        WeightedMatMul(cfg, real)
+    assert count[0] == 1
+    tcfg = trivial_configuration(4)
+    real = fibers_realization(tcfg)
+    WeightedMatMul(tcfg, real)
+    WeightedMatMul(tcfg, real)
+    assert count[0] == 2
+    # a new realization with the same maps has no record of its own
+    WeightedMatMul(tcfg, Realization(real.alpha, real.beta, real.gamma))
+    assert count[0] == 3
+
+
+def test_record_against_another_configuration_is_swept(monkeypatch):
+    cfg, reals = diagonal_example(3)
+    twin = CoherentConfiguration.from_class_matrix(cfg.matrix)
+    count = counted_sweeps(monkeypatch)
+    WeightedMatMul(twin, reals[0])
+    assert count[0] == 1
+    WeightedMatMul(twin, reals[0])  # recorded against the twin now
+    WeightedMatMul(cfg, reals[0])  # and no longer against cfg
+    assert count[0] == 2
+
+
+@pytest.mark.parametrize("slot", ["alpha", "beta", "gamma"])
+def test_verified_realization_changed_in_place_is_rejected(slot):
+    cfg, reals = diagonal_example(5)
+    used = set(np.concatenate([a.ravel() for r in reals for a in r.maps()]).tolist())
+    spare = min(set(range(cfg.rank)) - used)
+    for at in [(0, 0), (2, 3), (4, 4)]:
+        real = reals[0]
+        WeightedMatMul(cfg, real)
+        arr = getattr(real, slot)
+        old = arr[at]
+        arr[at] = spare
+        fresh = Realization(*(a.copy() for a in real.maps()))
+        with pytest.raises(RealizationInvalid) as want:
+            verify_realization(cfg, fresh)
+        with pytest.raises(RealizationInvalid) as got:
+            WeightedMatMul(cfg, real)
+        assert got.value.witness == want.value.witness
+        assert str(got.value) == str(want.value)
+        arr[at] = old
+        # a map replaced by another array is not the recorded one either
+        setattr(real, slot, getattr(fresh, slot))
+        with pytest.raises(RealizationInvalid):
+            WeightedMatMul(cfg, real)
+        setattr(real, slot, arr)
+
+
+def test_write_real_bytes_equal_entry_loop():
+    reals = [fibers_realization(cfg) for _, cfg in corpus()]
+    reals += diagonal_example(5)[1]
+    for real in reals:
+        got, want = io.StringIO(), io.StringIO()
+        write_real(real, got)
+        loop_write_real(real, want)
+        assert got.getvalue() == want.getvalue()
