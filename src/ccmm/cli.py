@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .configuration import AxiomViolation, read_ccfg, write_ccfg
+from .configuration import AxiomViolation, read_ccfg, text_lines, write_ccfg
 from .constructions import (
     direct_product,
     fusion,
@@ -49,7 +49,7 @@ from .realization import (
     verify_realization,
     write_real,
 )
-from .spectrum import DegreeComputationError, character_degrees
+from .spectrum import SPECTRAL_CAP, DegreeComputationError, character_degrees
 from .tensors import (
     WeightedMatMul,
     boolean_matmul,
@@ -59,20 +59,6 @@ from .tensors import (
     unweighting_check,
     write_matrix,
 )
-
-
-def _emit_config(cfg, out):
-    if out is None:
-        write_ccfg(cfg, sys.stdout)
-    else:
-        write_ccfg(cfg, out)
-
-
-def _emit_real(real, out):
-    if out is None:
-        write_real(real, sys.stdout)
-    else:
-        write_real(real, out)
 
 
 def _parse_action(desc):
@@ -92,13 +78,7 @@ def _parse_action(desc):
 
 
 def _read_partition(path):
-    blocks = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            blocks.append([int(v) for v in line.split()])
+    blocks = [[int(v) for v in line.split()] for line in text_lines(path)]
     if not blocks:
         raise ValueError("partition file %s has no blocks" % path)
     return blocks
@@ -106,15 +86,11 @@ def _read_partition(path):
 
 def _read_blocks(path):
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError("block line needs three dimensions: %r" % line)
-            out.append(tuple(int(v) for v in parts))
+    for line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError("block line needs three dimensions: %r" % line)
+        out.append(tuple(int(v) for v in parts))
     if not out:
         raise ValueError("blocks file %s is empty" % path)
     return out
@@ -122,17 +98,11 @@ def _read_blocks(path):
 
 def _read_family(path, group):
     triples = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError("family line needs three subsets: %r" % line)
-            triples.append(
-                tuple(tuple(int(v) for v in p.split(",")) for p in parts)
-            )
+    for line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError("family line needs three subsets: %r" % line)
+        triples.append(tuple(tuple(int(v) for v in p.split(",")) for p in parts))
     return TripleFamily(group, tuple(triples))
 
 
@@ -211,8 +181,8 @@ def cmd_build(args):
         cfg = symmetric_power(base, int(args.spec[1]), check=check)
     else:
         base = read_ccfg(args.spec[0], check=check)
-        cfg = fusion(base, _read_partition(args.spec[1]))
-    _emit_config(cfg, args.out)
+        cfg = fusion(base, _read_partition(args.spec[1]), check=check)
+    write_ccfg(cfg, args.out or sys.stdout)
     return 0
 
 
@@ -232,12 +202,7 @@ def cmd_info(args):
 
 def cmd_degrees(args):
     cfg = read_ccfg(args.ccfg, check=args.check)
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    prof = character_degrees(cfg, **kwargs)
+    prof = character_degrees(cfg, seed=args.seed, cap=args.cap)
     print(
         "degrees: %s ; residual: %.3e"
         % (" ".join(str(d) for d in prof.degrees), prof.residual)
@@ -256,7 +221,7 @@ def cmd_realize_verify(args):
 def cmd_realize_fibers(args):
     cfg = read_ccfg(args.ccfg, check=args.check)
     real = fibers_realization(cfg)
-    _emit_real(real, args.out)
+    write_real(real, args.out or sys.stdout)
     if args.out:
         print("realization %d,%d,%d -> %s" % (real.dims + (args.out,)))
     return 0
@@ -323,7 +288,7 @@ def cmd_demo_unweight(args):
 
 
 def cmd_demo_jminusi(args):
-    rep = jminusi_demo(args.n, tolerance=args.tolerance or 1e-8)
+    rep = jminusi_demo(args.n, tolerance=args.tolerance)
     print("n %d" % rep.n)
     print("rank_full %d" % rep.rank_plain)
     print("rank_weighted %d" % rep.rank_weighted)
@@ -341,11 +306,7 @@ def cmd_matmul(args):
     W = _load_weighted(args)
     A = read_matrix(args.a)
     B = read_matrix(args.b)
-    C = embedded_matmul(W, A, B)
-    if args.out:
-        write_matrix(C, args.out)
-    else:
-        write_matrix(C, sys.stdout)
+    write_matrix(embedded_matmul(W, A, B), args.out or sys.stdout)
     return 0
 
 
@@ -361,11 +322,7 @@ def cmd_boolmm(args):
         )
     else:
         C = boolean_matmul(W, A, B)
-    rows = [[Fraction(int(v)) for v in row] for row in C]
-    if args.out:
-        write_matrix(rows, args.out)
-    else:
-        write_matrix(rows, sys.stdout)
+    write_matrix([[Fraction(int(v)) for v in row] for row in C], args.out or sys.stdout)
     return 0
 
 
@@ -411,13 +368,11 @@ def cmd_exponent(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None, help="size cap override")
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument(
-        "--tolerance", type=float, default=None, help="numeric tolerance"
-    )
-    common.add_argument(
+    """Each verb takes only the options it reads: --check where it reads a
+    ccfg file or builds a configuration, --seed, --cap and --tolerance
+    where its computation takes them."""
+    check = argparse.ArgumentParser(add_help=False)
+    check.add_argument(
         "--check",
         choices=["full", "sampled", "trusted"],
         default="full",
@@ -427,41 +382,43 @@ def build_parser():
     p = argparse.ArgumentParser(prog="ccmm", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    b = sub.add_parser("build", parents=[common], help="construct a configuration")
+    b = sub.add_parser("build", parents=[check], help="construct a configuration")
     b.add_argument("what", choices=list(BUILD_SPECS))
     b.add_argument("spec", nargs="+")
     b.add_argument("-o", "--out", default=None)
     b.set_defaults(func=cmd_build)
 
-    i = sub.add_parser("info", parents=[common], help="summarize a configuration file")
+    i = sub.add_parser("info", parents=[check], help="summarize a configuration file")
     i.add_argument("ccfg")
     i.set_defaults(func=cmd_info)
 
-    d = sub.add_parser("degrees", parents=[common], help="character degrees")
+    d = sub.add_parser("degrees", parents=[check], help="character degrees")
     d.add_argument("ccfg")
+    d.add_argument("--seed", type=int, default=0, help="seed of the floating-point cross-check")
+    d.add_argument("--cap", type=int, default=SPECTRAL_CAP, help="largest rank (points up to twice it)")
     d.set_defaults(func=cmd_degrees)
 
     r = sub.add_parser("realize", help="build and verify realizations")
     rs = r.add_subparsers(dest="mode", required=True)
-    rv = rs.add_parser("verify", parents=[common])
+    rv = rs.add_parser("verify", parents=[check])
     rv.add_argument("--ccfg", required=True)
     rv.add_argument("--real", required=True)
     rv.set_defaults(func=cmd_realize_verify)
-    rf = rs.add_parser("fibers", parents=[common])
+    rf = rs.add_parser("fibers", parents=[check])
     rf.add_argument("--ccfg", required=True)
     rf.add_argument("-o", "--out", default=None)
     rf.set_defaults(func=cmd_realize_fibers)
-    rd = rs.add_parser("diagonal-example", parents=[common])
+    rd = rs.add_parser("diagonal-example")
     rd.add_argument("--n", type=int, required=True)
     rd.add_argument("--set", default=None, help="comma-separated 3AP-free set")
     rd.add_argument("--out-prefix", default=None)
     rd.set_defaults(func=cmd_realize_diagonal)
-    rg = rs.add_parser("grp-as", parents=[common])
+    rg = rs.add_parser("grp-as")
     rg.add_argument("--group", required=True)
     rg.add_argument("--family", required=True, help="file: one `A B C` line per triple")
     rg.add_argument("--out-prefix", default=None)
     rg.set_defaults(func=cmd_realize_grp_as)
-    rp = rs.add_parser("sympow", parents=[common])
+    rp = rs.add_parser("sympow", parents=[check])
     rp.add_argument("--ccfg", required=True)
     rp.add_argument("--real", action="append", required=True)
     rp.add_argument(
@@ -471,52 +428,48 @@ def build_parser():
 
     dm = sub.add_parser("demo", help="constructive demonstrations")
     ds = dm.add_subparsers(dest="which", required=True)
-    du = ds.add_parser("unweight", parents=[common])
+    du = ds.add_parser("unweight")
     du.add_argument("--n", type=int, required=True)
+    du.add_argument("--seed", type=int, default=None, help="random seed (required)")
     du.set_defaults(func=cmd_demo_unweight)
-    dj = ds.add_parser("jminusi", parents=[common])
+    dj = ds.add_parser("jminusi")
     dj.add_argument("--n", type=int, required=True)
+    dj.add_argument("--tolerance", type=float, default=1e-8, help="singular-value tolerance")
     dj.set_defaults(func=cmd_demo_jminusi)
 
-    mm = sub.add_parser("matmul", parents=[common], help="exact product via a realization")
-    mm.add_argument("--ccfg", required=True)
-    mm.add_argument("--real", required=True)
-    mm.add_argument("--a", required=True)
-    mm.add_argument("--b", required=True)
-    mm.add_argument("-o", "--out", default=None)
+    operands = argparse.ArgumentParser(add_help=False, parents=[check])
+    for flag in ("--ccfg", "--real", "--a", "--b"):
+        operands.add_argument(flag, required=True)
+    operands.add_argument("-o", "--out", default=None)
+    mm = sub.add_parser("matmul", parents=[operands], help="exact product via a realization")
     mm.set_defaults(func=cmd_matmul)
-
-    bm = sub.add_parser("boolmm", parents=[common], help="Boolean product via a realization")
-    bm.add_argument("--ccfg", required=True)
-    bm.add_argument("--real", required=True)
-    bm.add_argument("--a", required=True)
-    bm.add_argument("--b", required=True)
+    bm = sub.add_parser("boolmm", parents=[operands], help="Boolean product via a realization")
     bm.add_argument("--randomized", action="store_true")
+    bm.add_argument("--seed", type=int, default=None, help="random seed (required with --randomized)")
     bm.add_argument("--reps", type=int, default=20)
-    bm.add_argument("-o", "--out", default=None)
     bm.set_defaults(func=cmd_boolmm)
 
     e = sub.add_parser("exponent", help="exponent bounds")
     es = e.add_subparsers(dest="form", required=True)
-    ec = es.add_parser("commutative", parents=[common])
+    ec = es.add_parser("commutative")
     ec.add_argument("--dims", required=True, help="l,m,n")
     ec.add_argument("--rank", type=int, required=True)
     ec.set_defaults(func=cmd_exponent)
-    ea = es.add_parser("asi", parents=[common])
+    ea = es.add_parser("asi")
     ea.add_argument("--blocks", required=True, help="file: one `l m n` line per block")
     ea.add_argument("--rank", type=int, required=True)
     ea.set_defaults(func=cmd_exponent)
-    eg = es.add_parser("gm", parents=[common])
+    eg = es.add_parser("gm")
     eg.add_argument("--blocks", required=True)
     eg.add_argument("--rank", type=int, required=True)
     eg.set_defaults(func=cmd_exponent)
-    ef = es.add_parser("family", parents=[common])
+    ef = es.add_parser("family")
     ef.add_argument("--m", type=float, required=True)
     ef.set_defaults(func=cmd_exponent)
-    ev = es.add_parser("convert", parents=[common])
+    ev = es.add_parser("convert")
     ev.add_argument("--omega-s", type=float, default=None, dest="omega_s")
     ev.set_defaults(func=cmd_exponent)
-    ek = es.add_parser("check-conversions", parents=[common])
+    ek = es.add_parser("check-conversions")
     ek.set_defaults(func=cmd_exponent)
 
     return p

@@ -16,6 +16,7 @@ those of the sweep over all rows.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,14 +252,18 @@ class CoherentConfiguration:
         if not np.issubdtype(matrix.dtype, np.integer):
             if not np.array_equal(matrix, matrix.astype(np.int64)):
                 raise ValueError("class ids must be integers")
-        matrix = matrix.astype(np.int32)
         if matrix.min() < 0:
             raise ValueError("negative class id")
-        present, first = np.unique(matrix, return_index=True)
-        r = int(present[-1]) + 1 if rank is None else rank
-        if int(present[-1]) >= r:
-            outside = present[present >= r].tolist()
+        top = int(matrix.max())
+        r = top + 1 if rank is None else rank
+        if top >= r:
+            outside = np.unique(matrix[matrix >= r]).tolist()
             raise ValueError("class ids %s outside [0,%d)" % (outside, r))
+        # each class holds a pair: refusing r > n*n keeps every id in int32
+        if r > n * n:
+            raise ValueError("%d classes exceed the %d pairs of %d points" % (r, n * n, n))
+        matrix = matrix.astype(np.int32)
+        present, first = np.unique(matrix, return_index=True)
         if len(present) != r:
             missing = sorted(set(range(r)) - set(present.tolist()))
             raise ValueError("class ids not onto [0,%d): missing %s" % (r, missing))
@@ -499,43 +504,38 @@ def _build_tensor(config):
 
 
 # ---------------------------------------------------------------------------
-# ccfg text format
+# text files and the ccfg format
+
+
+def text_file(path, mode="r"):
+    """path opened in mode, for a with block: a filename is opened there and
+    closed on exit, an open text handle is used as is and left open."""
+    if hasattr(path, "write" if "w" in mode else "read"):
+        return contextlib.nullcontext(path)
+    return open(path, mode)
+
+
+def text_lines(path):
+    """The lines of a text file (filename or handle), each cut at its first
+    "#" and stripped, blank ones dropped: the line source of every format."""
+    with text_file(path) as fh:
+        return [line for line in (raw.split("#", 1)[0].strip() for raw in fh) if line]
 
 
 def write_ccfg(config, path):
     """Write "ccfg 1" text: header, points/classes line, then the normalized
     class matrix one row per line. path may be a filename or a text handle."""
-
-    def emit(fh):
+    with text_file(path, "w") as fh:
         fh.write("ccfg 1\n")
         fh.write("points %d classes %d\n" % (config.n_points, config.rank))
         fh.writelines(" ".join(map(str, row)) + "\n" for row in config.matrix.tolist())
-
-    if hasattr(path, "write"):
-        emit(path)
-    else:
-        with open(path, "w") as fh:
-            emit(fh)
 
 
 def read_ccfg(path, check="full"):
     """Parse and re-verify a ccfg file (filename or text handle).
     check="trusted" skips the axiom 3 sweep for known-good files; the result
     then reports itself unchecked."""
-
-    def collect(fh):
-        out = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append(line)
-        return out
-
-    if hasattr(path, "read"):
-        lines = collect(path)
-    else:
-        with open(path) as fh:
-            lines = collect(fh)
+    lines = text_lines(path)
     if not lines or lines[0].split() != ["ccfg", "1"]:
         raise ValueError("not a ccfg 1 file")
     if len(lines) < 2:
@@ -546,9 +546,14 @@ def read_ccfg(path, check="full"):
     n, r = int(head[1]), int(head[3])
     if len(lines) != 2 + n:
         raise ValueError("expected %d matrix rows, found %d" % (n, len(lines) - 2))
-    matrix = np.array(
-        [[int(v) for v in line.split()] for line in lines[2:]], dtype=np.int64
-    )
+    rows = [[int(v) for v in line.split()] for line in lines[2:]]
+    try:
+        matrix = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        x, y, v = next(
+            (x, y, v) for x, row in enumerate(rows) for y, v in enumerate(row) if not -(1 << 63) <= v < 1 << 63
+        )
+        raise ValueError("ccfg entry (%d,%d) = %d does not fit in 64 bits" % (x, y, v)) from None
     if matrix.shape != (n, n):
         raise ValueError("matrix shape %s does not match header" % (matrix.shape,))
     return CoherentConfiguration.from_class_matrix(matrix, rank=r, check=check)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import CoherentConfiguration
+from .configuration import CoherentConfiguration, text_file, text_lines
 from .constructions import schurian, symmetric_power
 from .groups import WreathGroup, conjugation_action, count_conjugacy_wreath
 
@@ -183,9 +183,32 @@ def _sweep(t, reals):
     )
 
 
-def _record(t, reals):
-    for real in reals:
-        real.record = (t,) + tuple(a.copy() for a in real.maps())
+def _verify(config, reals, name):
+    """The checks both verifiers run, in order: each map of each component
+    is injective (name(slot, ci) names the map in the witness), map by map
+    the images of the components are pairwise disjoint, then the sweep.
+    Returns the sweep's failure, or None after recording on every
+    component the intersection data and copies of its maps."""
+    for slot in ("alpha", "beta", "gamma"):
+        owner = {}
+        for ci, real in enumerate(reals):
+            arr = getattr(real, slot)
+            _check_injective(name(slot, ci), arr)
+            flat = arr.reshape(-1).tolist()
+            for v in flat:
+                if v in owner:
+                    raise RealizationInvalid(
+                        ("disjoint", slot, owner[v], ci, v),
+                        "%s images of components %d and %d share class %d"
+                        % (slot, owner[v], ci, v),
+                    )
+            owner.update(dict.fromkeys(flat, ci))
+    t = config.intersection()
+    fail = _sweep(t, reals)
+    if fail is None:
+        for real in reals:
+            real.record = (t,) + tuple(a.copy() for a in real.maps())
+    return fail
 
 
 def is_verified(config, real):
@@ -205,16 +228,8 @@ def verify_realization(config, real):
     values ((a,b') x (b,c')), reading triangles from the intersection data.
     Raises RealizationInvalid with the first violating witness in sweep
     order (a, b', b, c')."""
-    for name, arr in (
-        ("alpha", real.alpha),
-        ("beta", real.beta),
-        ("gamma", real.gamma),
-    ):
-        _check_injective(name, arr)
-    t = config.intersection()
-    fail = _sweep(t, [real])
+    fail = _verify(config, [real], lambda slot, ci: slot)
     if fail is None:
-        _record(t, [real])
         return True
     (_, a, bp), (_, b, cp), (_, c, ap), kind = fail
     message = {
@@ -232,24 +247,8 @@ def verify_simultaneous(config, reals):
     disjoint alpha images (likewise beta, gamma), and the sweep demanding a
     triangle exactly for matched indices within one component. The witness
     is the first failure in sweep order (ia, a, b', ib, b, c')."""
-    reals = list(reals)
-    for slot in ("alpha", "beta", "gamma"):
-        seen = {}
-        for ci, real in enumerate(reals):
-            arr = getattr(real, slot)
-            _check_injective("%s[%d]" % (slot, ci), arr)
-            for v in arr.reshape(-1).tolist():
-                if v in seen and seen[v] != ci:
-                    raise RealizationInvalid(
-                        ("disjoint", slot, seen[v], ci, v),
-                        "%s images of components %d and %d share class %d"
-                        % (slot, seen[v], ci, v),
-                    )
-                seen[v] = ci
-    t = config.intersection()
-    fail = _sweep(t, reals)
+    fail = _verify(config, list(reals), lambda slot, ci: "%s[%d]" % (slot, ci))
     if fail is None:
-        _record(t, reals)
         return True
     (ia, a, bp), (ib, b, cp), owner, _ = fail
     raise RealizationInvalid(
@@ -305,22 +304,9 @@ class TripleFamily:
 
 def tpp_verify(group, S, T, U):
     """Triple product property: s^-1 s' t^-1 t' u^-1 u' = 1 only for s = s',
-    t = t', u = u'. Exhaustive over all 6-tuples."""
-    Tb = group.table()
-    inv = group.inverse_vector()
-    S = [int(x) for x in S]
-    T = [int(x) for x in T]
-    U = [int(x) for x in U]
-    qs = [(int(Tb[inv[a], b]), a == b) for a in S for b in S]
-    qt = [(int(Tb[inv[a], b]), a == b) for a in T for b in T]
-    qu = [(int(Tb[inv[a], b]), a == b) for a in U for b in U]
-    for q1, triv1 in qs:
-        for q2, triv2 in qt:
-            left = int(Tb[q1, q2])
-            for q3, triv3 in qu:
-                if Tb[left, q3] == 0 and not (triv1 and triv2 and triv3):
-                    return False
-    return True
+    t = t', u = u'. The one-triple case of simultaneous_tpp_verify; an
+    element outside the group raises ValueError."""
+    return simultaneous_tpp_verify(TripleFamily(group, ((S, T, U),)))
 
 
 def simultaneous_tpp_verify(family):
@@ -711,115 +697,25 @@ def grp_as_realization(family, check="full"):
 
 
 # ---------------------------------------------------------------------------
-# fixture searchers (deterministic, exist to generate frozen test data)
-
-
-def _nonempty_subsets(universe, min_size=1, max_size=None, anchored=False):
-    universe = list(universe)
-    top = len(universe) if max_size is None else min(max_size, len(universe))
-    out = []
-    for size in range(min_size, top + 1):
-        for combo in itertools.combinations(universe, size):
-            if anchored and combo[0] != universe[0]:
-                continue
-            out.append(combo)
-    return out
-
-
-def search_tpp(group, sizes, anchored=True):
-    """First (S, T, U) with the given sizes passing tpp_verify, in
-    lexicographic order. Translation freedom lets each set be anchored at
-    the smallest element for abelian groups."""
-    anchor = anchored and group.is_abelian()
-    universe = range(group.order)
-    for S in _nonempty_subsets(universe, sizes[0], sizes[0], anchor):
-        for T in _nonempty_subsets(universe, sizes[1], sizes[1], anchor):
-            for U in _nonempty_subsets(universe, sizes[2], sizes[2], anchor):
-                if tpp_verify(group, S, T, U):
-                    return (S, T, U)
-    return None
-
-
-def search_simultaneous_tpp(group, shapes, anchored=True):
-    """First TripleFamily with the given per-triple subset sizes passing
-    simultaneous_tpp_verify; shapes is a list of (|A_i|,|B_i|,|C_i|).
-    Deterministic lexicographic DFS with incremental verification: the
-    partial family of the first t triples must itself pass before any
-    extension is attempted."""
-    anchor = anchored and group.is_abelian()
-    universe = range(group.order)
-    slots = []
-    for t, (sa, sb, sc) in enumerate(shapes):
-        anchor_here = anchor and t == 0
-        slots.append(
-            (
-                _nonempty_subsets(universe, sa, sa, anchor_here),
-                _nonempty_subsets(universe, sb, sb, anchor_here),
-                _nonempty_subsets(universe, sc, sc, anchor_here),
-            )
-        )
-
-    def extend(prefix, t):
-        if t == len(shapes):
-            return TripleFamily(group, tuple(prefix))
-        for A in slots[t][0]:
-            for B in slots[t][1]:
-                for C in slots[t][2]:
-                    cand = prefix + [(A, B, C)]
-                    if simultaneous_tpp_verify(TripleFamily(group, tuple(cand))):
-                        got = extend(cand, t + 1)
-                        if got is not None:
-                            return got
-        return None
-
-    return extend([], 0)
-
-
-# ---------------------------------------------------------------------------
 # real file format
 
 
 def write_real(real, path):
     """Write "real 1" text: dims line then alpha/beta/gamma blocks of
     "a b -> class" lines."""
-
-    def emit(fh):
-        l, m, n = real.dims
+    with text_file(path, "w") as fh:
         fh.write("real 1\n")
-        fh.write("dims %d %d %d\n" % (l, m, n))
-        for name, arr in (
-            ("alpha", real.alpha),
-            ("beta", real.beta),
-            ("gamma", real.gamma),
-        ):
+        fh.write("dims %d %d %d\n" % real.dims)
+        for name, arr in zip(("alpha", "beta", "gamma"), real.maps()):
             fh.write("%s\n" % name)
             for x, row in enumerate(arr.tolist()):
                 fh.write("".join("%d %d -> %d\n" % (x, y, v) for y, v in enumerate(row)))
-
-    if hasattr(path, "write"):
-        emit(path)
-    else:
-        with open(path, "w") as fh:
-            emit(fh)
 
 
 def read_real(path):
     """Parse a "real 1" file back into a Realization (no configuration
     context, so verification happens at the call site)."""
-
-    def collect(fh):
-        out = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append(line)
-        return out
-
-    if hasattr(path, "read"):
-        lines = collect(path)
-    else:
-        with open(path) as fh:
-            lines = collect(fh)
+    lines = text_lines(path)
     if not lines or lines[0].split() != ["real", "1"]:
         raise ValueError("not a real 1 file")
     if len(lines) < 2:
@@ -836,20 +732,22 @@ def read_real(path):
             raise ValueError("expected %r block at line %d" % (name, pos))
         pos += 1
         rows, cols = shapes[name]
+        if pos + rows * cols > len(lines):
+            raise ValueError("truncated %s block" % name)
         arr = np.full((rows, cols), -1, dtype=np.int64)
-        for _ in range(rows * cols):
-            if pos >= len(lines):
-                raise ValueError("truncated %s block" % name)
-            parts = lines[pos].split()
+        for line in lines[pos : pos + rows * cols]:
+            parts = line.split()
             if len(parts) != 4 or parts[2] != "->":
-                raise ValueError("bad map line %r" % lines[pos])
+                raise ValueError("bad map line %r" % line)
             x, y, cls = int(parts[0]), int(parts[1]), int(parts[3])
             if not (0 <= x < rows and 0 <= y < cols):
-                raise ValueError("index out of range in %r" % lines[pos])
+                raise ValueError("index out of range in %r" % line)
             if cls < 0:
-                raise ValueError("negative class id in %r" % lines[pos])
+                raise ValueError("negative class id in %r" % line)
+            if cls >> 63:
+                raise ValueError("class id in %r does not fit in 64 bits" % line)
             arr[x, y] = cls
-            pos += 1
+        pos += rows * cols
         if (arr < 0).any():
             raise ValueError("missing entries in %s block" % name)
         arrays[name] = arr

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .configuration import text_file, text_lines
 from .realization import check_class_ids, is_verified, verify_realization
 from .sets import TriangleFreeSet, simplex_slice, triangle_free_set
 
@@ -424,23 +425,14 @@ def write_matrix(M, path):
             big = 10**limit
             c = next(c for c, v in enumerate(row) if max(abs(v.numerator), v.denominator) >= big)
             raise ValueError("matrix entry (%d,%d) has more than %d digits" % (a, c, limit)) from None
-    if hasattr(path, "write"):
-        path.writelines(lines)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(lines)
+    with text_file(path, "w") as fh:
+        fh.writelines(lines)
 
 
 def read_matrix(path):
-    def collect(fh):
-        return fh.read()
-
-    if hasattr(path, "read"):
-        text = collect(path)
-    else:
-        with open(path) as fh:
-            text = collect(fh)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """A matrix file as rows of Fractions: the `rows cols` line, then one
+    line of entries per row."""
+    lines = text_lines(path)
     if not lines:
         raise ValueError("empty matrix file")
     head = lines[0].split()

@@ -1,12 +1,20 @@
 """Command line surface: exact output lines, exit codes, determinism,
 and the documented pipelines."""
 
+import argparse
 import io
 import sys
+from fractions import Fraction
 
 import pytest
 
-from ccmm.cli import main
+from ccmm import cli
+from ccmm.cli import build_parser, main
+from ccmm.configuration import read_ccfg
+from ccmm.groups import make_group
+from ccmm.realization import read_real
+from ccmm.spectrum import SPECTRAL_CAP
+from ccmm.tensors import read_matrix
 
 
 def run(capsys, *argv):
@@ -70,6 +78,30 @@ def test_build_fuse_with_partition_file(tmp_path, capsys):
     assert rc == 0
     rc, out, err = run(capsys, "info", f)
     assert out == "points 6 classes 2 commutative true scheme true\n"
+
+
+def _fuse_c5(tmp_path, capsys, *check):
+    """cyclic:5 fused along 0 / 1 4 / 2 / 3, which breaks axiom 3."""
+    c5 = str(tmp_path / "c5.ccfg")
+    run(capsys, "build", "group-scheme", "cyclic:5", "-o", c5)
+    part = tmp_path / "part.txt"
+    part.write_text("0\n1 4\n2\n3\n")
+    return run(capsys, "build", "fuse", c5, str(part), *check)
+
+
+def test_build_fuse_trusted_skips_axiom_three(tmp_path, capsys):
+    rc, out, err = _fuse_c5(tmp_path, capsys, "--check", "trusted")
+    assert rc == 0
+    assert out.startswith("ccfg 1\npoints 5 classes 4\n")
+    assert err == ""
+
+
+def test_build_fuse_full_check_rejects_with_witness(tmp_path, capsys):
+    rc, out, err = _fuse_c5(tmp_path, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("witness: (")
+    assert "axiom (3)" in err
 
 
 def test_build_schurian_descriptors(tmp_path, capsys):
@@ -479,6 +511,40 @@ def test_negative_class_id_in_real_file_is_exit_two(tmp_path, capsys, verb):
     assert err == "error: negative class id in '0 1 -> -1'\n"
 
 
+def test_oversized_ccfg_entry_is_exit_two(tmp_path, capsys):
+    cc = tmp_path / "big.ccfg"
+    cc.write_text("ccfg 1\npoints 2 classes 2\n0 1\n1 99999999999999999999\n")
+    rc, out, err = run(capsys, "info", str(cc))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: ccfg entry (1,1) = 99999999999999999999 does not fit in 64 bits\n"
+
+
+def test_ccfg_entry_beyond_int32_is_not_wrapped(tmp_path, capsys):
+    # 2**32 once wrapped to class 0 and passed as a valid file
+    cc = tmp_path / "wrap.ccfg"
+    cc.write_text("ccfg 1\npoints 1 classes 1\n4294967296\n")
+    rc, out, err = run(capsys, "info", str(cc))
+    assert rc == 2
+    assert err == "error: class ids [4294967296] outside [0,1)\n"
+
+
+def test_ccfg_more_classes_than_pairs_is_exit_two(tmp_path, capsys):
+    cc = tmp_path / "rank.ccfg"
+    cc.write_text("ccfg 1\npoints 1 classes 99999999999999999999\n0\n")
+    rc, out, err = run(capsys, "info", str(cc))
+    assert rc == 2
+    assert err == "error: 99999999999999999999 classes exceed the 1 pairs of 1 points\n"
+
+
+def test_oversized_class_id_in_real_file_is_exit_two(tmp_path, capsys):
+    cc, rr = _fibers_real_with(tmp_path, capsys, "beta", (1, 1), 99999999999999999999)
+    rc, out, err = run(capsys, "realize", "verify", "--ccfg", cc, "--real", rr)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: class id in '1 1 -> 99999999999999999999' does not fit in 64 bits\n"
+
+
 def _diagonal_three(tmp_path, capsys):
     prefix = str(tmp_path / "d3")
     rc, out, err = run(capsys, "realize", "diagonal-example", "--n", "3", "--out-prefix", prefix)
@@ -546,3 +612,103 @@ def test_matmul_product_too_long_to_print_message(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: matrix entry (0,0) has more than 4300 digits\n"
+
+
+# -- text formats ------------------------------------------------------------
+
+TRIVIAL_2 = "ccfg 1\npoints 2 classes 4\n0 1\n2 3\n"
+REAL_1 = "real 1\ndims 1 1 1\nalpha\n0 0 -> 0\nbeta\n0 0 -> 0\ngamma\n0 0 -> 0\n"
+FORMATS = {
+    "ccfg": (lambda p: read_ccfg(p).matrix.tolist(), TRIVIAL_2),
+    "real": (lambda p: [a.tolist() for a in read_real(p).maps()], REAL_1),
+    "matrix": (read_matrix, "2 2\n1 1/2\n0 3\n"),
+    "partition": (cli._read_partition, "0\n1 2\n"),
+    "blocks": (cli._read_blocks, "2 2 2\n3 1 2\n"),
+    "family": (lambda p: cli._read_family(p, make_group("cyclic:4")).triples, "0 0 0\n0 1 2\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_format_skips_blank_lines_and_comments(tmp_path, fmt):
+    read, text = FORMATS[fmt]
+    lines = text.splitlines()
+    noisy = ["# %s file" % fmt, ""] + [line + "  # note %d" % k for k, line in enumerate(lines)]
+    noisy.insert(3, "   ")
+    clean, commented = tmp_path / "clean", tmp_path / "commented"
+    clean.write_text(text)
+    commented.write_text("\n".join(noisy) + "\n")
+    assert read(str(commented)) == read(str(clean))
+
+
+def test_matrix_comments_leave_entries_exact(tmp_path):
+    path = tmp_path / "m.mat"
+    path.write_text("# header\n2 2 # rows cols\n1 1/2 # first row\n\n0 3\n")
+    assert read_matrix(str(path)) == [[1, Fraction(1, 2)], [0, 3]]
+
+
+# -- option surface ----------------------------------------------------------
+
+SHARED = {"--check", "--seed", "--cap", "--tolerance"}
+VERB_OPTIONS = {
+    "build": {"--check"},
+    "info": {"--check"},
+    "degrees": {"--check", "--seed", "--cap"},
+    "realize verify": {"--check"},
+    "realize fibers": {"--check"},
+    "realize diagonal-example": set(),
+    "realize grp-as": set(),
+    "realize sympow": {"--check"},
+    "demo unweight": {"--seed"},
+    "demo jminusi": {"--tolerance"},
+    "matmul": {"--check"},
+    "boolmm": {"--check", "--seed"},
+    "exponent commutative": set(),
+    "exponent asi": set(),
+    "exponent gm": set(),
+    "exponent family": set(),
+    "exponent convert": set(),
+    "exponent check-conversions": set(),
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def test_each_verb_takes_only_the_options_it_reads():
+    got = {
+        verb: {s for a in leaf._actions for s in a.option_strings} & SHARED
+        for verb, leaf in _leaf_parsers(build_parser())
+    }
+    assert got == VERB_OPTIONS
+    assert sum(map(len, got.values())) == 13
+
+
+def test_option_defaults_live_in_the_parser():
+    parse = build_parser().parse_args
+    args = parse(["degrees", "x.ccfg"])
+    assert (args.seed, args.cap, args.check) == (0, SPECTRAL_CAP, "full")
+    assert parse(["demo", "jminusi", "--n", "3"]).tolerance == 1e-8
+    assert parse(["demo", "unweight", "--n", "2"]).seed is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponent", "family", "--m", "10", "--check", "full"],
+        ["exponent", "family", "--m", "10", "--cap", "3"],
+        ["info", "x.ccfg", "--seed", "1"],
+        ["demo", "jminusi", "--n", "3", "--seed", "1"],
+        ["realize", "diagonal-example", "--n", "3", "--check", "trusted"],
+    ],
+)
+def test_option_a_verb_does_not_read_is_exit_two(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err

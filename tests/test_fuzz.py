@@ -1,6 +1,7 @@
 """Fuzzing of the text formats through the command line: whatever the
-input text, a verb exits 0 or 2, never with a traceback, and exit 2 comes
-with exactly one `error:` line."""
+input text, a verb exits 0, 1 or 2, never with a traceback; exit 2 comes
+with exactly one `error:` line and exit 1 with a `witness:` line. The
+matrix verbs never exit 1."""
 
 import contextlib
 import io
@@ -10,6 +11,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ccmm.cli import main
+from ccmm.configuration import write_ccfg
+from ccmm.constructions import group_association_scheme, group_scheme, trivial_configuration
+from ccmm.groups import make_group
+from ccmm.realization import fibers_realization, write_real
 
 TOKENS = st.one_of(
     st.integers(-3, 3).map(str),
@@ -83,3 +88,142 @@ def test_matrix_text_never_tracebacks(diagonal_three, a, b, verb):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     else:
         assert err.getvalue() == ""
+
+
+# -- every other format: a well-formed file, or one drawn defect ---------------
+
+BIG = "99999999999999999999"
+
+
+def _text(write, obj):
+    buf = io.StringIO()
+    write(obj, buf)
+    return buf.getvalue().splitlines()
+
+
+TRIVIAL_2 = trivial_configuration(2)
+CCFGS = [
+    _text(write_ccfg, TRIVIAL_2),
+    _text(write_ccfg, group_scheme(make_group("cyclic:3"))),
+    _text(write_ccfg, group_association_scheme(make_group("sym:3"))),
+]
+REAL_T2 = _text(write_real, fibers_realization(TRIVIAL_2))
+
+
+@st.composite
+def mutated(draw, lines, alphabet):
+    """The lines as is, with a trailing comment, a blank or comment line,
+    or one drawn defect (a small last token, any token, a new line, a
+    dropped, doubled or moved line); or free text over the format's
+    characters."""
+    defect = draw(
+        st.sampled_from([None, "comment", "blank", "last", "last", "token", "line", "drop", "dup", "swap", "text"])
+    )
+    if defect == "text":
+        return draw(st.text(alphabet=alphabet, max_size=60))
+    lines = list(lines)
+    k = draw(st.integers(0, len(lines) - 1))
+    if defect == "comment":
+        lines[k] += " # " + draw(LINE)
+    elif defect == "blank":
+        lines.insert(k, draw(st.sampled_from(["", "  \t", "# note", "  # 1 2"])))
+    elif defect == "last":
+        lines[k] = " ".join(lines[k].split()[:-1] + [str(draw(st.integers(0, 5)))])
+    elif defect == "token":
+        parts = lines[k].split() or [""]
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(TOKENS)
+        lines[k] = " ".join(parts)
+    elif defect == "line":
+        lines[k] = draw(LINE)
+    elif defect == "drop":
+        del lines[k]
+    elif defect == "dup":
+        lines.insert(k, lines[k])
+    elif defect == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[j], lines[k] = lines[k], lines[j]
+    return "\n".join(lines) + "\n"
+
+
+def run_clean(argv):
+    """Run a verb and check the exit-code contract; returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    event("%s exit %d" % (" ".join(w for w in argv[:2] if "/" not in w), rc))
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    elif rc == 1:
+        assert any(line.startswith("witness: ") for line in lines), lines
+    else:
+        assert lines == []
+    return rc
+
+
+CCFG_CHARS = "ccfg pointsclasses0123456789#-\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    text=st.sampled_from(CCFGS).flatmap(lambda lines: mutated(lines, CCFG_CHARS)),
+    verb=st.sampled_from(["info", "degrees"]),
+)
+@example(text="ccfg 1\npoints 1 classes 1\n%s\n" % BIG, verb="info")
+@example(text="ccfg 1\npoints 1 classes %s\n0\n" % BIG, verb="degrees")
+@example(text="ccfg 1\npoints 1 classes 1\n4294967296\n", verb="info")
+@example(text="ccfg 1 # v1\npoints 1 classes 1\n0 # the diagonal\n", verb="degrees")
+def test_ccfg_text_never_tracebacks(tmp_path_factory, text, verb):
+    path = tmp_path_factory.mktemp("ccfg") / "x.ccfg"
+    path.write_text(text)
+    run_clean([verb, str(path)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(text=mutated(REAL_T2, "real dimsalphbetgm0123456789->#\n"))
+@example(text="\n".join(REAL_T2).replace("-> 0", "-> " + BIG, 1) + "\n")
+@example(text="\n".join(REAL_T2).replace("-> 0", "-> 0 # first entry", 1) + "\n")
+def test_real_text_never_tracebacks(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("real")
+    write_ccfg(TRIVIAL_2, str(root / "t2.ccfg"))
+    (root / "x.real").write_text(text)
+    run_clean(["realize", "verify", "--ccfg", str(root / "t2.ccfg"), "--real", str(root / "x.real")])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    text=mutated(["2 2 2", "3 1 2"], "0123456789 -#\n"),
+    form=st.sampled_from(["asi", "gm"]),
+    rank=st.sampled_from(["0", "1", "7", "64", "-2", BIG]),
+)
+@example(text="2 2 %s\n" % BIG, form="asi", rank="8")
+@example(text="2 2 2 # x\n", form="gm", rank="8")
+def test_blocks_text_never_tracebacks(tmp_path_factory, text, form, rank):
+    path = tmp_path_factory.mktemp("blocks") / "b.txt"
+    path.write_text(text)
+    run_clean(["exponent", form, "--blocks", str(path), "--rank", rank])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=mutated(["0", "1 4", "2 3"], "0123456789 -#\n"))
+@example(text="0\n1 4\n2\n3 # last block\n")
+@example(text="0\n1 4\n2 3 %s\n" % BIG)
+def test_partition_text_never_tracebacks(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("partition")
+    write_ccfg(group_scheme(make_group("cyclic:5")), str(root / "c5.ccfg"))
+    (root / "p.txt").write_text(text)
+    run_clean(["build", "fuse", str(root / "c5.ccfg"), str(root / "p.txt"), "-o", str(root / "f.ccfg")])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    text=mutated(["0 0 0", "0 1 2"], "0123456789 ,-#\n"),
+    group=st.sampled_from(["cyclic:2", "cyclic:4", "sym:3"]),
+)
+@example(text="0 0 0\n0 1 2 # second triple\n", group="cyclic:4")
+@example(text="0 0 %s\n" % BIG, group="cyclic:4")
+def test_family_text_never_tracebacks(tmp_path_factory, text, group):
+    path = tmp_path_factory.mktemp("family") / "f.txt"
+    path.write_text(text)
+    run_clean(["realize", "grp-as", "--group", group, "--family", str(path)])

@@ -11,6 +11,7 @@ the largest singleton-free simultaneous family in Z/8 is the single triple
 with a part of size 3+ exists)."""
 
 import io
+import itertools
 from itertools import product
 
 import numpy as np
@@ -40,8 +41,6 @@ from ccmm.realization import (
     grp_as_realization,
     is_triangle,
     read_real,
-    search_simultaneous_tpp,
-    search_tpp,
     simultaneous_tpp_verify,
     sympow_realization,
     tpp_verify,
@@ -184,6 +183,14 @@ def test_tpp_s3_fixture():
     assert tpp_verify(g, [0, 2], [0, 5], [0]) is True
 
 
+@pytest.mark.parametrize("S", [[-1], [0, 6]])
+def test_tpp_element_outside_group_raises(S):
+    # a negative element once wrapped around as a table index
+    g = make_group("cyclic:6")
+    with pytest.raises(ValueError, match="element out of range"):
+        tpp_verify(g, S, [0], [0])
+
+
 def test_tpp_matches_brute_oracle():
     g = make_group("cyclic:6")
     cases = [
@@ -233,6 +240,71 @@ def test_triple_family_validation():
         TripleFamily(g, (((0,), (4,), (1,)),))
     with pytest.raises(ValueError):
         TripleFamily(g, (((0,), (1,)),))
+
+
+# ------------------------------------------------------ fixture searchers
+# deterministic, they generate the frozen fixtures below
+
+
+def _nonempty_subsets(universe, min_size=1, max_size=None, anchored=False):
+    universe = list(universe)
+    top = len(universe) if max_size is None else min(max_size, len(universe))
+    out = []
+    for size in range(min_size, top + 1):
+        for combo in itertools.combinations(universe, size):
+            if anchored and combo[0] != universe[0]:
+                continue
+            out.append(combo)
+    return out
+
+
+def search_tpp(group, sizes, anchored=True):
+    """First (S, T, U) with the given sizes passing tpp_verify, in
+    lexicographic order. Translation freedom lets each set be anchored at
+    the smallest element for abelian groups."""
+    anchor = anchored and group.is_abelian()
+    universe = range(group.order)
+    for S in _nonempty_subsets(universe, sizes[0], sizes[0], anchor):
+        for T in _nonempty_subsets(universe, sizes[1], sizes[1], anchor):
+            for U in _nonempty_subsets(universe, sizes[2], sizes[2], anchor):
+                if tpp_verify(group, S, T, U):
+                    return (S, T, U)
+    return None
+
+
+def search_simultaneous_tpp(group, shapes, anchored=True):
+    """First TripleFamily with the given per-triple subset sizes passing
+    simultaneous_tpp_verify; shapes is a list of (|A_i|,|B_i|,|C_i|).
+    Deterministic lexicographic DFS with incremental verification: the
+    partial family of the first t triples must itself pass before any
+    extension is attempted."""
+    anchor = anchored and group.is_abelian()
+    universe = range(group.order)
+    slots = []
+    for t, (sa, sb, sc) in enumerate(shapes):
+        anchor_here = anchor and t == 0
+        slots.append(
+            (
+                _nonempty_subsets(universe, sa, sa, anchor_here),
+                _nonempty_subsets(universe, sb, sb, anchor_here),
+                _nonempty_subsets(universe, sc, sc, anchor_here),
+            )
+        )
+
+    def extend(prefix, t):
+        if t == len(shapes):
+            return TripleFamily(group, tuple(prefix))
+        for A in slots[t][0]:
+            for B in slots[t][1]:
+                for C in slots[t][2]:
+                    cand = prefix + [(A, B, C)]
+                    if simultaneous_tpp_verify(TripleFamily(group, tuple(cand))):
+                        got = extend(cand, t + 1)
+                        if got is not None:
+                            return got
+        return None
+
+    return extend([], 0)
 
 
 def test_search_finds_frozen_fixtures():
