@@ -21,10 +21,11 @@ from .constructions import (
     trivial_configuration,
 )
 from .exponent import (
-    ExponentBound,
     construction_family_bound,
+    describe,
     format_bound,
     geometric_mean_bound,
+    given_bound,
     omega_from_omega_s,
     omega_s_commutative,
     reference_conversion_checks,
@@ -106,39 +107,8 @@ def _read_family(path, group):
     return TripleFamily(group, tuple(triples))
 
 
-def _render_step(step):
-    op = step[0]
-    if op == "commutative":
-        return "commutative(%dx%dx%d, r=%d)" % step[1:]
-    if op == "asi":
-        blocks = ", ".join("%dx%dx%d" % b for b in step[1])
-        return "asi([%s], r=%d)" % (blocks, step[2])
-    if op == "geometric-mean":
-        blocks = ", ".join("%dx%dx%d" % b for b in step[1])
-        return "geometric-mean([%s], r=%d)" % (blocks, step[2])
-    if op == "noncommutative":
-        return "noncommutative(%dx%dx%d, degrees=%s, assumed=%r)" % (
-            step[1],
-            step[2],
-            step[3],
-            list(step[4]),
-            step[5],
-        )
-    if op == "family":
-        return "family(m=%r)" % (step[1],)
-    if op == "given":
-        return "given(%r)" % (step[1],)
-    if op == "convert":
-        return "convert"
-    if op == "clamp":
-        return "clamp(%s)" % step[2]
-    if op == "note":
-        return "note(%s)" % step[1]
-    return repr(step)
-
-
 def _print_bound(bound):
-    prov = " -> ".join(_render_step(s) for s in bound.provenance)
+    prov = " -> ".join(describe(s) for s in bound.provenance)
     line = "%s <= %s (provenance: %s)" % (bound.kind, format_bound(bound.value), prov)
     print(line)
     for a in bound.assumptions:
@@ -266,8 +236,7 @@ def cmd_realize_grp_as(args):
 def cmd_realize_sympow(args):
     cfg = read_ccfg(args.ccfg, check=args.check)
     reals = [read_real(p) for p in args.real]
-    mat = {"auto": "auto", "always": True, "never": False}[args.materialize]
-    power, real = sympow_realization(cfg, reals, materialize=mat)
+    power, real = sympow_realization(cfg, reals)
     rank = power.rank
     print(
         "sym^%d realization %d,%d,%d in rank %d OK"
@@ -345,9 +314,7 @@ def cmd_exponent(args):
             if len(parts) < 3 or parts[0] != "omega_s" or parts[1] != "<=":
                 raise ValueError("stdin must carry a line `omega_s <= X ...`")
             value = float(parts[2])
-        bound = omega_from_omega_s(
-            ExponentBound("omega_s", value, (), (("given", value),))
-        )
+        bound = omega_from_omega_s(given_bound(value))
         print("omega <= %s" % format_bound(bound.value))
     elif args.form == "check-conversions":
         ok = True
@@ -421,9 +388,6 @@ def build_parser():
     rp = rs.add_parser("sympow", parents=[check])
     rp.add_argument("--ccfg", required=True)
     rp.add_argument("--real", action="append", required=True)
-    rp.add_argument(
-        "--materialize", choices=["auto", "always", "never"], default="auto"
-    )
     rp.set_defaults(func=cmd_realize_sympow)
 
     dm = sub.add_parser("demo", help="constructive demonstrations")

@@ -389,11 +389,9 @@ class IntersectionTensor:
     the q-th pair present has key _pairs[q] = i*r + j and its nonzeros at
     _starts[q]:_starts[q+1]. p, slice and iter_nonzero are views of them."""
 
-    def __init__(self, rank, star, sizes, nonzeros, n_points):
+    def __init__(self, rank, star, nonzeros):
         self.rank = rank
         self.star_vector = star
-        self.sizes = sizes
-        self.n_points = n_points
         for a in nonzeros:
             a.flags.writeable = False
         self._nz = nonzeros
@@ -498,9 +496,7 @@ def _build_tensor(config):
     key, k, p = (np.concatenate(a).astype(np.int64) for a in zip(*parts))
     order = np.lexsort((k, key))
     i, j = np.divmod(key[order], r)
-    return IntersectionTensor(
-        r, config.star_vector(), config.class_sizes(), (i, j, k[order], p[order]), n
-    )
+    return IntersectionTensor(r, config.star_vector(), (i, j, k[order], p[order]))
 
 
 # ---------------------------------------------------------------------------

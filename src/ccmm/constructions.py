@@ -18,6 +18,9 @@ import numpy as np
 from .configuration import POINT_CAP, CoherentConfiguration, orbit_minima
 from .groups import conjugation_action
 
+MAX_POWER = 64  # numpy's limit on array dimensions, one per coordinate
+RANK_CHUNK = 64  # sorted rows swept at once by symmetric_power_rank
+
 
 def trivial_configuration(n, check="full"):
     """Every ordered pair its own class: rank n**2, n fibers. The adjacency
@@ -158,6 +161,10 @@ def _power_points(n, k, point_cap):
     lexicographic order with coordinate 0 most significant."""
     if k < 1:
         raise ValueError("power must be >= 1")
+    if n >= 2 and k > point_cap.bit_length():  # so n**k >= 2**k > point_cap
+        raise ValueError("%d**%d points exceeds cap %d" % (n, k, point_cap))
+    if k > MAX_POWER:
+        raise ValueError("power %d exceeds numpy's %d array dimensions" % (k, MAX_POWER))
     N = n**k
     if N > point_cap:
         raise ValueError("%d**%d = %d points exceeds cap %d" % (n, k, N, point_cap))
@@ -222,17 +229,17 @@ def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     )
 
 
-def symmetric_power_rank(config, k, point_cap=POINT_CAP, chunk=64, bitmap_cap=1 << 26):
+def symmetric_power_rank(config, k, bitmap_cap=1 << 26):
     """Number of classes of Sym^k C, counted without materializing the
     N x N class matrix. Permuting the coordinates of both points keeps a
     cell's class, so only the C(n+k-1, k) sorted rows are swept, in chunks,
     marking each cell's class code."""
     r = config.rank
-    coords = _power_points(config.n_points, k, point_cap)
+    coords = _power_points(config.n_points, k, POINT_CAP)
     rows = _sorted_rows(coords)
     seen = np.zeros(r**k, dtype=bool) if r**k <= bitmap_cap else set()
-    for lo in range(0, len(rows), chunk):
-        codes = _class_codes(config.matrix, coords, rows[lo : lo + chunk], r)
+    for lo in range(0, len(rows), RANK_CHUNK):
+        codes = _class_codes(config.matrix, coords, rows[lo : lo + RANK_CHUNK], r)
         if isinstance(seen, set):
             seen.update(np.unique(codes).tolist())
         else:

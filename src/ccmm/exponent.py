@@ -51,6 +51,13 @@ def _clamp(raw, provenance):
     return raw, provenance
 
 
+def _bound(step, raw, assumptions=()):
+    """An omega_s bound from a closed-form producer: step records the
+    formula and its inputs, raw is its value before clamping."""
+    value, prov = _clamp(raw, (step,))
+    return ExponentBound("omega_s", value, assumptions, prov)
+
+
 def _check_dims(l, m, n):
     if l < 1 or m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -64,10 +71,7 @@ def omega_s_commutative(l, m, n, r):
         raise ValueError("need lmn >= 2")
     if r < 1:
         raise ValueError("rank must be positive")
-    raw = 3 * math.log(r) / math.log(l * m * n)
-    prov = (("commutative", l, m, n, r),)
-    value, prov = _clamp(raw, prov)
-    return ExponentBound("omega_s", value, (), prov)
+    return _bound(("commutative", l, m, n, r), 3 * math.log(r) / math.log(l * m * n))
 
 
 def _normalize_blocks(blocks):
@@ -95,22 +99,23 @@ def _bisect(f, lo=2.0, hi=3.0, iters=BISECTION_ITERS):
     return hi
 
 
-def solve_asi(blocks, r):
-    """The simultaneous-components inequality sum_i (l_i m_i n_i)^{tau/3}
-    <= r, solved for the largest admissible tau in [2, 3] by bisection."""
+def _root_bound(op, blocks, r, equation):
+    """The largest tau in [2, 3] with equation(prods, tau) <= r, where prods
+    are the block volumes l m n and equation increases in tau; found by
+    bisection, clamped at 2 and 3 with a provenance note."""
     blocks = _normalize_blocks(blocks)
     if r < 1:
         raise ValueError("rank must be positive")
     if len(blocks) > r:
         raise ValueError("more blocks than rank")
     prods = [l * m * n for l, m, n in blocks]
-    prov = (("asi", blocks, r),)
+    prov = ((op, blocks, r),)
     if all(p == 1 for p in prods):
         prov += (("note", "all blocks are <1,1,1>; no information"),)
         return ExponentBound("omega_s", 3.0, (), prov)
 
     def f(tau):
-        return sum(p ** (tau / 3) for p in prods) - r
+        return equation(prods, tau) - r
 
     if f(2.0) > 0:
         prov += (("clamp", 2.0, "root below 2; instance cannot be realized"),)
@@ -119,33 +124,24 @@ def solve_asi(blocks, r):
         prov += (("clamp", 3.0, "root above 3 is vacuous"),)
         return ExponentBound("omega_s", 3.0, (), prov)
     return ExponentBound("omega_s", _bisect(f), (), prov)
+
+
+def solve_asi(blocks, r):
+    """The simultaneous-components inequality sum_i (l_i m_i n_i)^{tau/3}
+    <= r, solved for the largest admissible tau in [2, 3] by bisection."""
+    return _root_bound(
+        "asi", blocks, r, lambda prods, tau: sum(p ** (tau / 3) for p in prods)
+    )
 
 
 def geometric_mean_bound(blocks, r):
     """Geometric-mean form: k * (prod_i l_i m_i n_i)^{tau/(3k)} <= r."""
-    blocks = _normalize_blocks(blocks)
-    if r < 1:
-        raise ValueError("rank must be positive")
-    k = len(blocks)
-    if k > r:
-        raise ValueError("more blocks than rank")
-    prods = [l * m * n for l, m, n in blocks]
-    logg = sum(math.log(p) for p in prods) / k
-    prov = (("geometric-mean", blocks, r),)
-    if logg == 0:
-        prov += (("note", "all blocks are <1,1,1>; no information"),)
-        return ExponentBound("omega_s", 3.0, (), prov)
 
-    def f(tau):
-        return k * math.exp(logg * tau / 3) - r
+    def equation(prods, tau):
+        logg = sum(math.log(p) for p in prods) / len(prods)
+        return len(prods) * math.exp(logg * tau / 3)
 
-    if f(2.0) > 0:
-        prov += (("clamp", 2.0, "root below 2; instance cannot be realized"),)
-        return ExponentBound("omega_s", 2.0, (), prov)
-    if f(3.0) < 0:
-        prov += (("clamp", 3.0, "root above 3 is vacuous"),)
-        return ExponentBound("omega_s", 3.0, (), prov)
-    return ExponentBound("omega_s", _bisect(f), (), prov)
+    return _root_bound("geometric-mean", blocks, r, equation)
 
 
 def omega_s_noncommutative(l, m, n, degrees, assumed=DEFAULT_ASSUMED_OMEGA):
@@ -162,10 +158,10 @@ def omega_s_noncommutative(l, m, n, degrees, assumed=DEFAULT_ASSUMED_OMEGA):
     if not 2 <= assumed <= 3:
         raise ValueError("assumed omega must lie in [2, 3]")
     raw = 3 * math.log(sum(d**assumed for d in degrees)) / math.log(l * m * n)
-    prov = (("noncommutative", l, m, n, degrees, assumed),)
-    value, prov = _clamp(raw, prov)
-    return ExponentBound(
-        "omega_s", value, ("assumed omega <= %r" % assumed,), prov
+    return _bound(
+        ("noncommutative", l, m, n, degrees, assumed),
+        raw,
+        ("assumed omega <= %r" % assumed,),
     )
 
 
@@ -174,15 +170,7 @@ def omega_from_omega_s(bound):
     if bound.kind != "omega_s":
         raise ValueError("input bound must be on omega_s")
     raw = (3 * bound.value - 2) / 2
-    prov = bound.provenance + (("convert",),)
-    if raw > 3:
-        value = 3.0
-        prov += (("clamp", 3.0, "raw value %r above 3 is vacuous" % raw),)
-    elif raw < 2:
-        value = 2.0
-        prov += (("clamp", 2.0, "raw value %r below 2" % raw),)
-    else:
-        value = raw
+    value, prov = _clamp(raw, bound.provenance + (("convert",),))
     return ExponentBound("omega", value, bound.assumptions, prov)
 
 
@@ -192,10 +180,14 @@ def construction_family_bound(m):
     denominator."""
     if m <= 3:
         raise ValueError("need m > 3 (denominator log(m-2) must be positive)")
-    raw = (3 * math.log(m) - math.log(27 / 4)) / math.log(m - 2)
-    prov = (("family", m),)
-    value, prov = _clamp(raw, prov)
-    return ExponentBound("omega_s", value, (), prov)
+    return _bound(
+        ("family", m), (3 * math.log(m) - math.log(27 / 4)) / math.log(m - 2)
+    )
+
+
+def given_bound(value):
+    """A stated omega_s bound, taken as is (for conversion)."""
+    return ExponentBound("omega_s", value, (), (("given", value),))
 
 
 def reference_conversion_checks():
@@ -205,9 +197,7 @@ def reference_conversion_checks():
     table = ((2.48, 2.72), (2.41, 2.62), (2.376, 2.564))
     out = []
     for omega_s, target in table:
-        b = omega_from_omega_s(
-            ExponentBound("omega_s", omega_s, (), (("given", omega_s),))
-        )
+        b = omega_from_omega_s(given_bound(omega_s))
         out.append(
             {
                 "omega_s": omega_s,
@@ -221,6 +211,16 @@ def reference_conversion_checks():
 
 # -- provenance replay --------------------------------------------------------
 
+# A chain's first step names its producer: step[1:] are the arguments.
+PRODUCERS = {
+    "commutative": omega_s_commutative,
+    "asi": solve_asi,
+    "geometric-mean": geometric_mean_bound,
+    "noncommutative": omega_s_noncommutative,
+    "family": construction_family_bound,
+    "given": given_bound,
+}
+
 
 def replay(provenance):
     """Re-execute a provenance chain; the result's value must equal the
@@ -228,24 +228,38 @@ def replay(provenance):
     bound = None
     for step in provenance:
         op = step[0]
-        if op == "commutative":
-            bound = omega_s_commutative(*step[1:])
-        elif op == "asi":
-            bound = solve_asi(step[1], step[2])
-        elif op == "geometric-mean":
-            bound = geometric_mean_bound(step[1], step[2])
-        elif op == "noncommutative":
-            bound = omega_s_noncommutative(*step[1:])
-        elif op == "family":
-            bound = construction_family_bound(step[1])
-        elif op == "given":
-            bound = ExponentBound("omega_s", step[1], (), (step,))
+        if op in PRODUCERS:
+            bound = PRODUCERS[op](*step[1:])
         elif op == "convert":
             bound = omega_from_omega_s(bound)
-        elif op in ("clamp", "note"):
-            continue  # recorded by the producing op; nothing to re-run
-        else:
+        elif op not in ("clamp", "note"):  # recorded by the producing op
             raise ValueError("unknown provenance step %r" % (step,))
     if bound is None:
         raise ValueError("provenance chain produced nothing")
     return bound
+
+
+def describe(step):
+    """One provenance step as text, e.g. `asi([5x5x5, 5x5x5], r=125)`."""
+    op, args = step[0], step[1:]
+    if op in ("asi", "geometric-mean"):
+        blocks = ", ".join("%dx%dx%d" % b for b in args[0])
+        return "%s([%s], r=%d)" % (op, blocks, args[1])
+    if op == "commutative":
+        return "commutative(%dx%dx%d, r=%d)" % args
+    if op == "noncommutative":
+        l, m, n, degrees, assumed = args
+        return "noncommutative(%dx%dx%d, degrees=%s, assumed=%r)" % (
+            l, m, n, list(degrees), assumed
+        )
+    if op == "family":
+        return "family(m=%r)" % args
+    if op == "given":
+        return "given(%r)" % args
+    if op == "convert":
+        return "convert"
+    if op == "clamp":
+        return "clamp(%s)" % args[1]
+    if op == "note":
+        return "note(%s)" % args[0]
+    return repr(step)

@@ -125,8 +125,8 @@ def perm_cycles(p):
 
 class FiniteGroup:
     """Base class. Subclasses set .kind, .order, .descriptor and implement
-    _product (elementwise on equal-shape integer arrays, or on two codes)
-    and inverse on integer codes."""
+    _product (elementwise on equal-shape integer arrays, or on two codes).
+    Inverses are read from the multiplication table."""
 
     kind = "?"
     descriptor = "?"
@@ -145,7 +145,7 @@ class FiniteGroup:
         return int(self._product(a, b))
 
     def inverse(self, a):
-        raise NotImplementedError
+        return int(self.inverse_vector()[a])
 
     def table(self):
         """Full multiplication table T[a, b] = a*b, cached, filled in row
@@ -165,10 +165,14 @@ class FiniteGroup:
         return self._table
 
     def inverse_vector(self):
+        """inv[a] is the column of the identity in row a of the table; a row
+        without exactly one identity is refused."""
         if self._inv is None:
-            self._inv = np.array(
-                [self.inverse(a) for a in range(self.order)], dtype=np.int32
-            )
+            hits = self.table() == self.identity
+            bad = np.flatnonzero(hits.sum(axis=1) != 1)
+            if len(bad):
+                raise ValueError("element %d has no unique inverse" % bad[0])
+            self._inv = hits.argmax(axis=1).astype(np.int32)
         return self._inv
 
     def conjugacy_classes(self):
@@ -218,9 +222,6 @@ class CyclicGroup(FiniteGroup):
     def _product(self, a, b):
         return (a + b) % self.m
 
-    def inverse(self, a):
-        return (-a) % self.m
-
 
 class AbelianGroup(FiniteGroup):
     """Direct product of cyclic groups, mixed-radix codes with the first
@@ -259,9 +260,6 @@ class AbelianGroup(FiniteGroup):
             place *= m
         return out
 
-    def inverse(self, a):
-        return self.encode([-x for x in self.decode(a)])
-
 
 class SymmetricGroup(FiniteGroup):
     kind = "sym"
@@ -276,9 +274,6 @@ class SymmetricGroup(FiniteGroup):
 
     def _product(self, a, b):
         return _compose_rank(a, b, self.n)
-
-    def inverse(self, a):
-        return perm_rank(perm_inverse(perm_unrank(a, self.n)))
 
 
 class WreathGroup(FiniteGroup):
@@ -332,12 +327,6 @@ class WreathGroup(FiniteGroup):
         h = self.base.table()[da, moved] @ place
         return _compose_rank(pa, pb, self.n) * self.vec_order + h
 
-    def inverse(self, a):
-        h, p = self.decode(a)
-        pinv = perm_inverse(p)
-        hi = tuple(self.base.inverse(h[p[i]]) for i in range(self.n))
-        return self.encode(hi, pinv)
-
     def class_key(self, a):
         """Conjugacy invariant: multiset of (cycle length, cycle sum) pairs,
         the sum taken in the base group over the coordinates of each cycle
@@ -370,12 +359,6 @@ class TableGroup(FiniteGroup):
     def _product(self, a, b):
         return self._table[a, b]
 
-    def inverse(self, a):
-        row = np.flatnonzero(self._table[a] == 0)
-        if len(row) != 1:
-            raise ValueError("element %d has no unique inverse" % a)
-        return int(row[0])
-
 
 class ProductGroup(FiniteGroup):
     """Direct product, plumbing for two-sided actions. Code = a * |G2| + b."""
@@ -399,10 +382,6 @@ class ProductGroup(FiniteGroup):
         a1, a2 = self.split(a)
         b1, b2 = self.split(b)
         return self.join(self.g1._product(a1, b1), self.g2._product(a2, b2))
-
-    def inverse(self, a):
-        a1, a2 = self.split(a)
-        return self.join(self.g1.inverse(a1), self.g2.inverse(a2))
 
     def table(self):
         if self._table is None:

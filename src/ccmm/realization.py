@@ -309,41 +309,46 @@ def tpp_verify(group, S, T, U):
     return simultaneous_tpp_verify(TripleFamily(group, ((S, T, U),)))
 
 
+TPP_CHUNK = 1 << 20  # table cells read at once by simultaneous_tpp_verify
+
+
 def simultaneous_tpp_verify(family):
     """Simultaneous triple product property of a TripleFamily: the product
     a_i^-1 a_j' b_j^-1 b_k' c_k^-1 c_i' is trivial only when i = j = k and
-    all three pairs match. Exhaustive over index triples and elements."""
+    all three pairs match. Exhaustive over index triples and elements, counted
+    with multiplicity: with x = a_i^-1 a_j', y = b_j^-1 b_k' and
+    z = c_k^-1 c_i', the product is trivial iff z = (xy)^-1, so the trivial
+    products number the sum over distinct x, y of #x * #y * #((xy)^-1). For
+    i = j = k the |A_i||B_i||C_i| choices with matching pairs are trivial, so
+    the property fails when the count exceeds that, and otherwise when it
+    exceeds 0. Rows are read TPP_CHUNK table cells at a time and the sweep
+    stops once the count passes the allowance, so memory stays bounded and a
+    failing family is refused early."""
     g = family.group
     Tb = g.table()
     inv = g.inverse_vector()
-    n = len(family.triples)
-    A = [t[0] for t in family.triples]
-    B = [t[1] for t in family.triples]
-    C = [t[2] for t in family.triples]
-    for i in range(n):
-        for j in range(n):
-            qa = [
-                (int(Tb[inv[a], ap]), a == ap) for a in A[i] for ap in A[j]
-            ]
-            for k in range(n):
-                qb = [
-                    (int(Tb[inv[b], bp]), b == bp)
-                    for b in B[j]
-                    for bp in B[k]
-                ]
-                qc = [
-                    (int(Tb[inv[c], cp]), c == cp)
-                    for c in C[k]
-                    for cp in C[i]
-                ]
-                diag = i == j == k
-                for q1, t1 in qa:
-                    for q2, t2 in qb:
-                        left = int(Tb[q1, q2])
-                        for q3, t3 in qc:
-                            if Tb[left, q3] == 0:
-                                if not (diag and t1 and t2 and t3):
-                                    return False
+    A, B, C = ([np.asarray(t[p]) for t in family.triples] for p in range(3))
+
+    def row_chunks(rows, n_cols):
+        step = max(1, TPP_CHUNK // n_cols)
+        return (rows[s:s + step] for s in range(0, len(rows), step))
+
+    def quotients(X, Y):  # multiplicity of each x^-1 y, x in X, y in Y
+        return sum(
+            np.bincount(Tb[x[:, None], Y].ravel(), minlength=g.order)
+            for x in row_chunks(inv[X], len(Y))
+        )
+
+    for i, j, k in itertools.product(range(len(family)), repeat=3):
+        allowance = len(A[i]) * len(B[i]) * len(C[i]) if i == j == k else 0
+        nx, ny = quotients(A[i], A[j]), quotients(B[j], B[k])
+        nz = quotients(C[k], C[i])[inv]  # nz[w] = #(z = w^-1)
+        ys = np.flatnonzero(ny)
+        count = 0
+        for x in row_chunks(np.flatnonzero(nx), len(ys)):
+            count += int(nx[x] @ nz[Tb[x[:, None], ys]] @ ny[ys])
+            if count > allowance:
+                return False
     return True
 
 
@@ -351,7 +356,7 @@ def simultaneous_tpp_verify(family):
 # action realizations
 
 
-def action_realization(action, A, B, C, config=None, check="full"):
+def action_realization(action, A, B, C, config=None):
     """Realization of <|A|,|B|,|C|> inside schurian(action), after verifying
     the fixed-point hypothesis: for every f, g, h in the acting group with
     f g h = 1, if fa lands in A, gb in B and hc in C (a in A etc.), then all
@@ -413,7 +418,7 @@ def action_realization(action, A, B, C, config=None, check="full"):
                 % (f, gg, hh, a, b, c),
             )
     if config is None:
-        config = schurian(action, check=check)
+        config = schurian(action)
     M = config.matrix
     alpha = M[np.ix_(A, B)]
     beta = M[np.ix_(B, C)]
@@ -436,7 +441,7 @@ def diagonal_action(n):
     return GroupAction(CyclicGroup(n), tab, "diagonal-translation")
 
 
-def diagonal_example(n, S=None, check="full"):
+def diagonal_example(n, S=None):
     """The diagonal-action configuration on n^2 points (rank n^3) with one
     <n,n,n> component per member of a 3AP-free set S in Z/nZ:
     alpha_i(x,y) = class (x, i-x, y), beta_i(y,z) = (y, i-y, z),
@@ -452,7 +457,7 @@ def diagonal_example(n, S=None, check="full"):
         raise ValueError("S lives in Z/%d, expected Z/%d" % (S.n, n))
     if len(S) == 0:
         raise ValueError("need a non-empty 3AP-free set")
-    cfg = schurian(diagonal_action(n), check=check)
+    cfg = schurian(diagonal_action(n))
     M = cfg.matrix
 
     def pt(u, v):
@@ -660,7 +665,7 @@ def sympow_realization(config, reals, materialize="auto", point_cap=2000):
 # wreath-product conjugation realizations
 
 
-def grp_as_realization(family, check="full"):
+def grp_as_realization(family):
     """From a TripleFamily with the simultaneous triple product property in
     an abelian group H: embed the product sets into G = S_n lx H^n, take the
     group association scheme of G (the two-sided conjugation action), and
@@ -685,7 +690,7 @@ def grp_as_realization(family, check="full"):
     B = embed([t[1] for t in family.triples])
     C = embed([t[2] for t in family.triples])
     act = conjugation_action(G)
-    cfg = schurian(act, check=check)
+    cfg = schurian(act)
     expected_rank = count_conjugacy_wreath(n, H.order)
     if cfg.rank != expected_rank:
         raise AssertionError(

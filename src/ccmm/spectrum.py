@@ -31,6 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 SPECTRAL_CAP = 2000
+CLUSTER_TOL = 1e-8  # relative eigenvalue gap that separates two clusters
+IDEM_TOL = 1e-6  # largest idempotent residual the cross-check accepts
 # 31-bit primes: products of two residues fit in int64. Attempt a of the
 # center and of the degree count works modulo PRIMES[a].
 PRIMES = (2**31 - 1, 2147483629, 2147483587, 2147483579)
@@ -367,20 +369,14 @@ def _float_degrees(config, basis, seed, cluster_tol):
     return tuple(sorted(degrees)), residual
 
 
-def character_degrees(
-    config,
-    seed=0,
-    cluster_tol=1e-8,
-    idem_tol=1e-6,
-    cap=SPECTRAL_CAP,
-):
+def character_degrees(config, seed=0, cap=SPECTRAL_CAP):
     """Character degrees of the adjacency algebra, exact and certified
     (see the module docstring), then cross-checked in floating point. The
     seed steers the random central element of the cross-check; the degrees
     do not depend on it. A cross-check that disagrees, as when two
-    eigenvalues of that element fall within cluster_tol of each other, is
+    eigenvalues of that element fall within CLUSTER_TOL of each other, is
     repeated once with seed + 1. Fails hard unless the cross-check agrees
-    and its residual stays within idem_tol."""
+    and its residual stays within IDEM_TOL."""
     r = config.rank
     if r > cap:
         raise ValueError("rank %d exceeds spectral cap %d" % (r, cap))
@@ -392,7 +388,7 @@ def character_degrees(
     basis = center_basis(config)
     degrees = _exact_degrees(config, basis)
     for s in (seed, seed + 1):
-        check, residual = _float_degrees(config, basis, s, cluster_tol)
+        check, residual = _float_degrees(config, basis, s, CLUSTER_TOL)
         if check == degrees:
             break
     else:
@@ -401,9 +397,9 @@ def character_degrees(
             % (check, degrees),
             residual,
         )
-    if residual > idem_tol:
+    if residual > IDEM_TOL:
         raise DegreeComputationError(
-            "idempotent residual %.3e exceeds %.1e" % (residual, idem_tol),
+            "idempotent residual %.3e exceeds %.1e" % (residual, IDEM_TOL),
             residual,
         )
     return DegreeProfile(degrees, residual)

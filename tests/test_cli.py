@@ -4,6 +4,7 @@ and the documented pipelines."""
 import argparse
 import io
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,19 @@ def test_realize_grp_as_rejects_bad_family(tmp_path, capsys):
                        "--family", str(fam))
     assert rc == 2
     assert "triple product" in err
+
+
+def test_realize_grp_as_refuses_large_failing_family_at_once(tmp_path, capsys):
+    # 256^2 quotients per set: forming all their products at once would
+    # need 65536 x 65536 cells, so the count must stop early
+    fam = tmp_path / "fam.txt"
+    fam.write_text(" ".join([",".join(map(str, range(256)))] * 3) + "\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "realize", "grp-as", "--group", "cyclic:1024",
+                       "--family", str(fam))
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (2, "")
+    assert err == "error: family fails the simultaneous triple product property\n"
 
 
 # -- demos -------------------------------------------------------------------
@@ -605,6 +619,23 @@ def test_build_trivial_negative_is_exit_two(capsys):
     assert err == "error: need at least one point\n"
 
 
+@pytest.mark.parametrize(
+    "what,spec,message",
+    [
+        ("group-scheme", "cyclic:5", "error: 5**99999999 points exceeds cap 20000\n"),
+        ("trivial", "1", "error: power 100000000 exceeds numpy's 64 array dimensions\n"),
+    ],
+)
+def test_build_sympow_huge_power_is_refused_at_once(tmp_path, capsys, what, spec, message):
+    base = str(tmp_path / "base.ccfg")
+    run(capsys, "build", what, spec, "-o", base)
+    k = "99999999" if what == "group-scheme" else "100000000"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "build", "sympow", base, k)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", message)
+
+
 def test_matmul_product_too_long_to_print_message(tmp_path, capsys):
     cc, rr = _diagonal_three(tmp_path, capsys)
     a = _write_matrix_file(tmp_path / "a.mat", "3 3\n1e4000 0 0\n0 1 0\n0 0 1\n")
@@ -705,6 +736,7 @@ def test_option_defaults_live_in_the_parser():
         ["info", "x.ccfg", "--seed", "1"],
         ["demo", "jminusi", "--n", "3", "--seed", "1"],
         ["realize", "diagonal-example", "--n", "3", "--check", "trusted"],
+        ["realize", "sympow", "--ccfg", "x", "--real", "y", "--materialize", "always"],
     ],
 )
 def test_option_a_verb_does_not_read_is_exit_two(capsys, argv):

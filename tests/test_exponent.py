@@ -7,10 +7,13 @@ import math
 import pytest
 
 from ccmm.exponent import (
+    PRODUCERS,
     ExponentBound,
     construction_family_bound,
+    describe,
     format_bound,
     geometric_mean_bound,
+    given_bound,
     omega_from_omega_s,
     omega_s_commutative,
     omega_s_noncommutative,
@@ -299,3 +302,83 @@ def test_replay_rejects_unknown_step():
         replay((("astrology", 7),))
     with pytest.raises(ValueError):
         replay(())
+
+
+# Each producer's chain, step by step, as the CLI prints it.
+PROVENANCE_TEXT = [
+    (lambda: omega_s_commutative(2, 2, 2, 6), ["commutative(2x2x2, r=6)"]),
+    (
+        lambda: omega_s_commutative(4, 4, 4, 2),
+        ["commutative(4x4x4, r=2)", "clamp(raw value 0.5 below 2)"],
+    ),
+    (
+        lambda: omega_s_commutative(5, 5, 5, 200),
+        [
+            "commutative(5x5x5, r=200)",
+            "clamp(raw value 3.2920296742201787 above 3 is vacuous)",
+        ],
+    ),
+    (
+        lambda: solve_asi([(5, 5, 5), (5, 5, 5)], 125),
+        ["asi([5x5x5, 5x5x5], r=125)"],
+    ),
+    (
+        lambda: solve_asi([(1, 1, 1)] * 3, 3),
+        [
+            "asi([1x1x1, 1x1x1, 1x1x1], r=3)",
+            "note(all blocks are <1,1,1>; no information)",
+        ],
+    ),
+    (
+        lambda: solve_asi([(8, 8, 8)], 3),
+        ["asi([8x8x8], r=3)", "clamp(root below 2; instance cannot be realized)"],
+    ),
+    (
+        lambda: geometric_mean_bound([(2, 2, 2), (4, 4, 4)], 50),
+        ["geometric-mean([2x2x2, 4x4x4], r=50)", "clamp(root above 3 is vacuous)"],
+    ),
+    (
+        lambda: geometric_mean_bound([(1, 1, 1)] * 2, 2),
+        [
+            "geometric-mean([1x1x1, 1x1x1], r=2)",
+            "note(all blocks are <1,1,1>; no information)",
+        ],
+    ),
+    (
+        lambda: omega_s_noncommutative(3, 3, 3, [1, 1, 2], 2.5),
+        [
+            "noncommutative(3x3x3, degrees=[1, 1, 2], assumed=2.5)",
+            "clamp(raw value 1.8528840865973835 below 2)",
+        ],
+    ),
+    (
+        lambda: omega_s_noncommutative(5, 5, 5, [5] * 5),
+        [
+            "noncommutative(5x5x5, degrees=[5, 5, 5, 5, 5], assumed=2.3727)",
+            "clamp(raw value 3.3726999999999996 above 3 is vacuous)",
+        ],
+    ),
+    (lambda: construction_family_bound(10), ["family(m=10)"]),
+    (lambda: omega_from_omega_s(given_bound(2.4)), ["given(2.4)", "convert"]),
+    (
+        lambda: omega_from_omega_s(construction_family_bound(4)),
+        [
+            "family(m=4)",
+            "clamp(raw value 3.2451124978365313 above 3 is vacuous)",
+            "convert",
+            "clamp(raw value 3.5 above 3 is vacuous)",
+        ],
+    ),
+]
+
+
+def test_every_step_kind_renders_and_replays():
+    producers = set()
+    for make, text in PROVENANCE_TEXT:
+        b = make()
+        assert [describe(step) for step in b.provenance] == text
+        again = replay(b.provenance)
+        assert (again.value, again.provenance) == (b.value, b.provenance)
+        producers.add(b.provenance[0][0])
+    assert producers == set(PRODUCERS)
+    assert describe(("astrology", 7)) == "('astrology', 7)"
