@@ -334,6 +334,13 @@ def cmd_exponent(args):
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, like input errors, exit 2 with one `error:` line."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser():
     """Each verb takes only the options it reads: --check where it reads a
     ccfg file or builds a configuration, --seed, --cap and --tolerance
@@ -346,7 +353,7 @@ def build_parser():
         help="verification mode for configuration inputs",
     )
 
-    p = argparse.ArgumentParser(prog="ccmm", description=__doc__)
+    p = _Parser(prog="ccmm", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
     b = sub.add_parser("build", parents=[check], help="construct a configuration")

@@ -27,6 +27,8 @@ def trivial_configuration(n, check="full"):
     algebra is the full n x n matrix algebra."""
     if n < 1:
         raise ValueError("need at least one point")
+    if n > POINT_CAP:
+        raise ValueError("point count %d exceeds cap %d" % (n, POINT_CAP))
     M = np.arange(n * n, dtype=np.int64).reshape(n, n)
     return CoherentConfiguration.from_class_matrix(M, check=check)
 

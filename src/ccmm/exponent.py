@@ -11,6 +11,7 @@ is what provenance replay reproduces."""
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -227,10 +228,16 @@ def replay(provenance):
     original bit-for-bit."""
     bound = None
     for step in provenance:
-        op = step[0]
+        op, args = (step[0], step[1:]) if step else (None, ())
         if op in PRODUCERS:
-            bound = PRODUCERS[op](*step[1:])
+            try:
+                inspect.signature(PRODUCERS[op]).bind(*args)
+            except TypeError:
+                raise ValueError("provenance step %r: wrong number of arguments" % (step,)) from None
+            bound = PRODUCERS[op](*args)
         elif op == "convert":
+            if bound is None:
+                raise ValueError("provenance step %r: no producer step before it" % (step,))
             bound = omega_from_omega_s(bound)
         elif op not in ("clamp", "note"):  # recorded by the producing op
             raise ValueError("unknown provenance step %r" % (step,))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import CoherentConfiguration, text_file, text_lines
+from .configuration import POINT_CAP, CoherentConfiguration, text_file, text_lines
 from .constructions import schurian, symmetric_power
 from .groups import WreathGroup, conjugation_action, count_conjugacy_wreath
 
@@ -433,12 +433,15 @@ def diagonal_action(n):
     (x1, x2) is x1*n + x2."""
     from .groups import CyclicGroup, GroupAction
 
+    G = CyclicGroup(n)  # refuses n < 1
     pts = n * n
+    if pts > POINT_CAP:
+        raise ValueError("point count %d exceeds cap %d" % (pts, POINT_CAP))
     x1, x2 = np.divmod(np.arange(pts), n)
     tab = np.empty((n, pts), dtype=np.int32)
     for gg in range(n):
         tab[gg] = ((x1 + gg) % n) * n + (x2 + gg) % n
-    return GroupAction(CyclicGroup(n), tab, "diagonal-translation")
+    return GroupAction(G, tab, "diagonal-translation")
 
 
 def diagonal_example(n, S=None):
@@ -449,6 +452,7 @@ def diagonal_example(n, S=None):
     i + j = 2k, which the 3AP-free condition pins to i = j = k."""
     from .sets import APFreeSet, greedy_ap_free
 
+    action = diagonal_action(n)  # refuses sizes beyond the point cap first
     if S is None:
         S = greedy_ap_free(n)
     elif not isinstance(S, APFreeSet):
@@ -457,7 +461,7 @@ def diagonal_example(n, S=None):
         raise ValueError("S lives in Z/%d, expected Z/%d" % (S.n, n))
     if len(S) == 0:
         raise ValueError("need a non-empty 3AP-free set")
-    cfg = schurian(diagonal_action(n))
+    cfg = schurian(action)
     M = cfg.matrix
 
     def pt(u, v):

@@ -8,7 +8,6 @@ division; Fraction appears only at its input and output."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import re
@@ -20,7 +19,8 @@ import numpy as np
 
 from .configuration import text_file, text_lines
 from .realization import check_class_ids, is_verified, verify_realization
-from .sets import TriangleFreeSet, simplex_slice, triangle_free_set
+from .sets import triangle_free_set
+from .spectrum import SPECTRAL_CAP
 
 UNWEIGHT_CAP = 3  # the substitution sweep touches n^9 monomials
 EXPONENT_CAP = 4300  # a matrix entry like 1e9999999999 would build a huge integer
@@ -290,6 +290,8 @@ def jminusi_demo(n, tolerance=1e-8):
     of unity) has the same support and rank 2."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > SPECTRAL_CAP:
+        raise ValueError("n %d exceeds cap %d" % (n, SPECTRAL_CAP))
     idx = np.arange(n)
     zeta = np.exp(2j * np.pi / n)
     M = zeta ** ((idx[:, None] - idx[None, :]) % n)
@@ -326,9 +328,14 @@ class UnweightingReport:
 def unweighting_check(n, S=None, seed=0):
     """Constructive core of the weighted-to-unweighted exponent transfer:
     give the n x n matrix multiplication form seeded random nonzero
-    rational weights, cube it, and apply the triangle-free-set variable
+    integer weights, cube it, and apply the triangle-free-set variable
     substitution. Passes iff the substituted cube is exactly the sum of
     |S| unit-coefficient n^2 x n^2 matrix multiplication forms.
+
+    A monomial's substituted key holds all nine of its coordinates, so no
+    two monomials share a coefficient: one integer sweep over the n**9
+    monomials checks that each kept one lands on a unit term (s = t = u)
+    with numerator equal to denominator, and that |S| n**6 are kept.
 
     S may be a TriangleFreeSet or any iterable of 1-based triples from the
     simplex slice; sets that are not triangle-free fail with a witness."""
@@ -346,65 +353,45 @@ def unweighting_check(n, S=None, seed=0):
         triples.add(t)
     if not triples:
         raise ValueError("empty set")
-
-    rnd = random.Random(seed)
-    rng = range(1, n + 1)
-    lam = {
-        key: Fraction(rnd.randint(1, 97))
-        for key in itertools.product(rng, rng, rng)
-    }
-
-    expected = {}
-    for s in sorted(triples):
-        for i in itertools.product(rng, rng):
-            for j in itertools.product(rng, rng):
-                for k in itertools.product(rng, rng):
-                    expected[((s, i, j), (s, j, k), (s, k, i))] = Fraction(1)
-
-    got = {}
-    for a, b, c in itertools.product(
-        itertools.product(rng, rng, rng),
-        itertools.product(rng, rng, rng),
-        itertools.product(rng, rng, rng),
-    ):
-        # x_{a,b} is kept iff a = (i1, i2, s3), b = (s1, j1, j2) for s in S
-        s = (b[0], n + 2 - b[0] - a[2], a[2])
-        if s not in triples:
-            continue
-        # y_{b,c} is kept iff b = (t1, j1, j2), c = (k1, t2, k2) for t in S
-        t = (b[0], c[1], n + 2 - b[0] - c[1])
-        if t not in triples:
-            continue
-        # z_{c,a} is kept iff c = (k1, u2, k2), a = (i1, i2, u3) for u in S
-        u = (n + 2 - c[1] - a[2], c[1], a[2])
-        if u not in triples:
-            continue
-        coeff = (
-            lam[(a[0], b[0], c[0])]
-            * lam[(a[1], b[1], c[1])]
-            * lam[(a[2], b[2], c[2])]
-        )
-        # scalings attached to the substituted variables
-        coeff /= lam[(a[1], b[1], s[1])]  # x side
-        coeff /= lam[(t[2], b[2], c[2])]  # y side
-        coeff /= lam[(a[0], u[0], c[0])]  # z side
-        i = (a[0], a[1])
-        j = (b[1], b[2])
-        k = (c[0], c[2])
-        key = ((s, i, j), (t, j, k), (u, k, i))
-        got[key] = got.get(key, Fraction(0)) + coeff
-
-    got = {k: v for k, v in got.items() if v}
     size = len(triples)
-    if got == expected:
-        return UnweightingReport(True, n, size, len(got))
-    for key, val in got.items():
-        if expected.get(key) != val:
-            return UnweightingReport(False, n, size, len(got), (key, val))
-    missing = next(iter(set(expected) - set(got)))
-    return UnweightingReport(
-        False, n, size, len(got), (missing, Fraction(0))
-    )
+
+    # 1-based tables, index 0 standing for a coordinate outside the slice:
+    # the weights in draw order (products stay below 97**3) and S
+    rnd = random.Random(seed)
+    lam = np.zeros((n + 1,) * 3, dtype=np.int64)
+    lam[1:, 1:, 1:] = np.array([rnd.randint(1, 97) for _ in range(n**3)]).reshape(n, n, n)
+    member = np.zeros((n + 1,) * 3, dtype=bool)
+    member[tuple(zip(*triples))] = True
+
+    # the monomials x_{a,b} y_{b,c} z_{c,a} of the cube
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = np.indices((n,) * 9).reshape(9, -1) + 1
+    # x_{a,b} is kept iff a = (i1, i2, s3), b = (s1, j1, j2) for s in S
+    s2 = np.maximum(n + 2 - b1 - a3, 0)
+    # y_{b,c} is kept iff b = (t1, j1, j2), c = (k1, t2, k2) for t in S
+    t3 = np.maximum(n + 2 - b1 - c2, 0)
+    # z_{c,a} is kept iff c = (k1, u2, k2), a = (i1, i2, u3) for u in S
+    u1 = np.maximum(n + 2 - c2 - a3, 0)
+    kept = member[b1, s2, a3] & member[b1, c2, t3] & member[u1, c2, a3]
+    # s1 = t1, t2 = u2 and u3 = s3 hold by construction, so s = t = u iff
+    # b1 + c2 + a3 = n + 2, that is s2 = c2: the key is a unit term
+    unit = s2 == c2
+    num = lam[a1, b1, c1] * lam[a2, b2, c2] * lam[a3, b3, c3]
+    # scalings attached to the substituted x, y and z variables
+    den = lam[a2, b2, s2] * lam[t3, b3, c3] * lam[a1, u1, c1]
+    count = int(kept.sum())
+
+    def witness(m, coeff):
+        """The key ((s,i,j),(t,j,k),(u,k,i)) of monomial m, with coeff."""
+        cols = ((b1, s2, a3), (b1, c2, t3), (u1, c2, a3), (a1, a2), (b2, b3), (c1, c3))
+        s, t, u, i, j, k = (tuple(int(x[m]) for x in xs) for xs in cols)
+        return UnweightingReport(False, n, size, count, (((s, i, j), (t, j, k), (u, k, i)), coeff))
+
+    bad = np.flatnonzero(kept & ~(unit & (num == den)))
+    if bad.size:
+        return witness(bad[0], Fraction(int(num[bad[0]]), int(den[bad[0]])))
+    if count < size * n**6:  # a unit term whose monomial was not kept
+        return witness(np.flatnonzero(unit & member[b1, s2, a3] & ~kept)[0], Fraction(0))
+    return UnweightingReport(True, n, size, count)
 
 
 # -- matrix files -------------------------------------------------------------

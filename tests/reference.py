@@ -10,9 +10,12 @@ each (alpha(a,b), beta(b,c)) pair, and the point-level adjacency-matrix
 product. Then the cross-checks of the group association scheme. Last, the
 symmetric-power routines over all n**k rows: the rank count that marks the
 cells of every row, and the class build by np.unique(axis=0) over the
-(N*N, k) array of sorted coordinate classes. Last, the per-entry text
-writers of the ccfg and real formats."""
+(N*N, k) array of sorted coordinate classes. Then the per-entry text
+writers of the ccfg and real formats. Last, the unweighting check as the
+literal loop over all n**9 monomials, building the expected and the
+substituted tensors as dicts of Fractions and comparing them."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -41,6 +44,8 @@ from ccmm.groups import (
     perm_unrank,
 )
 from ccmm.realization import RealizationInvalid, _check_injective, grp_as_realization
+from ccmm.sets import triangle_free_set
+from ccmm.tensors import UNWEIGHT_CAP, UnweightingReport
 
 DENSE_TENSOR_CAP = 512
 
@@ -359,15 +364,17 @@ def full_row_symmetric_power_rank(
     config, k, point_cap=POINT_CAP, chunk=64, bitmap_cap=1 << 26
 ):
     """The Sym^k class count over all n**k rows: each chunk's sorted k-tuples
-    of coordinate classes encoded in base r (int64) and marked in a bitmap,
-    or in a set when r**k exceeds bitmap_cap."""
+    of coordinate classes encoded in base r (int32 when r**k < 2**31, else
+    int64) and marked in a bitmap, or in a set when r**k exceeds
+    bitmap_cap."""
     r = config.rank
     coords = _power_points(config.n_points, k, point_cap)
     N = len(coords[0])
     codes = r**k
     if codes > 1 << 62:
         raise ValueError("class encoding does not fit 63 bits")
-    M = config.matrix.astype(np.int64)
+    dtype = np.int32 if codes < 1 << 31 else np.int64
+    M = config.matrix.astype(dtype)
     use_bitmap = codes <= bitmap_cap
     seen_bitmap = np.zeros(codes, dtype=bool) if use_bitmap else None
     seen_set = set() if not use_bitmap else None
@@ -375,7 +382,7 @@ def full_row_symmetric_power_rank(
         stack = _sorted_classes(M, coords, slice(lo, lo + chunk))
         enc = stack[0]
         for c in range(1, k):
-            enc = enc * r + stack[c]
+            enc = enc * dtype(r) + stack[c]
         if use_bitmap:
             seen_bitmap[enc.ravel()] = True
         else:
@@ -418,3 +425,87 @@ def loop_write_real(real, fh):
         for x in range(rows):
             for y in range(cols):
                 fh.write("%d %d -> %d\n" % (x, y, int(arr[x, y])))
+
+
+def loop_unweighting_check(n, S=None, seed=0):
+    """Constructive core of the weighted-to-unweighted exponent transfer:
+    give the n x n matrix multiplication form seeded random nonzero
+    rational weights, cube it, and apply the triangle-free-set variable
+    substitution. Passes iff the substituted cube is exactly the sum of
+    |S| unit-coefficient n^2 x n^2 matrix multiplication forms.
+
+    S may be a TriangleFreeSet or any iterable of 1-based triples from the
+    simplex slice; sets that are not triangle-free fail with a witness."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > UNWEIGHT_CAP:
+        raise ValueError("n > %d is too large for the full sweep" % UNWEIGHT_CAP)
+    if S is None:
+        S = triangle_free_set(n)
+    triples = set()
+    for t in S:
+        t = tuple(int(v) for v in t)
+        if len(t) != 3 or not all(1 <= v <= n for v in t) or sum(t) != n + 2:
+            raise ValueError("%r is not in the simplex slice" % (t,))
+        triples.add(t)
+    if not triples:
+        raise ValueError("empty set")
+
+    rnd = random.Random(seed)
+    rng = range(1, n + 1)
+    lam = {
+        key: Fraction(rnd.randint(1, 97))
+        for key in itertools.product(rng, rng, rng)
+    }
+
+    expected = {}
+    for s in sorted(triples):
+        for i in itertools.product(rng, rng):
+            for j in itertools.product(rng, rng):
+                for k in itertools.product(rng, rng):
+                    expected[((s, i, j), (s, j, k), (s, k, i))] = Fraction(1)
+
+    got = {}
+    for a, b, c in itertools.product(
+        itertools.product(rng, rng, rng),
+        itertools.product(rng, rng, rng),
+        itertools.product(rng, rng, rng),
+    ):
+        # x_{a,b} is kept iff a = (i1, i2, s3), b = (s1, j1, j2) for s in S
+        s = (b[0], n + 2 - b[0] - a[2], a[2])
+        if s not in triples:
+            continue
+        # y_{b,c} is kept iff b = (t1, j1, j2), c = (k1, t2, k2) for t in S
+        t = (b[0], c[1], n + 2 - b[0] - c[1])
+        if t not in triples:
+            continue
+        # z_{c,a} is kept iff c = (k1, u2, k2), a = (i1, i2, u3) for u in S
+        u = (n + 2 - c[1] - a[2], c[1], a[2])
+        if u not in triples:
+            continue
+        coeff = (
+            lam[(a[0], b[0], c[0])]
+            * lam[(a[1], b[1], c[1])]
+            * lam[(a[2], b[2], c[2])]
+        )
+        # scalings attached to the substituted variables
+        coeff /= lam[(a[1], b[1], s[1])]  # x side
+        coeff /= lam[(t[2], b[2], c[2])]  # y side
+        coeff /= lam[(a[0], u[0], c[0])]  # z side
+        i = (a[0], a[1])
+        j = (b[1], b[2])
+        k = (c[0], c[2])
+        key = ((s, i, j), (t, j, k), (u, k, i))
+        got[key] = got.get(key, Fraction(0)) + coeff
+
+    got = {k: v for k, v in got.items() if v}
+    size = len(triples)
+    if got == expected:
+        return UnweightingReport(True, n, size, len(got))
+    for key, val in got.items():
+        if expected.get(key) != val:
+            return UnweightingReport(False, n, size, len(got), (key, val))
+    missing = next(iter(set(expected) - set(got)))
+    return UnweightingReport(
+        False, n, size, len(got), (missing, Fraction(0))
+    )

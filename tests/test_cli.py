@@ -620,6 +620,28 @@ def test_build_trivial_negative_is_exit_two(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["build", "trivial", "20001"], "point count 20001 exceeds cap 20000"),
+        (["build", "schurian", "diagonal:2000"], "point count 4000000 exceeds cap 20000"),
+        (["realize", "diagonal-example", "--n", "2000"], "point count 4000000 exceeds cap 20000"),
+        (["demo", "jminusi", "--n", "200000"], "n 200000 exceeds cap %d" % SPECTRAL_CAP),
+    ],
+)
+def test_sizes_beyond_a_cap_are_refused_before_allocating(capsys, argv, message):
+    # each of these once asked numpy for 3 to 298 GiB before comparing a cap
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_usage_error_is_one_error_line(capsys):
+    rc, out, err = run(capsys, "demo", "jminusi", "--n", "x")
+    assert (rc, out, err) == (2, "", "error: argument --n: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize(
     "what,spec,message",
     [
         ("group-scheme", "cyclic:5", "error: 5**99999999 points exceeds cap 20000\n"),

@@ -300,8 +300,24 @@ def test_provenance_replays_bit_for_bit(make):
 def test_replay_rejects_unknown_step():
     with pytest.raises(ValueError):
         replay((("astrology", 7),))
+    with pytest.raises(ValueError, match=r"unknown provenance step \(\)"):
+        replay(((),))
     with pytest.raises(ValueError):
         replay(())
+
+
+def test_replay_rejects_transform_before_any_producer():
+    with pytest.raises(ValueError, match=r"\('convert',\): no producer step before it"):
+        replay((("convert",),))
+
+
+@pytest.mark.parametrize(
+    "step",
+    [("asi", ((2, 2, 2),)), ("commutative", 2, 2, 2, 8, 1), ("family",), ("given", 2.5, 2.6)],
+)
+def test_replay_rejects_producer_with_wrong_arity(step):
+    with pytest.raises(ValueError, match="provenance step .*'%s'.*: wrong number of arguments" % step[0]):
+        replay((step,))
 
 
 # Each producer's chain, step by step, as the CLI prints it.

@@ -1,20 +1,23 @@
-"""Fuzzing of the text formats through the command line: whatever the
-input text, a verb exits 0, 1 or 2, never with a traceback; exit 2 comes
-with exactly one `error:` line and exit 1 with a `witness:` line. The
-matrix verbs never exit 1."""
+"""Fuzzing of the text formats and of the size arguments through the
+command line: whatever the input text or argument, a verb exits 0, 1 or 2,
+never with a traceback; exit 2 comes with exactly one `error:` line and
+exit 1 with a `witness:` line. The matrix verbs never exit 1."""
 
 import contextlib
 import io
+import math
+import time
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ccmm.cli import main
-from ccmm.configuration import write_ccfg
+from ccmm.configuration import POINT_CAP, write_ccfg
 from ccmm.constructions import group_association_scheme, group_scheme, trivial_configuration
 from ccmm.groups import make_group
 from ccmm.realization import fibers_realization, write_real
+from ccmm.spectrum import SPECTRAL_CAP
 
 TOKENS = st.one_of(
     st.integers(-3, 3).map(str),
@@ -227,3 +230,51 @@ def test_family_text_never_tracebacks(tmp_path_factory, text, group):
     path = tmp_path_factory.mktemp("family") / "f.txt"
     path.write_text(text)
     run_clean(["realize", "grp-as", "--group", group, "--family", str(path)])
+
+
+# -- verb arguments: sizes and non-numeric tokens ------------------------------
+
+# verb -> (argv with the drawn value at {}, largest size that runs in well
+# under a second, smallest size a cap refuses); the sizes between, inside
+# a cap but taking seconds or gigabytes, are work rather than input errors
+ARGUMENT_VERBS = {
+    "build trivial": (["build", "trivial", "{}"], 60, POINT_CAP + 1),
+    "build sympow": (["build", "sympow", "{ccfg}", "{}"], 4, 7),  # 5**7 > POINT_CAP
+    "build schurian": (["build", "schurian", "diagonal:{}"], 14, math.isqrt(POINT_CAP) + 1),
+    "realize diagonal-example": (["realize", "diagonal-example", "--n", "{}"], 14, math.isqrt(POINT_CAP) + 1),
+    "demo jminusi": (["demo", "jminusi", "--n", "{}"], 300, SPECTRAL_CAP + 1),
+    "demo unweight": (["demo", "unweight", "--seed", "0", "--n", "{}"], 10**12, 10**12),
+}
+WORDS = st.sampled_from(["x", "", " ", "1.5", "1e3", "0x10", "nan", "-", "--", "1/2", "3 4", "-x"])
+
+
+@st.composite
+def verb_argument(draw):
+    verb = draw(st.sampled_from(sorted(ARGUMENT_VERBS)))
+    _, fast, refused = ARGUMENT_VERBS[verb]
+    sizes = st.one_of(st.integers(-10, fast), st.integers(refused, 10**12)).map(str)
+    return verb, draw(sizes | WORDS)
+
+
+@pytest.fixture(scope="module")
+def cyclic_five(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("args") / "c5.ccfg")
+    write_ccfg(group_scheme(make_group("cyclic:5")), path)
+    return path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=verb_argument())
+@example(case=("demo unweight", "3"))
+# each once asked numpy for gigabytes before a cap was compared
+@example(case=("build trivial", "20001"))
+@example(case=("build schurian", "2000"))
+@example(case=("realize diagonal-example", "2000"))
+@example(case=("demo jminusi", "200000"))
+def test_verb_arguments_never_traceback(cyclic_five, case):
+    verb, value = case
+    argv = [w.format(value, ccfg=cyclic_five) for w in ARGUMENT_VERBS[verb][0]]
+    start = time.perf_counter()
+    rc = run_clean(argv)
+    if rc == 2:
+        assert time.perf_counter() - start < 1.0, argv

@@ -4,6 +4,7 @@ independent of the tensor code."""
 
 import io
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from ccmm.realization import (
     fibers_realization,
     is_triangle,
 )
-from ccmm.sets import TriangleFreeSet, simplex_slice, triangle_free_set
-from reference import adjacency_matmul
+from ccmm.sets import TriangleFreeSet, simplex_slice, triangle_free_set, triangle_witness
+from reference import adjacency_matmul, loop_unweighting_check
 from ccmm.tensors import (
     SparseTensor,
     UnweightingReport,
@@ -381,6 +382,31 @@ def test_unweighting_deterministic_given_seed():
     a = unweighting_check(2, seed=0)
     b = unweighting_check(2, seed=0)
     assert a == b == UnweightingReport(True, 2, a.set_size, a.monomials)
+
+
+def _random_subsets(count=500, seed=10):
+    """Seeded non-empty subsets of the slice: n is 2 in four of six draws
+    and 1 or 3 in one each, and every triple is kept with probability 3/4,
+    so many hold a triangle (the whole n = 2 slice is one). The loop
+    reference takes about 0.1 s per n = 3 case, which bounds their share."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((1, 2, 2, 2, 2, 3))
+        S = [t for t in simplex_slice(n) if rng.random() < 0.75]
+        if S:
+            out.append((n, S, rng.randrange(1 << 16)))
+    return out
+
+
+def test_unweighting_matches_loop_reference():
+    # reports compare as (ok, n, set_size, monomials, witness)
+    cases = [(n, None, seed) for n in (1, 2, 3) for seed in range(10)] + _random_subsets()
+    for n, S, seed in cases:
+        assert unweighting_check(n, S, seed) == loop_unweighting_check(n, S, seed), (n, S, seed)
+    subsets = cases[30:]
+    assert len(subsets) >= 500
+    assert sum(triangle_witness(S, n) is not None for n, S, _ in subsets) >= 150
 
 
 # -- matrix files -------------------------------------------------------------
