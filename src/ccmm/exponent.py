@@ -179,8 +179,10 @@ def construction_family_bound(m):
     """The published family bound omega_s <= (3 log m - log(27/4)) /
     log(m - 2), minimized at m = 10. Needs m - 2 > 1 for a meaningful
     denominator."""
-    if m <= 3:
-        raise ValueError("need m > 3 (denominator log(m-2) must be positive)")
+    if not (math.isfinite(m) and m > 3):
+        raise ValueError(
+            "need a finite m > 3 (denominator log(m-2) must be positive), got %r" % m
+        )
     return _bound(
         ("family", m), (3 * math.log(m) - math.log(27 / 4)) / math.log(m - 2)
     )

@@ -10,8 +10,7 @@ from descriptor strings:
     wreath:N:BASE       S_N acting on BASE^N by permuting coordinates,
                         BASE an abelian descriptor; semidirect product
 
-Two further kinds exist as plumbing only (not parseable from descriptors):
-explicit multiplication tables, used by corruption oracles in tests, and
+One further kind exists as plumbing only (not parseable from descriptors):
 direct products, used for two-sided actions such as conjugation.
 
 Each kind has one product formula, written on integer arrays (_product).
@@ -25,12 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 TABLE_CAP = 4096  # largest order for which a multiplication table is materialized
-VERIFY_CAP = 1024  # largest order for which verify_group runs the exhaustive sweep
 PERM_CAP = 40320  # largest n! for which the array of all permutations is built
 TABLE_BLOCK = 1 << 18  # table entries computed per array product
 
@@ -62,18 +59,6 @@ def perm_unrank(r, n):
     return tuple(out)
 
 
-def perm_compose(p, q):
-    """[p.q](i) = p(q(i)), so q is applied first."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def perm_inverse(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def permutation_array(n):
     """Read-only (n!, n) array whose row r is perm_unrank(r, n), built once
@@ -97,27 +82,10 @@ def _rank_rows(q):
 
 
 def _compose_rank(a, b, n):
-    """perm_rank(perm_compose(p_a, p_b)) for arrays of codes a, b."""
+    """Codes of the composites p_a . p_b (p_b applied first) for arrays of
+    codes a, b."""
     P = permutation_array(n)
     return _rank_rows(np.take_along_axis(P[a], P[b], axis=-1))
-
-
-def perm_cycles(p):
-    """Cycles of p as tuples of positions, each starting at its minimum."""
-    n = len(p)
-    seen = [False] * n
-    cycles = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        cycles.append(tuple(cyc))
-    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -327,38 +295,6 @@ class WreathGroup(FiniteGroup):
         h = self.base.table()[da, moved] @ place
         return _compose_rank(pa, pb, self.n) * self.vec_order + h
 
-    def class_key(self, a):
-        """Conjugacy invariant: multiset of (cycle length, cycle sum) pairs,
-        the sum taken in the base group over the coordinates of each cycle
-        of the permutation part. Two elements are conjugate iff keys match."""
-        h, p = self.decode(a)
-        parts = []
-        for cyc in perm_cycles(p):
-            s = 0
-            for i in cyc:
-                s = self.base.mult(s, h[i])
-            parts.append((len(cyc), s))
-        return tuple(sorted(parts))
-
-
-class TableGroup(FiniteGroup):
-    """Group given by an explicit multiplication table. Plumbing for oracle
-    tests; verify_group is the guard against corrupted tables."""
-
-    kind = "table"
-
-    def __init__(self, table, descriptor="table"):
-        super().__init__()
-        table = np.asarray(table, dtype=np.int32)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ValueError("table must be square")
-        self.order = table.shape[0]
-        self.descriptor = descriptor
-        self._table = table
-
-    def _product(self, a, b):
-        return self._table[a, b]
-
 
 class ProductGroup(FiniteGroup):
     """Direct product, plumbing for two-sided actions. Code = a * |G2| + b."""
@@ -417,51 +353,6 @@ def make_group(descriptor):
 
 
 # ---------------------------------------------------------------------------
-# verification
-
-
-@dataclass
-class GroupCheck:
-    status: str  # "passed", "failed", or "unchecked"
-    witness: tuple = ()
-    reason: str = ""
-
-
-def verify_group(group, cap=VERIFY_CAP):
-    """Exhaustively check the group axioms on the multiplication table:
-    closure, identity 0, two-sided inverses, associativity. Orders above
-    cap are reported unchecked rather than silently trusted."""
-    n = group.order
-    if n > cap:
-        return GroupCheck("unchecked", reason="order %d exceeds cap %d" % (n, cap))
-    T = group.table()
-    if T.min() < 0 or T.max() >= n:
-        bad = np.argwhere((T < 0) | (T >= n))[0]
-        return GroupCheck(
-            "failed", (int(bad[0]), int(bad[1])), "entry out of range (closure)"
-        )
-    ar = np.arange(n)
-    if not np.array_equal(T[0], ar):
-        b = int(np.flatnonzero(T[0] != ar)[0])
-        return GroupCheck("failed", (0, b), "identity fails on the left")
-    if not np.array_equal(T[:, 0], ar):
-        a = int(np.flatnonzero(T[:, 0] != ar)[0])
-        return GroupCheck("failed", (a, 0), "identity fails on the right")
-    for a in range(n):
-        hits = np.flatnonzero(T[a] == 0)
-        if len(hits) != 1 or T[hits[0], a] != 0:
-            return GroupCheck("failed", (a,), "no two-sided inverse")
-    for a in range(n):
-        # (a*b)*c vs a*(b*c), whole b,c plane at once
-        if not np.array_equal(T[T[a]], T[a][T]):
-            diff = np.argwhere(T[T[a]] != T[a][T])[0]
-            return GroupCheck(
-                "failed", (a, int(diff[0]), int(diff[1])), "associativity fails"
-            )
-    return GroupCheck("passed")
-
-
-# ---------------------------------------------------------------------------
 # actions
 
 
@@ -480,26 +371,6 @@ class GroupAction:
 
     def act(self, g, x):
         return int(self.table[g, x])
-
-
-def verify_action(action):
-    """Check identity row and the compatibility law on all pairs of group
-    elements. Raises ValueError with a witness on failure."""
-    T = action.table
-    G = action.group
-    if not np.array_equal(T[0], np.arange(action.n_points)):
-        x = int(np.flatnonzero(T[0] != np.arange(action.n_points))[0])
-        raise ValueError("identity moves point %d" % x)
-    GT = G.table()
-    for g in range(G.order):
-        # act(g, act(h, x)) for all h, x
-        lhs = T[g][T]
-        rhs = T[GT[g]]
-        if not np.array_equal(lhs, rhs):
-            h, x = map(int, np.argwhere(lhs != rhs)[0])
-            raise ValueError(
-                "compatibility fails at g=%d h=%d x=%d" % (g, h, x)
-            )
 
 
 def natural_action(n):

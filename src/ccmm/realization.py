@@ -1,7 +1,7 @@
 """Realizations of (weighted) matrix multiplication inside coherent
-configurations: the triangle predicate, realization verification, triple
-product properties, action-based realizations, the diagonal-action family,
-symmetric-power realizations, and wreath-product conjugation realizations.
+configurations: realization verification, triple product properties,
+action-based realizations, the diagonal-action family, symmetric-power
+realizations, and wreath-product conjugation realizations.
 
 Conventions: a realization of <l,m,n> is three injective maps alpha (l x m),
 beta (m x n), gamma (n x l) into class ids such that alpha(a,b'), beta(b,c'),
@@ -79,13 +79,6 @@ class Realization:
 
     def __repr__(self):
         return "<realization %d,%d,%d>" % self.dims
-
-
-def is_triangle(config, i, j, k):
-    """Classes (i, j, k) form a triangle: there are points x, y, z with
-    (x,y) in R_i, (y,z) in R_j, (z,x) in R_k. Equivalent to p^{k*}_{i,j} > 0."""
-    t = config.intersection()
-    return t.slice(i, j).get(t.star(k), 0) > 0
 
 
 def _check_injective(name, arr):

@@ -60,25 +60,6 @@ class APFreeSet:
         return x in self.elements
 
 
-def salem_spencer(n):
-    """Digit construction: integers below floor(n/3) whose base-3 digits are
-    all 0 or 1. Small enough that integer progressions and mod-n progressions
-    coincide, and carry-free so digit equality forces i = j = k."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    bound = n // 3
-    out = []
-    for x in range(bound):
-        v = x
-        while v:
-            if v % 3 == 2:
-                break
-            v //= 3
-        else:
-            out.append(x)
-    return APFreeSet(n, tuple(out))
-
-
 def greedy_ap_free(n):
     """Deterministic greedy sweep 0..n-1, keeping every element that leaves
     the set 3AP-free."""

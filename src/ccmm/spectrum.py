@@ -1,5 +1,5 @@
-"""Adjacency-algebra decomposition: regular representation, exact rational
-center, and character degrees d_1..d_t with sum of squares exactly r.
+"""Adjacency-algebra decomposition: exact rational center and character
+degrees d_1..d_t with sum of squares exactly r.
 
 Every reported degree is exact and independent of the seed. The center is
 the kernel of the commutator system of two random algebra elements, solved
@@ -47,16 +47,6 @@ class DegreeComputationError(Exception):
     def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
-
-
-def regular_representation(config):
-    """The r x r integer matrices (L_i)[k, j] = p^k_{i,j}; i -> L_i is an
-    exact algebra homomorphism."""
-    i, j, k, p = config.intersection().arrays()
-    r = config.rank
-    L = np.zeros((r, r, r), dtype=np.int64)
-    np.add.at(L, (i, k, j), p)
-    return list(L)
 
 
 # -- exact integer and modular linear algebra --------------------------------
@@ -403,10 +393,3 @@ def character_degrees(config, seed=0, cap=SPECTRAL_CAP):
             residual,
         )
     return DegreeProfile(degrees, residual)
-
-
-def max_degree_lower_bound_check(config, profile=None):
-    """Every configuration with f fibers has a character degree >= f."""
-    if profile is None:
-        profile = character_degrees(config)
-    return max(profile.degrees) >= config.n_fibers

@@ -1,4 +1,6 @@
-"""Exact sparse trilinear forms and the executable bilinear algorithms.
+"""The executable bilinear algorithms: the embedded product of a verified
+realization, its Boolean form, the unweighting substitution check, the
+J - I demo and the matrix file format.
 
 Everything here is exact except jminusi_demo, where complex roots of unity
 force numerics (ranks via singular values at a stated tolerance). The
@@ -24,108 +26,6 @@ from .spectrum import SPECTRAL_CAP
 
 UNWEIGHT_CAP = 3  # the substitution sweep touches n^9 monomials
 EXPONENT_CAP = 4300  # a matrix entry like 1e9999999999 would build a huge integer
-
-
-class SparseTensor:
-    """A trilinear form over three finite labeled variable domains.
-    Coefficients are nonzero rationals; zero terms are never stored."""
-
-    def __init__(self, x_domain, y_domain, z_domain, coeffs):
-        self.x_domain = tuple(x_domain)
-        self.y_domain = tuple(y_domain)
-        self.z_domain = tuple(z_domain)
-        xs, ys, zs = set(self.x_domain), set(self.y_domain), set(self.z_domain)
-        if len(xs) < len(self.x_domain) or len(ys) < len(self.y_domain) or len(
-            zs
-        ) < len(self.z_domain):
-            raise ValueError("duplicate variable labels in a domain")
-        clean = {}
-        for key, val in coeffs.items():
-            xi, yi, zi = key
-            if xi not in xs or yi not in ys or zi not in zs:
-                raise ValueError("coefficient key %r outside domains" % (key,))
-            val = Fraction(val)
-            if val:
-                clean[(xi, yi, zi)] = val
-        self.coeffs = clean
-
-    def support(self):
-        return frozenset(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseTensor):
-            return NotImplemented
-        return (
-            self.x_domain == other.x_domain
-            and self.y_domain == other.y_domain
-            and self.z_domain == other.z_domain
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return "<tensor %dx%dx%d, %d terms>" % (
-            len(self.x_domain),
-            len(self.y_domain),
-            len(self.z_domain),
-            len(self.coeffs),
-        )
-
-
-def matmul_tensor(l, m, n):
-    """The matrix multiplication form <l,m,n>: sum over x_(a,b) y_(b,c)
-    z_(c,a), all coefficients 1."""
-    if l < 1 or m < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    xd = [(a, b) for a in range(l) for b in range(m)]
-    yd = [(b, c) for b in range(m) for c in range(n)]
-    zd = [(c, a) for c in range(n) for a in range(l)]
-    coeffs = {
-        ((a, b), (b, c), (c, a)): Fraction(1)
-        for a in range(l)
-        for b in range(m)
-        for c in range(n)
-    }
-    return SparseTensor(xd, yd, zd, coeffs)
-
-
-def structural_tensor(config):
-    """Multiplication form of the adjacency algebra in the starred
-    convention: coefficient of (i, j, k) is p^{k*}_{i,j}. Its support is
-    exactly the triangle relation of the configuration."""
-    t = config.intersection()
-    dom = range(config.rank)
-    coeffs = {}
-    for i, j, k, p in t.iter_nonzero():
-        coeffs[(i, j, t.star(k))] = Fraction(p)
-    return SparseTensor(dom, dom, dom, coeffs)
-
-
-def tensor_product(t1, t2):
-    """Kronecker product; variable labels become pairs."""
-    xd = [(u, v) for u in t1.x_domain for v in t2.x_domain]
-    yd = [(u, v) for u in t1.y_domain for v in t2.y_domain]
-    zd = [(u, v) for u in t1.z_domain for v in t2.z_domain]
-    coeffs = {}
-    for (x1, y1, z1), c1 in t1.coeffs.items():
-        for (x2, y2, z2), c2 in t2.coeffs.items():
-            coeffs[((x1, x2), (y1, y2), (z1, z2))] = c1 * c2
-    return SparseTensor(xd, yd, zd, coeffs)
-
-
-def direct_sum(t1, t2):
-    """Disjoint union of variables; labels are tagged to remove overlap."""
-    xd = [(0, u) for u in t1.x_domain] + [(1, u) for u in t2.x_domain]
-    yd = [(0, u) for u in t1.y_domain] + [(1, u) for u in t2.y_domain]
-    zd = [(0, u) for u in t1.z_domain] + [(1, u) for u in t2.z_domain]
-    coeffs = {}
-    for tag, t in ((0, t1), (1, t2)):
-        for (x, y, z), c in t.coeffs.items():
-            coeffs[((tag, x), (tag, y), (tag, z))] = c
-    return SparseTensor(xd, yd, zd, coeffs)
-
-
-def support_equal(t1, t2):
-    return t1.support() == t2.support()
 
 
 # -- weighted matrix multiplication from a realization ----------------------
@@ -287,11 +187,14 @@ class JMinusIReport:
 def jminusi_demo(n, tolerance=1e-8):
     """The all-ones-minus-identity support gap: J - I on n points has rank
     n, while M - J with M_{i,j} = zeta^{i-j} (zeta a primitive n-th root
-    of unity) has the same support and rank 2."""
+    of unity) has the same support and rank 2. The tolerance must be a
+    finite number in (0, 1)."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n > SPECTRAL_CAP:
         raise ValueError("n %d exceeds cap %d" % (n, SPECTRAL_CAP))
+    if not (math.isfinite(tolerance) and 0 < tolerance < 1):
+        raise ValueError("tolerance must be a finite number in (0, 1), got %r" % tolerance)
     idx = np.arange(n)
     zeta = np.exp(2j * np.pi / n)
     M = zeta ** ((idx[:, None] - idx[None, :]) % n)

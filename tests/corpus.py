@@ -19,14 +19,13 @@ from ccmm.constructions import (
     trivial_configuration,
 )
 from ccmm.groups import (
-    TableGroup,
     conjugation_action,
     make_group,
     natural_action,
     perm_unrank,
-    verify_group,
 )
 from ccmm.realization import diagonal_action
+from reference import TableGroup, verify_group
 
 
 # -- groups of order <= 12 ---------------------------------------------------

@@ -4,20 +4,28 @@ dense r x r x r intersection array, the per-pair group table loop over
 scalar products written on tuples, and the axiom-3 row sweep with int64
 keys sorted along the strided axis. The realization loops read the
 intersection data only through slice(), star() and iter_nonzero(), so they
-run against tensors and symmetric-power views alike. The embedded product
+run against tensors and symmetric-power views alike. Next to the group
+table loop sit its tuple helpers (perm_compose, perm_inverse, perm_cycles),
+the wreath conjugacy key built on cycles, groups given by an explicit
+table (TableGroup, for hand-built and corrupted tables), and the exhaustive
+axiom checks verify_group and verify_action. The embedded product
 is kept twice: the per-term Fraction loop over the structure constants of
 each (alpha(a,b), beta(b,c)) pair, and the point-level adjacency-matrix
-product. Then the cross-checks of the group association scheme. Last, the
+product. Then the cross-checks of the group association scheme. Then the
 symmetric-power routines over all n**k rows: the rank count that marks the
 cells of every row, and the class build by np.unique(axis=0) over the
 (N*N, k) array of sorted coordinate classes. Then the per-entry text
-writers of the ccfg and real formats. Last, the unweighting check as the
+writers of the ccfg and real formats. Then the unweighting check as the
 literal loop over all n**9 monomials, building the expected and the
-substituted tensors as dicts of Fractions and comparing them."""
+substituted tensors as dicts of Fractions and comparing them. Last, the
+regular representation i -> L_i as r x r integer matrices, the check that
+some character degree reaches the fiber count, and the Salem-Spencer
+digit construction of a 3AP-free set."""
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,16 +43,16 @@ from ccmm.constructions import (
     schurian,
 )
 from ccmm.groups import (
+    FiniteGroup,
     GroupAction,
     WreathGroup,
     conjugation_action,
-    perm_compose,
-    perm_inverse,
     perm_rank,
     perm_unrank,
 )
 from ccmm.realization import RealizationInvalid, _check_injective, grp_as_realization
-from ccmm.sets import triangle_free_set
+from ccmm.sets import APFreeSet, triangle_free_set
+from ccmm.spectrum import character_degrees
 from ccmm.tensors import UNWEIGHT_CAP, UnweightingReport
 
 DENSE_TENSOR_CAP = 512
@@ -197,6 +205,134 @@ def loop_table(G):
         for b in range(G.order):
             T[a, b] = loop_mult(G, a, b)
     return T
+
+
+def perm_compose(p, q):
+    """[p.q](i) = p(q(i)), so q is applied first."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def perm_inverse(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def perm_cycles(p):
+    """Cycles of p as tuples of positions, each starting at its minimum."""
+    n = len(p)
+    seen = [False] * n
+    cycles = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = p[j]
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def wreath_class_key(G, a):
+    """Conjugacy invariant of element a of the wreath group G: multiset of
+    (cycle length, cycle sum) pairs, the sum taken in the base group over
+    the coordinates of each cycle of the permutation part. Two elements are
+    conjugate iff keys match."""
+    h, p = G.decode(a)
+    parts = []
+    for cyc in perm_cycles(p):
+        s = 0
+        for i in cyc:
+            s = G.base.mult(s, h[i])
+        parts.append((len(cyc), s))
+    return tuple(sorted(parts))
+
+
+class TableGroup(FiniteGroup):
+    """Group given by an explicit multiplication table. Plumbing for oracle
+    tests; verify_group is the guard against corrupted tables."""
+
+    kind = "table"
+
+    def __init__(self, table, descriptor="table"):
+        super().__init__()
+        table = np.asarray(table, dtype=np.int32)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise ValueError("table must be square")
+        self.order = table.shape[0]
+        self.descriptor = descriptor
+        self._table = table
+
+    def _product(self, a, b):
+        return self._table[a, b]
+
+
+VERIFY_CAP = 1024  # largest order for which verify_group runs the exhaustive sweep
+
+
+@dataclass
+class GroupCheck:
+    status: str  # "passed", "failed", or "unchecked"
+    witness: tuple = ()
+    reason: str = ""
+
+
+def verify_group(group, cap=VERIFY_CAP):
+    """Exhaustively check the group axioms on the multiplication table:
+    closure, identity 0, two-sided inverses, associativity. Orders above
+    cap are reported unchecked rather than silently trusted."""
+    n = group.order
+    if n > cap:
+        return GroupCheck("unchecked", reason="order %d exceeds cap %d" % (n, cap))
+    T = group.table()
+    if T.min() < 0 or T.max() >= n:
+        bad = np.argwhere((T < 0) | (T >= n))[0]
+        return GroupCheck(
+            "failed", (int(bad[0]), int(bad[1])), "entry out of range (closure)"
+        )
+    ar = np.arange(n)
+    if not np.array_equal(T[0], ar):
+        b = int(np.flatnonzero(T[0] != ar)[0])
+        return GroupCheck("failed", (0, b), "identity fails on the left")
+    if not np.array_equal(T[:, 0], ar):
+        a = int(np.flatnonzero(T[:, 0] != ar)[0])
+        return GroupCheck("failed", (a, 0), "identity fails on the right")
+    for a in range(n):
+        hits = np.flatnonzero(T[a] == 0)
+        if len(hits) != 1 or T[hits[0], a] != 0:
+            return GroupCheck("failed", (a,), "no two-sided inverse")
+    for a in range(n):
+        # (a*b)*c vs a*(b*c), whole b,c plane at once
+        if not np.array_equal(T[T[a]], T[a][T]):
+            diff = np.argwhere(T[T[a]] != T[a][T])[0]
+            return GroupCheck(
+                "failed", (a, int(diff[0]), int(diff[1])), "associativity fails"
+            )
+    return GroupCheck("passed")
+
+
+def verify_action(action):
+    """Check identity row and the compatibility law on all pairs of group
+    elements. Raises ValueError with a witness on failure."""
+    T = action.table
+    G = action.group
+    if not np.array_equal(T[0], np.arange(action.n_points)):
+        x = int(np.flatnonzero(T[0] != np.arange(action.n_points))[0])
+        raise ValueError("identity moves point %d" % x)
+    GT = G.table()
+    for g in range(G.order):
+        # act(g, act(h, x)) for all h, x
+        lhs = T[g][T]
+        rhs = T[GT[g]]
+        if not np.array_equal(lhs, rhs):
+            h, x = map(int, np.argwhere(lhs != rhs)[0])
+            raise ValueError(
+                "compatibility fails at g=%d h=%d x=%d" % (g, h, x)
+            )
 
 
 def loop_check_axiom3(matrix, r, x0, y0, rows=None):
@@ -509,3 +645,39 @@ def loop_unweighting_check(n, S=None, seed=0):
     return UnweightingReport(
         False, n, size, len(got), (missing, Fraction(0))
     )
+
+
+def regular_representation(config):
+    """The r x r integer matrices (L_i)[k, j] = p^k_{i,j}; i -> L_i is an
+    exact algebra homomorphism."""
+    i, j, k, p = config.intersection().arrays()
+    r = config.rank
+    L = np.zeros((r, r, r), dtype=np.int64)
+    np.add.at(L, (i, k, j), p)
+    return list(L)
+
+
+def max_degree_lower_bound_check(config, profile=None):
+    """Every configuration with f fibers has a character degree >= f."""
+    if profile is None:
+        profile = character_degrees(config)
+    return max(profile.degrees) >= config.n_fibers
+
+
+def salem_spencer(n):
+    """Digit construction: integers below floor(n/3) whose base-3 digits are
+    all 0 or 1. Small enough that integer progressions and mod-n progressions
+    coincide, and carry-free so digit equality forces i = j = k."""
+    if n < 1:
+        raise ValueError("modulus must be >= 1")
+    bound = n // 3
+    out = []
+    for x in range(bound):
+        v = x
+        while v:
+            if v % 3 == 2:
+                break
+            v //= 3
+        else:
+            out.append(x)
+    return APFreeSet(n, tuple(out))

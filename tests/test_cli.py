@@ -264,6 +264,17 @@ def test_demo_jminusi_reports_ranks(capsys):
     assert "support_match true" in out
 
 
+@pytest.mark.parametrize(
+    "tolerance,shown",
+    [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"), ("1", "1.0")],
+)
+def test_demo_jminusi_refuses_tolerance_outside_open_unit_interval(capsys, tolerance, shown):
+    # --tolerance nan once printed ranks 0 and 0 and exited 1 with no witness
+    rc, out, err = run(capsys, "demo", "jminusi", "--n", "5", "--tolerance", tolerance)
+    message = "tolerance must be a finite number in (0, 1), got %s" % shown
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
 # -- matmul / boolmm ---------------------------------------------------------
 
 
@@ -388,6 +399,13 @@ def test_exponent_check_conversions(capsys):
 def test_exponent_family_domain_error(capsys):
     rc, out, err = run(capsys, "exponent", "family", "--m", "3")
     assert rc == 2
+
+
+@pytest.mark.parametrize("m", ["nan", "inf"])
+def test_exponent_family_non_finite_m_names_the_input(capsys, m):
+    rc, out, err = run(capsys, "exponent", "family", "--m", m)
+    message = "need a finite m > 3 (denominator log(m-2) must be positive), got %s" % m
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
 
 
 # -- exit codes and plumbing -------------------------------------------------

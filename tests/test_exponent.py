@@ -267,6 +267,14 @@ def test_family_bound_domain():
             construction_family_bound(m)
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf")])
+def test_family_bound_refuses_non_finite_m(m):
+    # NaN passed the old m <= 3 guard and inf gave inf/inf; both surfaced as
+    # a clamp error about the bound instead of the input
+    with pytest.raises(ValueError, match="need a finite m > 3"):
+        construction_family_bound(m)
+
+
 def test_family_pipeline_display():
     omega = omega_from_omega_s(construction_family_bound(10))
     assert format_bound(omega.value) == "2.6054"

@@ -24,6 +24,7 @@ from ccmm.groups import (
     left_translation_action,
 )
 from corpus import corpus
+from forms import is_triangle
 from reference import action_from_function, gas_realization_matches, loop_write_real
 
 from ccmm import realization
@@ -39,7 +40,6 @@ from ccmm.realization import (
     diagonal_example,
     fibers_realization,
     grp_as_realization,
-    is_triangle,
     read_real,
     simultaneous_tpp_verify,
     sympow_realization,

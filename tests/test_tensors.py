@@ -16,23 +16,25 @@ from ccmm.realization import (
     Realization,
     diagonal_example,
     fibers_realization,
-    is_triangle,
 )
 from ccmm.sets import TriangleFreeSet, simplex_slice, triangle_free_set, triangle_witness
-from reference import adjacency_matmul, loop_unweighting_check
-from ccmm.tensors import (
+from forms import (
     SparseTensor,
-    UnweightingReport,
-    WeightedMatMul,
-    boolean_matmul,
     direct_sum,
-    embedded_matmul,
-    jminusi_demo,
+    is_triangle,
     matmul_tensor,
-    read_matrix,
     structural_tensor,
     support_equal,
     tensor_product,
+)
+from reference import adjacency_matmul, loop_unweighting_check
+from ccmm.tensors import (
+    UnweightingReport,
+    WeightedMatMul,
+    boolean_matmul,
+    embedded_matmul,
+    jminusi_demo,
+    read_matrix,
     unweighting_check,
     write_matrix,
 )
@@ -329,6 +331,13 @@ def test_jminusi_ranks(n, expect_plain):
 def test_jminusi_rejects_small_n():
     with pytest.raises(ValueError):
         jminusi_demo(1)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
+def test_jminusi_rejects_tolerance_outside_open_unit_interval(tolerance):
+    # a NaN tolerance once gave rank 0 for both matrices and a support match
+    with pytest.raises(ValueError, match="finite number in"):
+        jminusi_demo(5, tolerance=tolerance)
 
 
 # -- the unweighting substitution check --------------------------------------
