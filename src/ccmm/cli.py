@@ -79,7 +79,7 @@ def _parse_action(desc):
 
 
 def _read_partition(path):
-    blocks = [[int(v) for v in line.split()] for line in text_lines(path)]
+    blocks = [[int(v) for v in line.split()] for _, line in text_lines(path)]
     if not blocks:
         raise ValueError("partition file %s has no blocks" % path)
     return blocks
@@ -87,7 +87,7 @@ def _read_partition(path):
 
 def _read_blocks(path):
     out = []
-    for line in text_lines(path):
+    for _, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("block line needs three dimensions: %r" % line)
@@ -99,7 +99,7 @@ def _read_blocks(path):
 
 def _read_family(path, group):
     triples = []
-    for line in text_lines(path):
+    for _, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("family line needs three subsets: %r" % line)

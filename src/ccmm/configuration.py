@@ -11,7 +11,8 @@ against the class matrix, and the axiom-3 sweep then covers one row per
 orbit of the group they generate. An automorphism maps every pair to a pair
 of the same class and composition profile, so this is still a proof for
 every pair, and the first failing row is an orbit minimum: witnesses are
-those of the sweep over all rows.
+those of the sweep over all rows. A ccfg file carries the automorphisms of
+the configuration written to it, and reading it checks them the same way.
 """
 
 from __future__ import annotations
@@ -513,43 +514,81 @@ def text_file(path, mode="r"):
 
 def text_lines(path):
     """The lines of a text file (filename or handle), each cut at its first
-    "#" and stripped, blank ones dropped: the line source of every format."""
+    "#" and stripped, blank ones dropped, as (number, text) pairs numbered
+    from 1 as in the file: the line source of every format."""
     with text_file(path) as fh:
-        return [line for line in (raw.split("#", 1)[0].strip() for raw in fh) if line]
+        return [(k, line) for k, line in enumerate((raw.split("#", 1)[0].strip() for raw in fh), 1) if line]
 
 
 def write_ccfg(config, path):
-    """Write "ccfg 1" text: header, points/classes line, then the normalized
-    class matrix one row per line. path may be a filename or a text handle."""
+    """Write "ccfg 1" text: header, points/classes line, the normalized class
+    matrix one row per line, then any automorphisms of config as an
+    "automorphisms G" line and G permutation rows. path may be a filename or
+    a text handle."""
     with text_file(path, "w") as fh:
         fh.write("ccfg 1\n")
         fh.write("points %d classes %d\n" % (config.n_points, config.rank))
         fh.writelines(" ".join(map(str, row)) + "\n" for row in config.matrix.tolist())
+        gens = config.automorphisms
+        if len(gens):
+            fh.write("automorphisms %d\n" % len(gens))
+            fh.writelines(" ".join(map(str, g)) + "\n" for g in gens.tolist())
 
 
-def read_ccfg(path, check="full"):
-    """Parse and re-verify a ccfg file (filename or text handle).
-    check="trusted" skips the axiom 3 sweep for known-good files; the result
-    then reports itself unchecked."""
-    lines = text_lines(path)
-    if not lines or lines[0].split() != ["ccfg", "1"]:
-        raise ValueError("not a ccfg 1 file")
-    if len(lines) < 2:
-        raise ValueError("ccfg file ends before its points/classes line")
-    head = lines[1].split()
-    if len(head) != 4 or head[0] != "points" or head[2] != "classes":
-        raise ValueError("bad header line %r" % lines[1])
-    n, r = int(head[1]), int(head[3])
-    if len(lines) != 2 + n:
-        raise ValueError("expected %d matrix rows, found %d" % (n, len(lines) - 2))
-    rows = [[int(v) for v in line.split()] for line in lines[2:]]
+def _ccfg_ints(number, tokens):
+    """The tokens of ccfg line number as ints; a ValueError names a bad one."""
     try:
-        matrix = np.array(rows, dtype=np.int64)
+        return [int(t) for t in tokens]
+    except ValueError:
+        pass
+    for t in tokens:
+        try:
+            int(t)
+        except ValueError:
+            raise ValueError("ccfg line %d: %r is not an integer" % (number, t)) from None
+
+
+def _ccfg_rows(lines, width, name):
+    """(number, text) lines of width integers each, as an int64 array."""
+    rows = []
+    for number, text in lines:
+        row = _ccfg_ints(number, text.split())
+        if len(row) != width:
+            raise ValueError("ccfg line %d: expected %d entries, found %d" % (number, width, len(row)))
+        rows.append(row)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
     except OverflowError:
         x, y, v = next(
             (x, y, v) for x, row in enumerate(rows) for y, v in enumerate(row) if not -(1 << 63) <= v < 1 << 63
         )
-        raise ValueError("ccfg entry (%d,%d) = %d does not fit in 64 bits" % (x, y, v)) from None
-    if matrix.shape != (n, n):
-        raise ValueError("matrix shape %s does not match header" % (matrix.shape,))
-    return CoherentConfiguration.from_class_matrix(matrix, rank=r, check=check)
+        raise ValueError("%s entry (%d,%d) = %d does not fit in 64 bits" % (name, x, y, v)) from None
+
+
+def read_ccfg(path, check="full"):
+    """Parse and re-verify a ccfg file (filename or text handle), handing the
+    rows of its automorphisms block, if any, to from_class_matrix. check=
+    "trusted" skips the axiom 3 sweep for known-good files; the result then
+    reports itself unchecked."""
+    lines = text_lines(path)
+    if not lines or lines[0][1].split() != ["ccfg", "1"]:
+        raise ValueError("not a ccfg 1 file")
+    if len(lines) < 2:
+        raise ValueError("ccfg file ends before its points/classes line")
+    head = lines[1][1].split()
+    if len(head) != 4 or head[0] != "points" or head[2] != "classes":
+        raise ValueError("bad header line %r" % lines[1][1])
+    n, r = _ccfg_ints(lines[1][0], head[1::2])
+    end = next((i for i, (_, t) in enumerate(lines) if t.startswith("automorphisms")), len(lines))
+    if end != 2 + n:
+        raise ValueError("expected %d matrix rows, found %d" % (n, end - 2))
+    matrix = _ccfg_rows(lines[2:end], n, "ccfg")
+    if end < len(lines):
+        number, text = lines[end]
+        head, count = text.split(), len(lines) - end - 1
+        if head[0] != "automorphisms" or _ccfg_ints(number, head[1:]) != [count]:
+            raise ValueError(
+                "ccfg line %d: expected 'automorphisms %d' for the rows that follow, found %r" % (number, count, text)
+            )
+    gens = _ccfg_rows(lines[end + 1 :], n, "automorphism")
+    return CoherentConfiguration.from_class_matrix(matrix, rank=r, check=check, automorphisms=gens)

@@ -717,7 +717,7 @@ def write_real(real, path):
 def read_real(path):
     """Parse a "real 1" file back into a Realization (no configuration
     context, so verification happens at the call site)."""
-    lines = text_lines(path)
+    lines = [line for _, line in text_lines(path)]
     if not lines or lines[0].split() != ["real", "1"]:
         raise ValueError("not a real 1 file")
     if len(lines) < 2:

@@ -322,7 +322,7 @@ def write_matrix(M, path):
 def read_matrix(path):
     """A matrix file as rows of Fractions: the `rows cols` line, then one
     line of entries per row."""
-    lines = text_lines(path)
+    lines = [line for _, line in text_lines(path)]
     if not lines:
         raise ValueError("empty matrix file")
     head = lines[0].split()

@@ -543,11 +543,16 @@ def unique_rows_symmetric_power(config, k, check="full", point_cap=POINT_CAP):
 
 
 def loop_write_ccfg(config, fh):
-    """The ccfg text, one str(int(v)) call per matrix entry."""
+    """The ccfg text, one str(int(v)) call per matrix and automorphism
+    entry."""
     fh.write("ccfg 1\n")
     fh.write("points %d classes %d\n" % (config.n_points, config.rank))
     for row in config.matrix:
         fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    if len(config.automorphisms):
+        fh.write("automorphisms %d\n" % len(config.automorphisms))
+        for g in config.automorphisms:
+            fh.write(" ".join(str(int(v)) for v in g) + "\n")
 
 
 def loop_write_real(real, fh):

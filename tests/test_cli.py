@@ -81,6 +81,33 @@ def test_build_fuse_with_partition_file(tmp_path, capsys):
     assert out == "points 6 classes 2 commutative true scheme true\n"
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["product", "{a}", "{a}"], "points 36 classes 9 commutative true scheme true\n"),
+        (["sympow", "{a}", "2"], "points 36 classes 6 commutative true scheme true\n"),
+        (["fuse", "{a}", "{part}"], "points 6 classes 2 commutative true scheme true\n"),
+    ],
+)
+def test_built_from_files_carries_automorphisms(tmp_path, capsys, argv, line):
+    a = str(tmp_path / "a.ccfg")
+    run(capsys, "build", "gas", "sym:3", "-o", a)
+    part = tmp_path / "part.txt"
+    part.write_text("0\n1 2\n")
+    out_path = tmp_path / "out.ccfg"
+    argv = [w.format(a=a, part=part) for w in argv]
+    rc, out, err = run(capsys, "build", *argv, "-o", str(out_path))
+    assert (rc, err) == (0, "")
+    block = out_path.read_text().split("automorphisms ")[1].splitlines()
+    assert int(block[0]) == len(block) - 1 > 0
+    assert run(capsys, "info", str(out_path)) == (0, line, "")
+
+
+def test_build_trivial_writes_no_automorphisms(capsys):
+    text = "ccfg 1\npoints 3 classes 9\n0 3 4\n5 1 6\n7 8 2\n"
+    assert run(capsys, "build", "trivial", "3") == (0, text, "")
+
+
 def _fuse_c5(tmp_path, capsys, *check):
     """cyclic:5 fused along 0 / 1 4 / 2 / 3, which breaks axiom 3."""
     c5 = str(tmp_path / "c5.ccfg")
@@ -550,6 +577,34 @@ def test_oversized_ccfg_entry_is_exit_two(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: ccfg entry (1,1) = 99999999999999999999 does not fit in 64 bits\n"
+
+
+FOLLOW = "ccfg line 5: expected 'automorphisms %d' for the rows that follow, found '%s'"
+
+
+@pytest.mark.parametrize(
+    "k, line, message",
+    [
+        (2, "0 x", "ccfg line 3: 'x' is not an integer"),
+        (1, "points two classes 2", "ccfg line 2: 'two' is not an integer"),
+        (3, "1 0 1", "ccfg line 4: expected 2 entries, found 3"),
+        (4, "automorphisms", FOLLOW % (1, "automorphisms")),
+        (4, "automorphisms -2", FOLLOW % (1, "automorphisms -2")),
+        (4, "automorphisms 3", FOLLOW % (1, "automorphisms 3")),
+        (4, "automorphisms x", "ccfg line 5: 'x' is not an integer"),
+        (6, "0 1", FOLLOW % (2, "automorphisms 1")),
+        (5, "1 0 x", "ccfg line 6: 'x' is not an integer"),
+        (5, "1 %d" % (1 << 64), "automorphism entry (0,1) = %d does not fit in 64 bits" % (1 << 64)),
+    ],
+)
+def test_malformed_ccfg_is_one_error_line(tmp_path, capsys, k, line, message):
+    cc = tmp_path / "bad.ccfg"
+    run(capsys, "build", "group-scheme", "cyclic:2", "-o", str(cc))
+    lines = cc.read_text().splitlines() + [""]
+    assert lines[4:] == ["automorphisms 1", "1 0", ""]
+    lines[k] = line
+    cc.write_text("\n".join(lines))
+    assert run(capsys, "info", str(cc)) == (2, "", "error: %s\n" % message)
 
 
 def test_ccfg_entry_beyond_int32_is_not_wrapped(tmp_path, capsys):

@@ -372,3 +372,37 @@ def test_write_ccfg_bytes_equal_entry_loop_on_corpus():
         write_ccfg(cfg, got)
         loop_write_ccfg(cfg, want)
         assert got.getvalue() == want.getvalue(), name
+
+
+# cyclic:2 group scheme: matrix rows on lines 3-4, the block on lines 5-6
+C2_MATRIX = "ccfg 1\npoints 2 classes 2\n0 1\n1 0\n"
+C2 = C2_MATRIX + "automorphisms 1\n1 0\n"
+FOLLOW = "ccfg line 5: expected 'automorphisms %d' for the rows that follow, found '%s'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (C2.replace("0 1\n", "0 x\n"), "ccfg line 3: 'x' is not an integer"),
+        ("# note\n\n" + C2.replace("0 1\n", "0 x\n"), "ccfg line 5: 'x' is not an integer"),
+        (C2.replace("points 2", "points two"), "ccfg line 2: 'two' is not an integer"),
+        (C2.replace("0 1\n", "0 1 1\n"), "ccfg line 3: expected 2 entries, found 3"),
+        (C2.replace("0 1\n", "0 99999999999999999999\n"), "ccfg entry (0,1) = 99999999999999999999 does not fit in 64 bits"),
+        (C2.replace("automorphisms 1", "automorphisms"), FOLLOW % (1, "automorphisms")),
+        (C2.replace("automorphisms 1", "automorphisms 1 2"), FOLLOW % (1, "automorphisms 1 2")),
+        (C2.replace("automorphisms 1", "automorphisms one"), "ccfg line 5: 'one' is not an integer"),
+        (C2.replace("automorphisms 1", "automorphisms -1"), FOLLOW % (1, "automorphisms -1")),
+        (C2.replace("automorphisms 1", "automorphisms 2"), FOLLOW % (1, "automorphisms 2")),
+        (C2 + "0 1\n", FOLLOW % (2, "automorphisms 1")),
+        (C2 + "automorphisms 1\n1 0\n", FOLLOW % (3, "automorphisms 1")),
+        (C2.replace("automorphisms 1", "automorphismsx 1"), FOLLOW % (1, "automorphismsx 1")),
+        (C2_MATRIX + "automorphisms 1\n1 0 2\n", "ccfg line 6: expected 2 entries, found 3"),
+        (C2_MATRIX + "automorphisms 1\n1\n", "ccfg line 6: expected 2 entries, found 1"),
+        (C2_MATRIX + "automorphisms 1\n1 y\n", "ccfg line 6: 'y' is not an integer"),
+        (C2_MATRIX + "automorphisms 1\n1 -99999999999999999999\n", "automorphism entry (0,1) = -99999999999999999999 does not fit in 64 bits"),
+    ],
+)
+def test_malformed_ccfg_names_the_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        read_ccfg(io.StringIO(text))
+    assert str(exc.value) == message

@@ -4,14 +4,23 @@ class matrix, and the sweep then covers the least point of every orbit of
 the group they generate. The configuration, and every witness and message
 of a rejection, must equal those of the sweep over all rows."""
 
+import io
 import random
+import re
 
 import numpy as np
 import pytest
 from corpus import build_corpus, dihedral_group
 
 from ccmm import configuration
-from ccmm.configuration import AxiomViolation, CoherentConfiguration, orbit_minima
+from ccmm.cli import main
+from ccmm.configuration import (
+    AxiomViolation,
+    CoherentConfiguration,
+    orbit_minima,
+    read_ccfg,
+    write_ccfg,
+)
 from ccmm.constructions import (
     _orbit_generators,
     direct_product,
@@ -183,7 +192,9 @@ def test_derived_lists_are_checked_again():
         symmetric_power(base, 2)
 
 
-def test_sweep_rows_are_the_orbit_minima(monkeypatch):
+def swept_rows(monkeypatch):
+    """A list that records the rows argument of every axiom-3 sweep from
+    now on (None for all rows)."""
     seen = []
     sweep = configuration._check_axiom3
 
@@ -192,6 +203,11 @@ def test_sweep_rows_are_the_orbit_minima(monkeypatch):
         return sweep(matrix, r, x0, y0, rows=rows)
 
     monkeypatch.setattr(configuration, "_check_axiom3", spy)
+    return seen
+
+
+def test_sweep_rows_are_the_orbit_minima(monkeypatch):
+    seen = swept_rows(monkeypatch)
     cfg = group_scheme(make_group("cyclic:12"))
     power = symmetric_power(schurian(diagonal_action(3)), 2)
     plain = CoherentConfiguration.from_class_matrix(cfg.matrix)
@@ -259,3 +275,82 @@ def test_group_table_generators():
         gens = np.array(gens, dtype=np.int64).reshape(-1, G.order)
         assert orbit_minima(gens, np.arange(G.order)).tolist() == [0] * G.order
         assert len(gens) <= max(1, G.order.bit_length())
+
+
+# -- the automorphisms block of a ccfg file ----------------------------------
+
+
+def ccfg_text(cfg):
+    buf = io.StringIO()
+    write_ccfg(cfg, buf)
+    return buf.getvalue()
+
+
+def without_block(text):
+    return text[: text.index("automorphisms")]
+
+
+def info_exit(tmp_path, capsys, text):
+    path = tmp_path / "x.ccfg"
+    path.write_text(text)
+    rc = main(["info", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def test_ccfg_round_trip_keeps_automorphisms_on_corpus():
+    blocks = 0
+    for name, cfg in build_corpus():
+        text = ccfg_text(cfg)
+        back = read_ccfg(io.StringIO(text))
+        assert back.rank == cfg.rank, name
+        assert np.array_equal(back.matrix, cfg.matrix), name
+        assert np.array_equal(back.automorphisms, cfg.automorphisms), name
+        assert back.verification == "full", name
+        if len(cfg.automorphisms):
+            blocks += 1
+            bare = read_ccfg(io.StringIO(without_block(text)))
+            assert np.array_equal(bare.matrix, cfg.matrix), name
+        else:
+            assert "automorphisms" not in text, name
+    assert blocks >= 40
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1 2 3 3", "automorphism 0 is not a permutation of range(4)"),
+        ("1 0 2 3", "automorphism 0 does not preserve the class matrix"),
+    ],
+)
+def test_tampered_generator_is_refused(tmp_path, capsys, row, message):
+    text = ccfg_text(group_scheme(make_group("cyclic:4")))
+    assert text.endswith("automorphisms 1\n1 2 3 0\n")
+    text = text.replace("1 2 3 0\n", row + "\n")
+    for check in ("full", "trusted"):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            read_ccfg(io.StringIO(text), check=check)
+    assert info_exit(tmp_path, capsys, text) == (2, "error: %s\n" % message)
+
+
+def test_tampered_matrix_gives_the_full_sweep_witness(tmp_path, capsys):
+    # merging only g and g^-1 in Z/5 breaks axiom 3, and every translation
+    # still keeps each merged class, so the block checks out
+    base = group_scheme(make_group("cyclic:5"))
+    text = ccfg_text(fusion(base, [[0], [1, 4], [2], [3]], check="trusted"))
+    assert "automorphisms 1\n" in text
+    with pytest.raises(AxiomViolation) as certified:
+        read_ccfg(io.StringIO(text))
+    with pytest.raises(AxiomViolation) as swept:
+        read_ccfg(io.StringIO(without_block(text)))
+    assert certified.value.axiom == 3
+    assert certified.value.witness == swept.value.witness
+    assert str(certified.value) == str(swept.value)
+    assert info_exit(tmp_path, capsys, text)[0] == 1
+
+
+def test_read_sweeps_the_orbit_minima_of_the_block(monkeypatch):
+    text = ccfg_text(schurian(diagonal_action(3)))
+    seen = swept_rows(monkeypatch)
+    read_ccfg(io.StringIO(text))
+    read_ccfg(io.StringIO(without_block(text)))
+    assert seen == [[0, 1, 2], None]
