@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .configuration import AxiomViolation, read_ccfg, text_lines, write_ccfg
+from .configuration import AxiomViolation, line_ints, read_ccfg, text_lines, write_ccfg
 from .constructions import (
     direct_product,
     fusion,
@@ -79,7 +79,7 @@ def _parse_action(desc):
 
 
 def _read_partition(path):
-    blocks = [[int(v) for v in line.split()] for _, line in text_lines(path)]
+    blocks = [line_ints("partition", number, line.split()) for number, line in text_lines(path)]
     if not blocks:
         raise ValueError("partition file %s has no blocks" % path)
     return blocks
@@ -87,11 +87,11 @@ def _read_partition(path):
 
 def _read_blocks(path):
     out = []
-    for _, line in text_lines(path):
+    for number, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("block line needs three dimensions: %r" % line)
-        out.append(tuple(int(v) for v in parts))
+        out.append(tuple(line_ints("blocks", number, parts)))
     if not out:
         raise ValueError("blocks file %s is empty" % path)
     return out
@@ -99,11 +99,11 @@ def _read_blocks(path):
 
 def _read_family(path, group):
     triples = []
-    for _, line in text_lines(path):
+    for number, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("family line needs three subsets: %r" % line)
-        triples.append(tuple(tuple(int(v) for v in p.split(",")) for p in parts))
+        triples.append(tuple(tuple(line_ints("family", number, p.split(","))) for p in parts))
     return TripleFamily(group, tuple(triples))
 
 

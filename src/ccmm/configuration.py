@@ -358,6 +358,26 @@ class CoherentConfiguration:
             self._tensor = _build_tensor(self)
         return self._tensor
 
+    def triangles(self, A, B, K):
+        """Index triples (x, y, z) with p^{K[z]}_{A[x], B[y]} > 0 for arrays
+        A, B, K of distinct class ids, read in blocks of about KEY_BLOCK
+        cells from the class matrix: one triple per point w with
+        class(x0, w) = A[x] and class(w, y0) = B[y], where (x0, y0) is the
+        representative pair of K[z]. Ids outside [0, r) are in no triangle."""
+        r, n = self.rank, self.n_points
+        K = np.asarray(K, dtype=np.int64)
+        posA, posB = _positions(A, r), _positions(B, r)
+        zs = np.flatnonzero((K >= 0) & (K < r))
+        step = max(1, KEY_BLOCK // n)
+        out = [(np.zeros(0, np.int64),) * 3]
+        for lo in range(0, len(zs), step):
+            z = zs[lo : lo + step]
+            x = posA[self.matrix[self._x0[K[z]]]]
+            y = posB[self.matrix[:, self._y0[K[z]]]].T
+            zi, w = np.nonzero((x >= 0) & (y >= 0))
+            out.append((x[zi, w], y[zi, w], z[zi]))
+        return tuple(np.concatenate(a) for a in zip(*out))
+
     def label_index(self):
         """Map class label -> class id (labels must be present and hashable)."""
         if self.class_labels is None:
@@ -388,15 +408,15 @@ class IntersectionTensor:
     """The nonzero intersection numbers p^k_{i,j} as four int64 arrays
     i, j, k, p sorted by (i, j, k), with a CSR index on the (i, j) pairs:
     the q-th pair present has key _pairs[q] = i*r + j and its nonzeros at
-    _starts[q]:_starts[q+1]. p, slice and iter_nonzero are views of them."""
+    _starts[q]:_starts[q+1]. p, slice and iter_nonzero are views of them.
+    The builder hands over the pair key i*r + j of every nonzero with them."""
 
-    def __init__(self, rank, star, nonzeros):
+    def __init__(self, rank, star, nonzeros, key):
         self.rank = rank
         self.star_vector = star
         for a in nonzeros:
             a.flags.writeable = False
         self._nz = nonzeros
-        key = nonzeros[0] * rank + nonzeros[1]
         first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         self._pairs = key[first]
         self._starts = np.r_[first, len(key)]
@@ -441,15 +461,6 @@ class IntersectionTensor:
                 s, e = self._starts[q], self._starts[q + 1]
         return dict(zip(self._nz[2][s:e].tolist(), self._nz[3][s:e].tolist()))
 
-    def triangles(self, A, B, K):
-        """Index triples (x, y, z) with p^{K[z]}_{A[x], B[y]} > 0, each once,
-        for arrays A, B, K of distinct class ids. Ids outside [0, r) are in
-        no triangle."""
-        i, j, k, _ = self._nz
-        x, y, z = (_positions(ids, self.rank)[c] for ids, c in ((A, i), (B, j), (K, k)))
-        keep = (x >= 0) & (y >= 0) & (z >= 0)
-        return x[keep], y[keep], z[keep]
-
 
 def _positions(ids, r):
     """pos[c] = the index of class c in the array ids, or -1."""
@@ -465,9 +476,14 @@ def _build_tensor(config):
     row k holds the keys class(x,z)*r + class(z,y) over all z, sorted, and
     each run of equal keys i*r + j is one nonzero p^k_{i,j}. The sorted row
     of a second representative, where the class has one, must be equal.
-    Rows are built in chunks of classes to bound memory."""
+    Rows are built in chunks of classes to bound memory; each nonzero is
+    packed as the int64 code ((i*r + j)*r + k)*(n+1) + p, and one sort of
+    the codes orders them by (i, j, k). A configuration whose codes would
+    reach 2**63 is refused before anything is allocated."""
     n = config.n_points
     r = config.rank
+    if r**3 * (n + 1) >= 1 << 63:
+        raise ValueError("intersection tensor of rank %d on %d points exceeds 64-bit codes" % (r, n))
     x0, y0 = config._x0, config._y0
     left, right = _key_arrays(config.matrix, r)
     flat = config.matrix.ravel()
@@ -477,7 +493,7 @@ def _build_tensor(config):
     # the second row-major pair of each class, or its first if it has one
     x1, y1 = np.divmod(order[np.minimum(starts[:-1] + 1, starts[1:] - 1)], n)
     chunk = max(1, KEY_BLOCK // n)
-    parts = []
+    codes = []
     for lo in range(0, r, chunk):
         ks = np.arange(lo, min(r, lo + chunk))
         rows = _sorted_keys(left[x0[ks]], right[y0[ks]])
@@ -491,13 +507,17 @@ def _build_tensor(config):
                 "class %d" % k,
             )
         new = np.ones(rows.shape, dtype=bool)
-        new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
         run = np.flatnonzero(new)  # run starts, row-major; each row starts one
-        parts.append((rows.ravel()[run], ks[run // n], np.diff(np.r_[run, rows.size])))
-    key, k, p = (np.concatenate(a).astype(np.int64) for a in zip(*parts))
-    order = np.lexsort((k, key))
-    i, j = np.divmod(key[order], r)
-    return IntersectionTensor(r, config.star_vector(), (i, j, k[order], p[order]))
+        code = rows.ravel()[run].astype(np.int64)
+        code *= r * (n + 1)
+        code += np.repeat(ks * (n + 1), np.count_nonzero(new, axis=1))
+        code += np.diff(run, append=rows.size)  # p, the run length
+        codes.append(code)
+    code, p = np.divmod(np.sort(np.concatenate(codes)), n + 1)
+    key, k = np.divmod(code, r)
+    i, j = np.divmod(key, r)
+    return IntersectionTensor(r, config.star_vector(), (i, j, k, p), key)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +555,9 @@ def write_ccfg(config, path):
             fh.writelines(" ".join(map(str, g)) + "\n" for g in gens.tolist())
 
 
-def _ccfg_ints(number, tokens):
-    """The tokens of ccfg line number as ints; a ValueError names a bad one."""
+def line_ints(kind, number, tokens):
+    """The tokens of line number of a kind file as ints; a ValueError names
+    the line and the first bad token."""
     try:
         return [int(t) for t in tokens]
     except ValueError:
@@ -545,14 +566,14 @@ def _ccfg_ints(number, tokens):
         try:
             int(t)
         except ValueError:
-            raise ValueError("ccfg line %d: %r is not an integer" % (number, t)) from None
+            raise ValueError("%s line %d: %r is not an integer" % (kind, number, t)) from None
 
 
 def _ccfg_rows(lines, width, name):
     """(number, text) lines of width integers each, as an int64 array."""
     rows = []
     for number, text in lines:
-        row = _ccfg_ints(number, text.split())
+        row = line_ints("ccfg", number, text.split())
         if len(row) != width:
             raise ValueError("ccfg line %d: expected %d entries, found %d" % (number, width, len(row)))
         rows.append(row)
@@ -578,7 +599,7 @@ def read_ccfg(path, check="full"):
     head = lines[1][1].split()
     if len(head) != 4 or head[0] != "points" or head[2] != "classes":
         raise ValueError("bad header line %r" % lines[1][1])
-    n, r = _ccfg_ints(lines[1][0], head[1::2])
+    n, r = line_ints("ccfg", lines[1][0], head[1::2])
     end = next((i for i, (_, t) in enumerate(lines) if t.startswith("automorphisms")), len(lines))
     if end != 2 + n:
         raise ValueError("expected %d matrix rows, found %d" % (n, end - 2))
@@ -586,7 +607,7 @@ def read_ccfg(path, check="full"):
     if end < len(lines):
         number, text = lines[end]
         head, count = text.split(), len(lines) - end - 1
-        if head[0] != "automorphisms" or _ccfg_ints(number, head[1:]) != [count]:
+        if head[0] != "automorphisms" or line_ints("ccfg", number, head[1:]) != [count]:
             raise ValueError(
                 "ccfg line %d: expected 'automorphisms %d' for the rows that follow, found %r" % (number, count, text)
             )

@@ -5,18 +5,20 @@ realizations, and wreath-product conjugation realizations.
 
 Conventions: a realization of <l,m,n> is three injective maps alpha (l x m),
 beta (m x n), gamma (n x l) into class ids such that alpha(a,b'), beta(b,c'),
-gamma(c,a') form a triangle iff a = a', b = b', c = c'. Triangles are read
-off the intersection tensor: (i,j,k) is a triangle iff p^{k*}_{i,j} > 0.
+gamma(c,a') form a triangle iff a = a', b = b', c = c'. (i,j,k) is a
+triangle iff p^{k*}_{i,j} > 0.
 
 verify_realization and verify_simultaneous (one component or several) run
-the same sweep, _sweep. It asks the intersection data for the nonzeros
-whose classes lie in the alpha, beta and starred gamma images, tested as
-masks over the classes of the array tensor; a SymmetricPowerView builds the
-same nonzeros for Sym^k C from its base tensor. Each nonzero is decoded to
-its positions (a, b'), (b, c') and (c, a'), and the sweep demands that the
-nonzeros are exactly the matched triples. A failure is reported at the
-first position in the order of the pair loop (a, b') x (b, c'), as the
-exhaustive loop over all (lm)(mn) pairs would find it."""
+the same checks, _verify, which builds the intersection tensor (checking a
+second representative of every class) before the sweep, _sweep. The sweep
+reads the triangles between the alpha, beta and starred gamma images from
+the class matrix: one row of n composition classes per starred gamma class,
+at its representative pair, not every nonzero of the tensor; a
+SymmetricPowerView builds them for Sym^k C from its base tensor. Each
+triangle is decoded to its positions (a, b'), (b, c') and (c, a'), and the
+sweep demands that they are exactly the matched triples. A failure is
+reported at the first position in the order of the pair loop (a, b') x
+(b, c'), as the exhaustive loop over all (lm)(mn) pairs would find it."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import POINT_CAP, CoherentConfiguration, text_file, text_lines
+from .configuration import POINT_CAP, CoherentConfiguration, line_ints, text_file, text_lines
 from .constructions import schurian, symmetric_power
 from .groups import WreathGroup, conjugation_action, count_conjugacy_wreath
 
@@ -120,29 +122,30 @@ def _decode(flat, offsets, cols):
     return ci, row, col
 
 
-def _sweep(t, reals):
+def _sweep(config, reals):
     """The triangle condition of the components reals, whose images must be
-    injective and pairwise disjoint, over the intersection data t (a tensor
-    or a view) in one pass. Positions are flat indices in lexicographic
-    order: x over (component, a, b') of the alpha images, y over
-    (component, b, c') of beta, z over (component, c, a') of the starred
-    gamma images. t.triangles keeps only the nonzeros between these
-    classes; each must be a matched triple (one component, b = b', c = c',
-    a = a'), and each matched triple must appear. Returns None, or the
-    first failing sweep position (x, y) with the z of its least unexpected
-    triangle, else of its missing matched one, each decoded to
+    injective and pairwise disjoint, in config (a configuration or a
+    symmetric-power view) in one pass. Positions are flat indices in
+    lexicographic order: x over (component, a, b') of the alpha images, y
+    over (component, b, c') of beta, z over (component, c, a') of the
+    starred gamma images. config.triangles reads the triangles between
+    these classes; each must be a matched triple (one component, b = b',
+    c = c', a = a'), and each matched triple must appear. Returns None, or
+    the first failing sweep position (x, y) with the z of its least
+    unexpected triangle, else of its missing matched one, each decoded to
     (component, row, column), and the kind "extra" or "missing"."""
-    check_class_ids(reals, t.rank)
+    check_class_ids(reals, config.rank)
     slots = [[getattr(real, s) for real in reals] for s in ("alpha", "beta", "gamma")]
     # per map: the offset of each component's flat positions, and row length
     layout = [
         (np.cumsum([0] + [a.size for a in arrs]), [a.shape[1] for a in arrs])
         for arrs in slots
     ]
-    A, B = (np.concatenate([a.ravel() for a in arrs]) for arrs in slots[:2])
-    K = np.array(
-        [t.star(v) for g in slots[2] for v in g.ravel().tolist()], dtype=np.int64
-    )
+    A, B, G = (np.concatenate([a.ravel() for a in arrs]) for arrs in slots)
+    if isinstance(config, CoherentConfiguration):
+        K = config.star_vector()[G]
+    else:
+        K = np.array([config.star(v) for v in G.tolist()], dtype=np.int64)
     # matched triples, ascending in the sweep key x * |B| + y
     parts = []
     for real, oa, ob, og in zip(reals, *(o for o, _ in layout)):
@@ -153,7 +156,7 @@ def _sweep(t, reals):
     if not len(ex):
         return None
     ekey = ex * len(B) + ey
-    x, y, z = t.triangles(A, B, K)
+    x, y, z = config.triangles(A, B, K)
     key = x * len(B) + y
     pos = np.minimum(np.searchsorted(ekey, key), len(ekey) - 1)
     matched = (ekey[pos] == key) & (ez[pos] == z)
@@ -180,24 +183,27 @@ def _verify(config, reals, name):
     """The checks both verifiers run, in order: each map of each component
     is injective (name(slot, ci) names the map in the witness), map by map
     the images of the components are pairwise disjoint, then the sweep.
+    Both checks read one np.unique of each map's concatenated images.
     Returns the sweep's failure, or None after recording on every
     component the intersection data and copies of its maps."""
     for slot in ("alpha", "beta", "gamma"):
-        owner = {}
-        for ci, real in enumerate(reals):
-            arr = getattr(real, slot)
-            _check_injective(name(slot, ci), arr)
-            flat = arr.reshape(-1).tolist()
-            for v in flat:
-                if v in owner:
-                    raise RealizationInvalid(
-                        ("disjoint", slot, owner[v], ci, v),
-                        "%s images of components %d and %d share class %d"
-                        % (slot, owner[v], ci, v),
-                    )
-            owner.update(dict.fromkeys(flat, ci))
-    t = config.intersection()
-    fail = _sweep(t, reals)
+        arrs = [getattr(real, slot) for real in reals]
+        flat = np.concatenate([a.ravel() for a in arrs])
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        if len(first) == len(flat):
+            continue  # every map injective, the images disjoint
+        comp = np.repeat(np.arange(len(arrs)), [a.size for a in arrs])
+        owner = comp[first][inverse]  # the first component holding each value
+        shared = np.flatnonzero(owner < comp)
+        last = comp[shared[0]] if len(shared) else len(arrs) - 1
+        for ci in range(last + 1):
+            _check_injective(name(slot, ci), arrs[ci])
+        if len(shared):
+            e = shared[0]
+            wit = ("disjoint", slot, int(owner[e]), int(comp[e]), int(flat[e]))
+            raise RealizationInvalid(wit, "%s images of components %d and %d share class %d" % wit[1:])
+    t = config.intersection()  # checks a second representative of every class
+    fail = _sweep(config, reals)
     if fail is None:
         for real in reals:
             real.record = (t,) + tuple(a.copy() for a in real.maps())
@@ -549,8 +555,8 @@ class SymmetricPowerView:
         return np.array([self._tuples[v] for v in ids], dtype=np.int64).reshape(-1, self.k)
 
     def triangles(self, A, B, K):
-        """Same contract as IntersectionTensor.triangles, except that a
-        triple may repeat. Up to a common reordering of coordinates, a
+        """Same contract as CoherentConfiguration.triangles: a triple may
+        repeat. Up to a common reordering of coordinates, a
         triangle (I, J, K) of Sym^k C is k base triangles (I_c, j_c, k_c)
         whose j_c form J and whose k_c form K: every alignment count is
         nonnegative, so a product of positive base counts is a positive
@@ -603,28 +609,23 @@ def _position_of(codes, values):
 
 
 def _product_maps(reals, combine):
-    """Coordinate-wise product of the maps of k realizations, each value
-    passed through combine(tuple_of_base_classes)."""
-    k = len(reals)
-    ls = [r.dims[0] for r in reals]
-    ms = [r.dims[1] for r in reals]
-    ns = [r.dims[2] for r in reals]
+    """Coordinate-wise product of the maps of k realizations. Rows and
+    columns run over index tuples in lexicographic order; a cell holds
+    combine(sorted tuple of base classes), and combine is called once per
+    distinct sorted tuple, map by map in order of first appearance."""
 
-    def build(shape_rows, shape_cols, pick):
-        rows = list(itertools.product(*[range(s) for s in shape_rows]))
-        cols = list(itertools.product(*[range(s) for s in shape_cols]))
-        arr = np.empty((len(rows), len(cols)), dtype=np.int64)
-        for ri, rv in enumerate(rows):
-            for ci, cv in enumerate(cols):
-                arr[ri, ci] = combine(
-                    tuple(pick(reals[c], rv[c], cv[c]) for c in range(k))
-                )
-        return arr
+    def build(arrs):
+        rows, cols = (np.indices([a.shape[d] for a in arrs]).reshape(len(arrs), -1) for d in (0, 1))
+        cells = np.sort(np.stack([a[x][:, y] for a, x, y in zip(arrs, rows, cols)], axis=-1), axis=-1)
+        tuples, first, inverse = np.unique(
+            cells.reshape(-1, len(arrs)), axis=0, return_index=True, return_inverse=True
+        )
+        ids = np.empty(len(tuples), dtype=np.int64)
+        for u in np.argsort(first):
+            ids[u] = combine(tuple(tuples[u].tolist()))
+        return ids[inverse.ravel()].reshape(cells.shape[:2])
 
-    alpha = build(ls, ms, lambda r, x, y: int(r.alpha[x, y]))
-    beta = build(ms, ns, lambda r, x, y: int(r.beta[x, y]))
-    gamma = build(ns, ls, lambda r, x, y: int(r.gamma[x, y]))
-    return Realization(alpha, beta, gamma)
+    return Realization(*(build([getattr(r, s) for r in reals]) for s in ("alpha", "beta", "gamma")))
 
 
 def sympow_realization(config, reals, materialize="auto", point_cap=2000):
@@ -649,7 +650,7 @@ def sympow_realization(config, reals, materialize="auto", point_cap=2000):
             )
         big = symmetric_power(config, k, point_cap=point_cap)
         index = big.label_index()
-        real = _product_maps(reals, lambda t: index[tuple(sorted(t))])
+        real = _product_maps(reals, index.__getitem__)
         verify_realization(big, real)
         return big, real
     view = SymmetricPowerView(config.intersection(), k)
@@ -717,7 +718,8 @@ def write_real(real, path):
 def read_real(path):
     """Parse a "real 1" file back into a Realization (no configuration
     context, so verification happens at the call site)."""
-    lines = [line for _, line in text_lines(path)]
+    numbered = text_lines(path)
+    lines = [line for _, line in numbered]
     if not lines or lines[0].split() != ["real", "1"]:
         raise ValueError("not a real 1 file")
     if len(lines) < 2:
@@ -725,23 +727,25 @@ def read_real(path):
     head = lines[1].split()
     if len(head) != 4 or head[0] != "dims":
         raise ValueError("bad dims line %r" % lines[1])
-    l, m, n = (int(v) for v in head[1:])
+    l, m, n = line_ints("real", numbered[1][0], head[1:])
     shapes = {"alpha": (l, m), "beta": (m, n), "gamma": (n, l)}
     arrays = {}
     pos = 2
     for name in ("alpha", "beta", "gamma"):
-        if pos >= len(lines) or lines[pos] != name:
-            raise ValueError("expected %r block at line %d" % (name, pos))
+        if pos >= len(lines):
+            raise ValueError("real file ends before its %s block" % name)
+        if lines[pos] != name:
+            raise ValueError("real line %d: expected %r block" % (numbered[pos][0], name))
         pos += 1
         rows, cols = shapes[name]
         if pos + rows * cols > len(lines):
             raise ValueError("truncated %s block" % name)
         arr = np.full((rows, cols), -1, dtype=np.int64)
-        for line in lines[pos : pos + rows * cols]:
+        for number, line in numbered[pos : pos + rows * cols]:
             parts = line.split()
             if len(parts) != 4 or parts[2] != "->":
                 raise ValueError("bad map line %r" % line)
-            x, y, cls = int(parts[0]), int(parts[1]), int(parts[3])
+            x, y, cls = line_ints("real", number, parts[:2] + parts[3:])
             if not (0 <= x < rows and 0 <= y < cols):
                 raise ValueError("index out of range in %r" % line)
             if cls < 0:

@@ -4,7 +4,11 @@ dense r x r x r intersection array, the per-pair group table loop over
 scalar products written on tuples, and the axiom-3 row sweep with int64
 keys sorted along the strided axis. The realization loops read the
 intersection data only through slice(), star() and iter_nonzero(), so they
-run against tensors and symmetric-power views alike. Next to the group
+run against tensors and symmetric-power views alike. Beside them sit the
+first forms of the sweep's parts: the per-entry disjointness loop, the
+triangles read by masking every tensor nonzero (MaskTriangles), the tensor
+build by lexsort of per-run keys, and the per-cell loop of the
+symmetric-power product maps. Next to the group
 table loop sit its tuple helpers (perm_compose, perm_inverse, perm_cycles),
 the wreath conjugacy key built on cycles, groups given by an explicit
 table (TableGroup, for hand-built and corrupted tables), and the exhaustive
@@ -31,10 +35,14 @@ from fractions import Fraction
 import numpy as np
 
 from ccmm.configuration import (
+    KEY_BLOCK,
     POINT_CAP,
     AxiomViolation,
     CoherentConfiguration,
+    _key_arrays,
+    _positions,
     _profile_mismatch_witness,
+    _sorted_keys,
 )
 from ccmm.constructions import (
     _power_points,
@@ -169,6 +177,103 @@ def loop_verify_simultaneous(t, reals):
                                 )
     return True
 
+
+
+def loop_disjoint(reals, name):
+    """The injectivity and disjointness checks of _verify as the per-entry
+    loop: map by map, each component is checked injective, then its
+    entries against a dict of the classes of the earlier components."""
+    for slot in ("alpha", "beta", "gamma"):
+        owner = {}
+        for ci, real in enumerate(reals):
+            arr = getattr(real, slot)
+            _check_injective(name(slot, ci), arr)
+            flat = arr.reshape(-1).tolist()
+            for v in flat:
+                if v in owner:
+                    raise RealizationInvalid(
+                        ("disjoint", slot, owner[v], ci, v),
+                        "%s images of components %d and %d share class %d"
+                        % (slot, owner[v], ci, v),
+                    )
+            owner.update(dict.fromkeys(flat, ci))
+
+
+class MaskTriangles:
+    """A configuration whose triangles come from masking every nonzero of
+    its intersection tensor by class, as the sweep first read them: each
+    triple once. Its intersection data is itself, so verify_realization
+    and verify_simultaneous run the sweep on it unchanged."""
+
+    def __init__(self, config):
+        self.t = config.intersection()
+        self.rank = config.rank
+
+    def intersection(self):
+        return self
+
+    def star(self, i):
+        return self.t.star(i)
+
+    def triangles(self, A, B, K):
+        i, j, k, _ = self.t.arrays()
+        x, y, z = (_positions(ids, self.rank)[c] for ids, c in ((A, i), (B, j), (K, k)))
+        keep = (x >= 0) & (y >= 0) & (z >= 0)
+        return x[keep], y[keep], z[keep]
+
+
+def lexsort_build_tensor(config):
+    """The intersection arrays (i, j, k, p) as the tensor build first made
+    them: per chunk of classes, the runs of each sorted key row as (key,
+    k, p), then one lexsort by (key, k) and a divmod of the key."""
+    n, r = config.n_points, config.rank
+    x0, y0 = config._x0, config._y0
+    left, right = _key_arrays(config.matrix, r)
+    flat = config.matrix.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.zeros(r + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=r), out=starts[1:])
+    x1, y1 = np.divmod(order[np.minimum(starts[:-1] + 1, starts[1:] - 1)], n)
+    chunk = max(1, KEY_BLOCK // n)
+    parts = []
+    for lo in range(0, r, chunk):
+        ks = np.arange(lo, min(r, lo + chunk))
+        rows = _sorted_keys(left[x0[ks]], right[y0[ks]])
+        bad = (rows != _sorted_keys(left[x1[ks]], right[y1[ks]])).any(axis=1)
+        if bad.any():
+            k = int(ks[np.argmax(bad)])
+            raise AxiomViolation(
+                3,
+                (int(x0[k]), int(y0[k]), int(x1[k]), int(y1[k]), k),
+                "intersection numbers differ between representatives of "
+                "class %d" % k,
+            )
+        new = np.ones(rows.shape, dtype=bool)
+        new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        run = np.flatnonzero(new)
+        parts.append((rows.ravel()[run], ks[run // n], np.diff(np.r_[run, rows.size])))
+    key, k, p = (np.concatenate(a).astype(np.int64) for a in zip(*parts))
+    order = np.lexsort((k, key))
+    i, j = np.divmod(key[order], r)
+    return i, j, k[order], p[order]
+
+
+def loop_product_maps(reals, combine):
+    """_product_maps as the double loop over the (l^k) x (m^k) cells of
+    each map, one combine call per cell on the unsorted coordinate tuple."""
+    k = len(reals)
+
+    def build(slot):
+        arrs = [getattr(r, slot) for r in reals]
+        rows = list(itertools.product(*[range(a.shape[0]) for a in arrs]))
+        cols = list(itertools.product(*[range(a.shape[1]) for a in arrs]))
+        out = np.empty((len(rows), len(cols)), dtype=np.int64)
+        for ri, rv in enumerate(rows):
+            for ci, cv in enumerate(cols):
+                out[ri, ci] = combine(tuple(int(arrs[c][rv[c], cv[c]]) for c in range(k)))
+        return out
+
+    return build("alpha"), build("beta"), build("gamma")
 
 def action_from_function(group, n_points, f, name="action"):
     """The action whose table holds f(g, x), one call per (g, x)."""

@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ccmm import cli
@@ -839,3 +840,74 @@ def test_option_a_verb_does_not_read_is_exit_two(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+# -- line-naming reader errors and oversized tensors ----------------------------
+
+
+def _c5(tmp_path, capsys):
+    c5 = str(tmp_path / "c5.ccfg")
+    run(capsys, "build", "group-scheme", "cyclic:5", "-o", c5)
+    return c5
+
+
+@pytest.mark.parametrize(
+    "kind, text, argv, message",
+    [
+        ("part", "0\n1 x\n2 3 4\n", ["build", "fuse", "{c5}", "{f}"], "partition line 2: 'x' is not an integer"),
+        ("part", "# blocks\n0 1 2 3 4.0\n", ["build", "fuse", "{c5}", "{f}"], "partition line 2: '4.0' is not an integer"),
+        ("blocks", "2 2 2\n2 2 x\n", ["exponent", "asi", "--blocks", "{f}", "--rank", "8"], "blocks line 2: 'x' is not an integer"),
+        ("blocks", "2 y 2\n", ["exponent", "gm", "--blocks", "{f}", "--rank", "8"], "blocks line 1: 'y' is not an integer"),
+        (
+            "family",
+            "0 0,1 0\n\n0 1 0,z\n",
+            ["realize", "grp-as", "--group", "cyclic:4", "--family", "{f}"],
+            "family line 3: 'z' is not an integer",
+        ),
+    ],
+)
+def test_reader_errors_name_the_line_and_token(tmp_path, capsys, kind, text, argv, message):
+    f = tmp_path / kind
+    f.write_text(text)
+    fill = {"{c5}": _c5(tmp_path, capsys) if "{c5}" in argv else None, "{f}": str(f)}
+    rc, out, err = run(capsys, *(fill.get(a, a) for a in argv))
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+    assert "invalid literal" not in err
+
+
+GAMMA = "gamma\n0 0 -> 0\n0 1 -> 2\n1 0 -> 3\n1 1 -> 1\n"
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([("dims 2 2 2", "dims 2 two 2")], "real line 2: 'two' is not an integer"),
+        ([("0 1 -> 2", "0 1 -> one")], "real line 5: 'one' is not an integer"),
+        ([("beta\n0 0 -> 0\n0 1", "beta\n0 0 -> 0\n0 x")], "real line 10: 'x' is not an integer"),
+        ([("real 1\n", "# comment\n\nreal 1\n"), ("\ngamma", "\ngama")], "real line 15: expected 'gamma' block"),
+        ([(GAMMA, "gamma\n")], "truncated gamma block"),
+        ([(GAMMA, "")], "real file ends before its gamma block"),
+    ],
+)
+def test_real_reader_names_the_line_and_token(tmp_path, capsys, edits, message):
+    cc = str(tmp_path / "t2.ccfg")
+    run(capsys, "build", "trivial", "2", "-o", cc)
+    rr = tmp_path / "t2.real"
+    run(capsys, "realize", "fibers", "--ccfg", cc, "-o", str(rr))
+    text = rr.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    rr.write_text(text)
+    rc, out, err = run(capsys, "realize", "verify", "--ccfg", cc, "--real", str(rr))
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_info_on_a_tensor_beyond_64_bit_codes_is_exit_two(tmp_path, capsys):
+    cc = tmp_path / "t513.ccfg"
+    n = 513
+    rows = np.arange(n * n).reshape(n, n)
+    cc.write_text("ccfg 1\npoints %d classes %d\n" % (n, n * n) + "\n".join(" ".join(map(str, r)) for r in rows.tolist()) + "\n")
+    rc, out, err = run(capsys, "info", "--check", "trusted", str(cc))
+    assert (rc, out) == (2, "")
+    assert err == "error: intersection tensor of rank 263169 on 513 points exceeds 64-bit codes\n"

@@ -10,12 +10,19 @@ import numpy as np
 import pytest
 from corpus import corpus
 from reference import (
+    MaskTriangles,
     dict_tensor,
+    lexsort_build_tensor,
+    loop_disjoint,
+    loop_product_maps,
     loop_verify_realization,
     loop_verify_simultaneous,
 )
 
 from ccmm import realization
+from ccmm.configuration import AxiomViolation
+from ccmm.constructions import fusion, group_scheme, symmetric_power, trivial_configuration
+from ccmm.groups import make_group
 from ccmm.realization import (
     Realization,
     RealizationInvalid,
@@ -229,3 +236,153 @@ def test_class_ids_outside_the_rank_are_value_errors():
     for check in (True, False):
         with pytest.raises(ValueError, match=r"^alpha entry \(0,1\) is class -1"):
             WeightedMatMul(cfg, bad, check=check)
+
+
+# -- the sweep's parts against their first forms -----------------------------------
+
+
+def test_tensor_arrays_are_byte_identical_to_the_lexsort_build():
+    for name, cfg in corpus():
+        got, want = cfg.intersection().arrays(), lexsort_build_tensor(cfg)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_trusted_fusion_raises_the_lexsort_witness():
+    c5 = group_scheme(make_group("cyclic:5"))
+    fused = fusion(c5, [[0], [1, 4], [2], [3]], check="trusted")
+    with pytest.raises(AxiomViolation) as want:
+        lexsort_build_tensor(fused)
+    with pytest.raises(AxiomViolation) as got:
+        fused.intersection()
+    assert (got.value.axiom, got.value.witness, str(got.value)) == (
+        want.value.axiom,
+        want.value.witness,
+        str(want.value),
+    )
+
+
+def test_tensor_beyond_64_bit_codes_is_refused():
+    # r**3 * (n + 1) first reaches 2**63 at 512 points; 511 stays below
+    assert ((511**2) ** 3) * 512 < 1 << 63 <= ((512**2) ** 3) * 513
+    cfg = trivial_configuration(513, check="trusted")
+    with pytest.raises(ValueError, match=r"^intersection tensor of rank 263169 on 513 points exceeds 64-bit codes$"):
+        cfg.intersection()
+
+
+def test_class_row_triangles_are_the_masked_nonzeros():
+    rng = random.Random(5)
+    for name, cfg in corpus():
+        r = cfg.rank
+        for _ in range(4):
+            A, B, K = (np.array(rng.sample(range(-2, r + 2), min(r + 4, rng.randint(1, 6)))) for _ in range(3))
+            got = list(zip(*(a.tolist() for a in cfg.triangles(A, B, K))))
+            want = set(zip(*(a.tolist() for a in MaskTriangles(cfg).triangles(A, B, K))))
+            assert set(got) == want, name
+            # a triangle (x, y, z) is read p^{K[z]}_{A[x], B[y]} times
+            pos = [{c: x for x, c in enumerate(ids.tolist())} for ids in (A, B, K)]
+            counts = {
+                (pos[0][a], pos[1][b], pos[2][c]): v
+                for a, b, c, v in cfg.intersection().iter_nonzero()
+                if a in pos[0] and b in pos[1] and c in pos[2]
+            }
+            assert {t: got.count(t) for t in set(got)} == counts, name
+
+
+def test_sweep_matches_the_masked_sweep_on_diagonal_families():
+    rng = random.Random(13)
+    valid = []
+    for n in range(2, 8):
+        cfg, reals = diagonal_example(n)
+        valid += [(cfg, reals)] + [(cfg, [real]) for real in reals]
+    cases = list(valid)
+    for _ in range(200):
+        cfg, reals = rng.choice(valid)
+        ci = rng.randrange(len(reals))
+        bad = rng.choice(corruptions(reals[ci], other_class(cfg.rank, rng), rng))
+        cases.append((cfg, reals[:ci] + [bad] + reals[ci + 1 :]))
+    rejected = 0
+    for cfg, reals in cases:
+        masked = MaskTriangles(cfg)
+        if len(reals) == 1:
+            got = outcome(verify_realization, cfg, reals[0])
+            assert got == outcome(verify_realization, masked, reals[0])
+        else:
+            got = outcome(verify_simultaneous, cfg, reals)
+            assert got == outcome(verify_simultaneous, masked, reals)
+        rejected += got is not True
+    assert 100 < rejected < len(cases)
+
+
+class Passed(Exception):
+    pass
+
+
+class Unread:
+    """A configuration that stops _verify when it is first read."""
+
+    def intersection(self):
+        raise Passed
+
+
+def test_disjointness_matches_the_loop():
+    rng = random.Random(17)
+    kinds = set()
+    for trial in range(300):
+        reals = []
+        for _ in range(rng.randint(1, 4)):
+            l, m, n = (rng.randint(1, 3) for _ in range(3))
+            maps = [
+                np.array([rng.randrange(12) for _ in range(rows * cols)]).reshape(rows, cols)
+                for rows, cols in ((l, m), (m, n), (n, l))
+            ]
+            reals.append(Realization(*maps))
+        name = (lambda slot, ci: "%s[%d]" % (slot, ci)) if trial % 2 else (lambda slot, ci: slot)
+
+        def checks(fn):
+            try:
+                fn(reals, name)
+            except RealizationInvalid as exc:
+                return exc.witness, str(exc)
+            except Passed:
+                pass
+
+        # _verify runs these checks before it reads the configuration
+        want = checks(loop_disjoint)
+        got = checks(lambda reals, name: realization._verify(Unread(), reals, name))
+        assert got == want
+        kinds.add(want[0][0] if want else None)
+    assert kinds == {"injective", "disjoint", None}
+
+
+def _product_cases():
+    """(configuration, realization) pairs: the fibers realization of every
+    corpus configuration with several fibers and at most 12 points, one of
+    a single fiber, and the diagonal components of n = 3."""
+    out = [
+        (cfg, fibers_realization(cfg, check=False))
+        for name, cfg in corpus()
+        if (cfg.n_fibers > 1 and cfg.n_points <= 12) or name == "grp:cyclic:5"
+    ]
+    cfg, reals = diagonal_example(3)
+    out += [(cfg, r) for r in reals]
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_product_maps_equal_the_loop(k):
+    rng = random.Random(k)
+    for cfg, real in _product_cases():
+        reals = [real] * k
+        if real.dims[0] > 1:  # a coordinate that differs from the others
+            reals[rng.randrange(k)] = Realization(*(np.flip(a) for a in real.maps()))
+        index = symmetric_power(cfg, k).label_index()
+        got = realization._product_maps(reals, index.__getitem__)
+        want = loop_product_maps(reals, lambda t: index[tuple(sorted(t))])
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got.maps(), want))
+        views = [SymmetricPowerView(cfg.intersection(), k) for _ in range(2)]
+        got = realization._product_maps(reals, views[0].intern)
+        want = loop_product_maps(reals, views[1].intern)
+        assert all(np.array_equal(a, b) for a, b in zip(got.maps(), want))
+        assert views[0]._tuples == views[1]._tuples
