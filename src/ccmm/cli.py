@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .configuration import AxiomViolation, line_ints, read_ccfg, text_lines, write_ccfg
+from .configuration import AxiomViolation, named_ints, read_ccfg, text_lines, write_ccfg
 from .constructions import (
     direct_product,
     fusion,
@@ -69,9 +69,9 @@ def _parse_action(desc):
     if kind == "conjugation" and rest:
         return conjugation_action(make_group(rest))
     if kind == "diagonal" and rest:
-        return diagonal_action(int(rest))
+        return diagonal_action(*named_ints("action %r" % desc, [rest]))
     if kind == "natural" and rest.startswith("sym:"):
-        return natural_action(int(rest.split(":", 1)[1]))
+        return natural_action(*named_ints("action %r" % desc, [rest.split(":", 1)[1]]))
     raise ValueError(
         "unknown action %r (want translation:G, conjugation:G, diagonal:N,"
         " natural:sym:N)" % desc
@@ -79,7 +79,7 @@ def _parse_action(desc):
 
 
 def _read_partition(path):
-    blocks = [line_ints("partition", number, line.split()) for number, line in text_lines(path)]
+    blocks = [named_ints("partition line %d" % number, line.split()) for number, line in text_lines(path)]
     if not blocks:
         raise ValueError("partition file %s has no blocks" % path)
     return blocks
@@ -91,7 +91,7 @@ def _read_blocks(path):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("block line needs three dimensions: %r" % line)
-        out.append(tuple(line_ints("blocks", number, parts)))
+        out.append(tuple(named_ints("blocks line %d" % number, parts)))
     if not out:
         raise ValueError("blocks file %s is empty" % path)
     return out
@@ -103,7 +103,7 @@ def _read_family(path, group):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("family line needs three subsets: %r" % line)
-        triples.append(tuple(tuple(line_ints("family", number, p.split(","))) for p in parts))
+        triples.append(tuple(tuple(named_ints("family line %d" % number, p.split(","))) for p in parts))
     return TripleFamily(group, tuple(triples))
 
 
@@ -139,7 +139,7 @@ def cmd_build(args):
     elif args.what == "gas":
         cfg = group_association_scheme(make_group(args.spec[0]), check=check)
     elif args.what == "trivial":
-        cfg = trivial_configuration(int(args.spec[0]), check=check)
+        cfg = trivial_configuration(*named_ints("build trivial N", args.spec), check=check)
     elif args.what == "schurian":
         cfg = schurian(_parse_action(args.spec[0]), check=check)
     elif args.what == "product":
@@ -148,7 +148,7 @@ def cmd_build(args):
         cfg = direct_product(c1, c2, check=check)
     elif args.what == "sympow":
         base = read_ccfg(args.spec[0], check=check)
-        cfg = symmetric_power(base, int(args.spec[1]), check=check)
+        cfg = symmetric_power(base, *named_ints("build sympow CCFG K", args.spec[1:]), check=check)
     else:
         base = read_ccfg(args.spec[0], check=check)
         cfg = fusion(base, _read_partition(args.spec[1]), check=check)
@@ -200,7 +200,7 @@ def cmd_realize_fibers(args):
 def cmd_realize_diagonal(args):
     S = None
     if args.set is not None:
-        S = tuple(int(v) for v in args.set.split(","))
+        S = tuple(named_ints("--set", args.set.split(",")))
     cfg, reals = diagonal_example(args.n, S=S)
     print(
         "points %d rank %d components %d"
@@ -297,8 +297,10 @@ def cmd_boolmm(args):
 
 def cmd_exponent(args):
     if args.form == "commutative":
-        l, m, n = (int(v) for v in args.dims.split(","))
-        _print_bound(omega_s_commutative(l, m, n, args.rank))
+        dims = named_ints("--dims", args.dims.split(","))
+        if len(dims) != 3:
+            raise ValueError("--dims needs three sizes l,m,n, not %r" % args.dims)
+        _print_bound(omega_s_commutative(*dims, args.rank))
     elif args.form == "asi":
         _print_bound(solve_asi(_read_blocks(args.blocks), args.rank))
     elif args.form == "gm":
@@ -313,7 +315,10 @@ def cmd_exponent(args):
             parts = line.split()
             if len(parts) < 3 or parts[0] != "omega_s" or parts[1] != "<=":
                 raise ValueError("stdin must carry a line `omega_s <= X ...`")
-            value = float(parts[2])
+            try:
+                value = float(parts[2])
+            except ValueError:
+                raise ValueError("stdin line 1: %r is not a number" % parts[2]) from None
         bound = omega_from_omega_s(given_bound(value))
         print("omega <= %s" % format_bound(bound.value))
     elif args.form == "check-conversions":

@@ -358,22 +358,24 @@ class CoherentConfiguration:
             self._tensor = _build_tensor(self)
         return self._tensor
 
-    def triangles(self, A, B, K):
-        """Index triples (x, y, z) with p^{K[z]}_{A[x], B[y]} > 0 for arrays
-        A, B, K of distinct class ids, read in blocks of about KEY_BLOCK
-        cells from the class matrix: one triple per point w with
-        class(x0, w) = A[x] and class(w, y0) = B[y], where (x0, y0) is the
-        representative pair of K[z]. Ids outside [0, r) are in no triangle."""
+    def triangles(self, A, B, C):
+        """Index triples (x, y, z) with p^{C[z]*}_{A[x], B[y]} > 0 for arrays
+        A, B, C of distinct class ids, C holding gamma classes, read in
+        blocks of about KEY_BLOCK cells from the class matrix: one triple
+        per point w with class(x0, w) = A[x] and class(w, y0) = B[y], where
+        (x0, y0) is the representative pair of C[z]*. Ids outside [0, r)
+        are in no triangle."""
         r, n = self.rank, self.n_points
-        K = np.asarray(K, dtype=np.int64)
+        C = np.asarray(C, dtype=np.int64)
         posA, posB = _positions(A, r), _positions(B, r)
-        zs = np.flatnonzero((K >= 0) & (K < r))
+        zs = np.flatnonzero((C >= 0) & (C < r))
+        K = self.star_vector()[C[zs]]
         step = max(1, KEY_BLOCK // n)
         out = [(np.zeros(0, np.int64),) * 3]
         for lo in range(0, len(zs), step):
-            z = zs[lo : lo + step]
-            x = posA[self.matrix[self._x0[K[z]]]]
-            y = posB[self.matrix[:, self._y0[K[z]]]].T
+            z, k = zs[lo : lo + step], K[lo : lo + step]
+            x = posA[self.matrix[self._x0[k]]]
+            y = posB[self.matrix[:, self._y0[k]]].T
             zi, w = np.nonzero((x >= 0) & (y >= 0))
             out.append((x[zi, w], y[zi, w], z[zi]))
         return tuple(np.concatenate(a) for a in zip(*out))
@@ -439,7 +441,7 @@ class IntersectionTensor:
         broadcast shape, ascending. A pair with a class id outside [0, r)
         has no nonzeros."""
         r = self.rank
-        i, j = np.broadcast_arrays(np.asarray(i, np.int64), np.asarray(j, np.int64))
+        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
         key = np.where((i >= 0) & (i < r) & (j >= 0) & (j < r), i * r + j, -1).ravel()
         q = np.minimum(np.searchsorted(self._pairs, key), len(self._pairs) - 1)
         start = self._starts[q]
@@ -453,13 +455,8 @@ class IntersectionTensor:
 
     def slice(self, i, j):
         """{k: p^k_{i,j}} over the nonzero entries of one pair."""
-        r = self.rank
-        s = e = 0
-        if 0 <= i < r and 0 <= j < r:
-            q = int(self._pairs.searchsorted(i * r + j))
-            if q < len(self._pairs) and self._pairs[q] == i * r + j:
-                s, e = self._starts[q], self._starts[q + 1]
-        return dict(zip(self._nz[2][s:e].tolist(), self._nz[3][s:e].tolist()))
+        _, k, p = self.pair_nonzeros(i, j)
+        return dict(zip(k.tolist(), p.tolist()))
 
 
 def _positions(ids, r):
@@ -555,9 +552,9 @@ def write_ccfg(config, path):
             fh.writelines(" ".join(map(str, g)) + "\n" for g in gens.tolist())
 
 
-def line_ints(kind, number, tokens):
-    """The tokens of line number of a kind file as ints; a ValueError names
-    the line and the first bad token."""
+def named_ints(source, tokens):
+    """The tokens as ints; a ValueError names the source and the first bad
+    token, as in "matrix line 1: 'x' is not an integer"."""
     try:
         return [int(t) for t in tokens]
     except ValueError:
@@ -566,14 +563,14 @@ def line_ints(kind, number, tokens):
         try:
             int(t)
         except ValueError:
-            raise ValueError("%s line %d: %r is not an integer" % (kind, number, t)) from None
+            raise ValueError("%s: %r is not an integer" % (source, t)) from None
 
 
 def _ccfg_rows(lines, width, name):
     """(number, text) lines of width integers each, as an int64 array."""
     rows = []
     for number, text in lines:
-        row = line_ints("ccfg", number, text.split())
+        row = named_ints("ccfg line %d" % number, text.split())
         if len(row) != width:
             raise ValueError("ccfg line %d: expected %d entries, found %d" % (number, width, len(row)))
         rows.append(row)
@@ -599,7 +596,7 @@ def read_ccfg(path, check="full"):
     head = lines[1][1].split()
     if len(head) != 4 or head[0] != "points" or head[2] != "classes":
         raise ValueError("bad header line %r" % lines[1][1])
-    n, r = line_ints("ccfg", lines[1][0], head[1::2])
+    n, r = named_ints("ccfg line %d" % lines[1][0], head[1::2])
     end = next((i for i, (_, t) in enumerate(lines) if t.startswith("automorphisms")), len(lines))
     if end != 2 + n:
         raise ValueError("expected %d matrix rows, found %d" % (n, end - 2))
@@ -607,7 +604,7 @@ def read_ccfg(path, check="full"):
     if end < len(lines):
         number, text = lines[end]
         head, count = text.split(), len(lines) - end - 1
-        if head[0] != "automorphisms" or line_ints("ccfg", number, head[1:]) != [count]:
+        if head[0] != "automorphisms" or named_ints("ccfg line %d" % number, head[1:]) != [count]:
             raise ValueError(
                 "ccfg line %d: expected 'automorphisms %d' for the rows that follow, found %r" % (number, count, text)
             )

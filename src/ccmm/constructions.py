@@ -20,6 +20,7 @@ from .groups import conjugation_action
 
 MAX_POWER = 64  # numpy's limit on array dimensions, one per coordinate
 RANK_CHUNK = 64  # sorted rows swept at once by symmetric_power_rank
+RANK_BITMAP_CAP = 1 << 26  # largest r**k whose class codes symmetric_power_rank marks in a bitmap
 
 
 def trivial_configuration(n, check="full"):
@@ -158,18 +159,19 @@ def fusion(config, blocks, check="full"):
     )
 
 
-def _power_points(n, k, point_cap):
+def _power_points(n, k):
     """The k coordinate arrays of the n**k points of a k-fold power, in
-    lexicographic order with coordinate 0 most significant."""
+    lexicographic order with coordinate 0 most significant; more than
+    POINT_CAP points are refused before anything is allocated."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    if n >= 2 and k > point_cap.bit_length():  # so n**k >= 2**k > point_cap
-        raise ValueError("%d**%d points exceeds cap %d" % (n, k, point_cap))
+    if n >= 2 and k > POINT_CAP.bit_length():  # so n**k >= 2**k > POINT_CAP
+        raise ValueError("%d**%d points exceeds cap %d" % (n, k, POINT_CAP))
     if k > MAX_POWER:
         raise ValueError("power %d exceeds numpy's %d array dimensions" % (k, MAX_POWER))
     N = n**k
-    if N > point_cap:
-        raise ValueError("%d**%d = %d points exceeds cap %d" % (n, k, N, point_cap))
+    if N > POINT_CAP:
+        raise ValueError("%d**%d = %d points exceeds cap %d" % (n, k, N, POINT_CAP))
     return np.unravel_index(np.arange(N), (n,) * k)
 
 
@@ -203,7 +205,7 @@ def _class_codes(M, coords, rows, r):
     return codes
 
 
-def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
+def symmetric_power(config, k, check="full"):
     """Fuse the k-fold direct power under coordinate permutations. Points
     are all k-tuples of source points (lexicographic); classes are multisets
     of source classes, so the rank is C(r+k-1, k). The count and the axioms
@@ -211,7 +213,7 @@ def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     coordinate 0, and for k >= 2 the transposition of coordinates 0 and 1
     and (for k >= 3) the cyclic shift of the coordinates."""
     r, n = config.rank, config.n_points
-    coords = _power_points(n, k, point_cap)
+    coords = _power_points(n, k)
     codes = _class_codes(config.matrix, coords, slice(None), r)
     uniq, inverse = np.unique(codes.ravel(), return_inverse=True)
     expected_rank = math.comb(r + k - 1, k)
@@ -231,15 +233,16 @@ def symmetric_power(config, k, check="full", point_cap=POINT_CAP):
     )
 
 
-def symmetric_power_rank(config, k, bitmap_cap=1 << 26):
+def symmetric_power_rank(config, k):
     """Number of classes of Sym^k C, counted without materializing the
     N x N class matrix. Permuting the coordinates of both points keeps a
     cell's class, so only the C(n+k-1, k) sorted rows are swept, in chunks,
-    marking each cell's class code."""
+    marking each cell's class code in a bitmap of r**k flags, or in a set
+    (sized by the rank) when r**k exceeds RANK_BITMAP_CAP."""
     r = config.rank
-    coords = _power_points(config.n_points, k, POINT_CAP)
+    coords = _power_points(config.n_points, k)
     rows = _sorted_rows(coords)
-    seen = np.zeros(r**k, dtype=bool) if r**k <= bitmap_cap else set()
+    seen = np.zeros(r**k, dtype=bool) if r**k <= RANK_BITMAP_CAP else set()
     for lo in range(0, len(rows), RANK_CHUNK):
         codes = _class_codes(config.matrix, coords, rows[lo : lo + RANK_CHUNK], r)
         if isinstance(seen, set):

@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .configuration import named_ints
+
 TABLE_CAP = 4096  # largest order for which a multiplication table is materialized
 PERM_CAP = 40320  # largest n! for which the array of all permutations is built
 TABLE_BLOCK = 1 << 18  # table entries computed per array product
@@ -336,20 +338,22 @@ class ProductGroup(FiniteGroup):
 
 
 def make_group(descriptor):
-    """Build a group from a descriptor string, one of
-    cyclic:M, abelian:M1xM2x..., sym:N, wreath:N:BASE."""
-    parts = descriptor.strip().split(":", 1)
-    kind = parts[0]
-    if kind == "cyclic":
-        return CyclicGroup(int(parts[1]))
-    if kind == "abelian":
-        return AbelianGroup(int(m) for m in parts[1].split("x"))
-    if kind == "sym":
-        return SymmetricGroup(int(parts[1]))
+    """Build a group from a descriptor string, one of cyclic:M,
+    abelian:M1xM2x..., sym:N, wreath:N:BASE; else ValueError naming it."""
+    kind, _, size = descriptor.strip().partition(":")
+    base = None
     if kind == "wreath":
-        n, base = parts[1].split(":", 1)
-        return WreathGroup(int(n), make_group(base))
-    raise ValueError("unknown group descriptor %r" % descriptor)
+        size, _, base = size.partition(":")
+    if kind not in ("cyclic", "abelian", "sym", "wreath") or not size or base == "":
+        raise ValueError("group descriptor %r: want cyclic:M, abelian:M1xM2x..., sym:N or wreath:N:BASE" % descriptor)
+    sizes = named_ints("group descriptor %r" % descriptor, size.split("x") if kind == "abelian" else [size])
+    if kind == "cyclic":
+        return CyclicGroup(sizes[0])
+    if kind == "abelian":
+        return AbelianGroup(sizes)
+    if kind == "sym":
+        return SymmetricGroup(sizes[0])
+    return WreathGroup(sizes[0], make_group(base))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ triangle iff p^{k*}_{i,j} > 0.
 verify_realization and verify_simultaneous (one component or several) run
 the same checks, _verify, which builds the intersection tensor (checking a
 second representative of every class) before the sweep, _sweep. The sweep
-reads the triangles between the alpha, beta and starred gamma images from
-the class matrix: one row of n composition classes per starred gamma class,
-at its representative pair, not every nonzero of the tensor; a
-SymmetricPowerView builds them for Sym^k C from its base tensor. Each
-triangle is decoded to its positions (a, b'), (b, c') and (c, a'), and the
-sweep demands that they are exactly the matched triples. A failure is
-reported at the first position in the order of the pair loop (a, b') x
-(b, c'), as the exhaustive loop over all (lm)(mn) pairs would find it."""
+reads the triangles between the alpha, beta and gamma images through
+config.triangles: a configuration reads one row of n composition classes
+per starred gamma class, at its representative pair, not every nonzero of
+the tensor; a SymmetricPowerView, the default for Sym^k C, builds them from
+its base tensor. Each triangle is decoded to its positions (a, b'), (b, c')
+and (c, a'), and the sweep demands that they are exactly the matched
+triples. A failure is reported at the first position in the order of the
+pair loop (a, b') x (b, c'), as the exhaustive loop over all (lm)(mn) pairs
+would find it."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import POINT_CAP, CoherentConfiguration, line_ints, text_file, text_lines
+from .configuration import POINT_CAP, named_ints, text_file, text_lines
 from .constructions import schurian, symmetric_power
 from .groups import WreathGroup, conjugation_action, count_conjugacy_wreath
 
@@ -127,10 +128,10 @@ def _sweep(config, reals):
     injective and pairwise disjoint, in config (a configuration or a
     symmetric-power view) in one pass. Positions are flat indices in
     lexicographic order: x over (component, a, b') of the alpha images, y
-    over (component, b, c') of beta, z over (component, c, a') of the
-    starred gamma images. config.triangles reads the triangles between
-    these classes; each must be a matched triple (one component, b = b',
-    c = c', a = a'), and each matched triple must appear. Returns None, or
+    over (component, b, c') of beta, z over (component, c, a') of gamma.
+    config.triangles reads the triangles (x, y, z), p^{G[z]*}_{A[x], B[y]}
+    > 0; each must be a matched triple (one component, b = b', c = c',
+    a = a'), and each matched triple must appear. Returns None, or
     the first failing sweep position (x, y) with the z of its least
     unexpected triangle, else of its missing matched one, each decoded to
     (component, row, column), and the kind "extra" or "missing"."""
@@ -142,10 +143,6 @@ def _sweep(config, reals):
         for arrs in slots
     ]
     A, B, G = (np.concatenate([a.ravel() for a in arrs]) for arrs in slots)
-    if isinstance(config, CoherentConfiguration):
-        K = config.star_vector()[G]
-    else:
-        K = np.array([config.star(v) for v in G.tolist()], dtype=np.int64)
     # matched triples, ascending in the sweep key x * |B| + y
     parts = []
     for real, oa, ob, og in zip(reals, *(o for o, _ in layout)):
@@ -156,7 +153,7 @@ def _sweep(config, reals):
     if not len(ex):
         return None
     ekey = ex * len(B) + ey
-    x, y, z = config.triangles(A, B, K)
+    x, y, z = config.triangles(A, B, G)
     key = x * len(B) + y
     pos = np.minimum(np.searchsorted(ekey, key), len(ekey) - 1)
     matched = (ekey[pos] == key) & (ez[pos] == z)
@@ -257,15 +254,14 @@ def verify_simultaneous(config, reals):
     )
 
 
-def fibers_realization(config, check=True):
-    """<f,f,f> from one representative point per fiber: alpha(a,b) is the
-    class of (x_a, x_b), and the same matrix serves beta and gamma."""
+def fibers_realization(config):
+    """<f,f,f>, verified, from one representative point per fiber: alpha(a,b)
+    is the class of (x_a, x_b), and the same matrix serves beta and gamma."""
     fs = config.fibers()
     reps = [int(part[0]) for part in fs.parts]
     R = config.matrix[np.ix_(reps, reps)].astype(np.int64)
     real = Realization(R, R, R)
-    if check:
-        verify_realization(config, real)
+    verify_realization(config, real)
     return real
 
 
@@ -355,12 +351,13 @@ def simultaneous_tpp_verify(family):
 # action realizations
 
 
-def action_realization(action, A, B, C, config=None):
+def action_realization(action, A, B, C):
     """Realization of <|A|,|B|,|C|> inside schurian(action), after verifying
     the fixed-point hypothesis: for every f, g, h in the acting group with
     f g h = 1, if fa lands in A, gb in B and hc in C (a in A etc.), then all
     three are fixed. Quantifying over f g h = 1 pairs (f, g) is exhaustive
-    since h is determined. Raises HypothesisViolation with a witness."""
+    since h is determined. Raises HypothesisViolation with a witness.
+    Returns the configuration and the realization."""
     A = [int(x) for x in A]
     B = [int(x) for x in B]
     C = [int(x) for x in C]
@@ -416,8 +413,7 @@ def action_realization(action, A, B, C, config=None):
                 "hypothesis fails at f=%d g=%d h=%d a=%d b=%d c=%d"
                 % (f, gg, hh, a, b, c),
             )
-    if config is None:
-        config = schurian(action)
+    config = schurian(action)
     M = config.matrix
     alpha = M[np.ix_(A, B)]
     beta = M[np.ix_(B, C)]
@@ -525,16 +521,16 @@ class SymmetricPowerView:
     def slice(self, i, j):
         ti = self.tuple_of(i)
         tj = self.tuple_of(j)
+        # the base nonzeros (k, p) of every coordinate pair, in one lookup
+        found = {(a, b): [] for a in ti for b in tj}
+        pair, kk, pp = self.base.pair_nonzeros(np.array(ti)[:, None], np.array(tj))
+        for q, kc, pc in zip(pair.tolist(), kk.tolist(), pp.tolist()):
+            found[ti[q // self.k], tj[q % self.k]].append((kc, pc))
         acc = {}
         for pi in set(itertools.permutations(ti)):
             for pj in set(itertools.permutations(tj)):
-                parts = []
-                for c in range(self.k):
-                    s = self.base.slice(pi[c], pj[c])
-                    if not s:
-                        break
-                    parts.append(list(s.items()))
-                else:
+                parts = [found[a, b] for a, b in zip(pi, pj)]
+                if all(parts):
                     for combo in itertools.product(*parts):
                         key = tuple(sorted(kc for kc, _ in combo))
                         w = 1
@@ -554,21 +550,23 @@ class SymmetricPowerView:
     def _coords(self, ids):
         return np.array([self._tuples[v] for v in ids], dtype=np.int64).reshape(-1, self.k)
 
-    def triangles(self, A, B, K):
+    def triangles(self, A, B, C):
         """Same contract as CoherentConfiguration.triangles: a triple may
-        repeat. Up to a common reordering of coordinates, a
-        triangle (I, J, K) of Sym^k C is k base triangles (I_c, j_c, k_c)
-        whose j_c form J and whose k_c form K: every alignment count is
-        nonnegative, so a product of positive base counts is a positive
-        count. Only base nonzeros between coordinate classes of the images
-        are gathered; their k-fold products along each alpha tuple are
-        formed in chunks of about SYM_CHUNK products, and each product's
-        sorted j and k coordinates are looked up as one base-r integer."""
+        repeat. Up to a common reordering of coordinates, a triangle
+        (I, J, C*) of Sym^k C is k base triangles (I_c, j_c, k_c) whose j_c
+        form J and whose k_c form C*, the base stars of C's coordinates:
+        every alignment count is nonnegative, so a product of positive base
+        counts is a positive count. Only base nonzeros between coordinate
+        classes of the images are gathered; their k-fold products along each
+        alpha tuple are formed in chunks of about SYM_CHUNK products, and
+        each product's sorted j and k coordinates are looked up as one
+        base-r integer."""
         r = self.base.rank
         if r**self.k >= 1 << 62:
             raise ValueError("Sym^%d of rank %d is too large to sweep" % (self.k, r))
         weights = r ** np.arange(self.k - 1, -1, -1)
-        ta, tb, tk = (self._coords(ids) for ids in (A, B, K))
+        ta, tb = self._coords(A), self._coords(B)
+        tk = np.sort(self.base.star_vector[self._coords(C)], axis=1)
         i, j, k, _ = self.base.arrays()
         keep = np.ones(len(i), dtype=bool)
         for coords, c in ((ta, i), (tb, j), (tk, k)):
@@ -628,35 +626,25 @@ def _product_maps(reals, combine):
     return Realization(*(build([getattr(r, s) for r in reals]) for s in ("alpha", "beta", "gamma")))
 
 
-def sympow_realization(config, reals, materialize="auto", point_cap=2000):
+def sympow_realization(config, reals, materialize=False):
     """Realization of the product dims inside Sym^k C, built coordinate-wise
-    from a verified simultaneous realization (one map triple per coordinate).
-    materialize=True builds Sym^k C and verifies there; False verifies
-    against the staged view; "auto" materializes when n^k <= point_cap.
-    Returns (configuration or view, realization)."""
+    from a verified simultaneous realization (one map triple per coordinate)
+    and verified against the staged view of Sym^k C, or with materialize
+    against Sym^k C built by symmetric_power (within POINT_CAP). Returns
+    (view or configuration, realization)."""
     reals = list(reals)
     k = len(reals)
     if k < 1:
         raise ValueError("need at least one component")
     verify_simultaneous(config, reals)
-    n_big = config.n_points**k
-    if materialize == "auto":
-        materialize = n_big <= point_cap
     if materialize:
-        if n_big > point_cap:
-            raise ValueError(
-                "%d points exceed the materialization cap %d"
-                % (n_big, point_cap)
-            )
-        big = symmetric_power(config, k, point_cap=point_cap)
-        index = big.label_index()
-        real = _product_maps(reals, index.__getitem__)
-        verify_realization(big, real)
-        return big, real
-    view = SymmetricPowerView(config.intersection(), k)
-    real = _product_maps(reals, view.intern)
-    verify_realization(view, real)
-    return view, real
+        power = symmetric_power(config, k)
+        real = _product_maps(reals, power.label_index().__getitem__)
+    else:
+        power = SymmetricPowerView(config.intersection(), k)
+        real = _product_maps(reals, power.intern)
+    verify_realization(power, real)
+    return power, real
 
 
 # ---------------------------------------------------------------------------
@@ -687,15 +675,13 @@ def grp_as_realization(family):
     A = embed([t[0] for t in family.triples])
     B = embed([t[1] for t in family.triples])
     C = embed([t[2] for t in family.triples])
-    act = conjugation_action(G)
-    cfg = schurian(act)
+    cfg, real = action_realization(conjugation_action(G), A, B, C)
     expected_rank = count_conjugacy_wreath(n, H.order)
     if cfg.rank != expected_rank:
         raise AssertionError(
             "ambient rank %d, expected %d conjugacy classes"
             % (cfg.rank, expected_rank)
         )
-    cfg2, real = action_realization(act, A, B, C, config=cfg)
     return cfg, real
 
 
@@ -727,7 +713,7 @@ def read_real(path):
     head = lines[1].split()
     if len(head) != 4 or head[0] != "dims":
         raise ValueError("bad dims line %r" % lines[1])
-    l, m, n = line_ints("real", numbered[1][0], head[1:])
+    l, m, n = named_ints("real line %d" % numbered[1][0], head[1:])
     shapes = {"alpha": (l, m), "beta": (m, n), "gamma": (n, l)}
     arrays = {}
     pos = 2
@@ -745,7 +731,7 @@ def read_real(path):
             parts = line.split()
             if len(parts) != 4 or parts[2] != "->":
                 raise ValueError("bad map line %r" % line)
-            x, y, cls = line_ints("real", number, parts[:2] + parts[3:])
+            x, y, cls = named_ints("real line %d" % number, parts[:2] + parts[3:])
             if not (0 <= x < rows and 0 <= y < cols):
                 raise ValueError("index out of range in %r" % line)
             if cls < 0:

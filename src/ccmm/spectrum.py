@@ -308,7 +308,7 @@ def _exact_degrees(config, basis):
     )
 
 
-def _float_degrees(config, basis, seed, cluster_tol):
+def _float_degrees(config, basis, seed):
     """Floating-point degree profile for cross-checking: sorted degrees (or
     None when a cluster dimension is no square) and the idempotent residual
     max(|e^2 - e|, |sum e - I|)."""
@@ -333,7 +333,7 @@ def _float_degrees(config, basis, seed, cluster_tol):
     total = np.zeros((n, n), dtype=np.complex128)
     flat = M.ravel()
     lk = k * r + j
-    cuts = np.flatnonzero(np.diff(vals) > cluster_tol * scale) + 1
+    cuts = np.flatnonzero(np.diff(vals) > CLUSTER_TOL * scale) + 1
     for grp in np.split(np.arange(n), cuts):
         V = vecs[:, grp]
         e = V @ V.conj().T
@@ -350,7 +350,7 @@ def _float_degrees(config, basis, seed, cluster_tol):
             + 1j * np.bincount(lk, weights=w.imag, minlength=r * r)
         ).reshape(r, r)
         sv = np.linalg.svd(L, compute_uv=False)
-        dim = int((sv > cluster_tol * max(float(sv[0]), 1.0)).sum())
+        dim = int((sv > CLUSTER_TOL * max(float(sv[0]), 1.0)).sum())
         d = math.isqrt(dim)
         degrees.append(d if d >= 1 and d * d == dim else None)
     residual = max(residual, float(np.abs(total - np.eye(n)).max()))
@@ -378,7 +378,7 @@ def character_degrees(config, seed=0, cap=SPECTRAL_CAP):
     basis = center_basis(config)
     degrees = _exact_degrees(config, basis)
     for s in (seed, seed + 1):
-        check, residual = _float_degrees(config, basis, s, CLUSTER_TOL)
+        check, residual = _float_degrees(config, basis, s)
         if check == degrees:
             break
     else:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configuration import text_file, text_lines
+from .configuration import named_ints, text_file, text_lines
 from .realization import check_class_ids, is_verified, verify_realization
 from .sets import triangle_free_set
 from .spectrum import SPECTRAL_CAP
@@ -322,25 +322,25 @@ def write_matrix(M, path):
 def read_matrix(path):
     """A matrix file as rows of Fractions: the `rows cols` line, then one
     line of entries per row."""
-    lines = [line for _, line in text_lines(path)]
+    lines = text_lines(path)
     if not lines:
         raise ValueError("empty matrix file")
-    head = lines[0].split()
+    number, head = lines[0][0], lines[0][1].split()
     if len(head) != 2:
         raise ValueError("first line must be `rows cols`")
-    rows, cols = int(head[0]), int(head[1])
+    rows, cols = named_ints("matrix line %d" % number, head)
     if len(lines) != rows + 1:
         raise ValueError("expected %d data rows, got %d" % (rows, len(lines) - 1))
     out = []
-    for ln in lines[1:]:
+    for number, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != cols:
             raise ValueError("row has %d entries, expected %d" % (len(parts), cols))
-        out.append([_entry(p) for p in parts])
+        out.append([_entry(number, p) for p in parts])
     return out
 
 
-def _entry(text):
+def _entry(number, text):
     exp = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
     if exp and abs(int(exp.group(1))) > EXPONENT_CAP:
         raise ValueError("matrix entry %r has an exponent beyond %d" % (text, EXPONENT_CAP))
@@ -348,3 +348,5 @@ def _entry(text):
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("matrix entry %r has a zero denominator" % text) from None
+    except ValueError:
+        raise ValueError("matrix line %d: %r is not a number" % (number, text)) from None

@@ -36,7 +36,6 @@ import numpy as np
 
 from ccmm.configuration import (
     KEY_BLOCK,
-    POINT_CAP,
     AxiomViolation,
     CoherentConfiguration,
     _key_arrays,
@@ -202,8 +201,9 @@ def loop_disjoint(reals, name):
 class MaskTriangles:
     """A configuration whose triangles come from masking every nonzero of
     its intersection tensor by class, as the sweep first read them: each
-    triple once. Its intersection data is itself, so verify_realization
-    and verify_simultaneous run the sweep on it unchanged."""
+    triple once. triangles takes gamma classes C and masks k by their
+    stars. Its intersection data is itself, so verify_realization and
+    verify_simultaneous run the sweep on it unchanged."""
 
     def __init__(self, config):
         self.t = config.intersection()
@@ -212,11 +212,11 @@ class MaskTriangles:
     def intersection(self):
         return self
 
-    def star(self, i):
-        return self.t.star(i)
-
-    def triangles(self, A, B, K):
+    def triangles(self, A, B, C):
         i, j, k, _ = self.t.arrays()
+        C = np.asarray(C)
+        inside = (C >= 0) & (C < self.rank)
+        K = np.where(inside, self.t.star_vector[np.where(inside, C, 0)], -1)
         x, y, z = (_positions(ids, self.rank)[c] for ids, c in ((A, i), (B, j), (K, k)))
         keep = (x >= 0) & (y >= 0) & (z >= 0)
         return x[keep], y[keep], z[keep]
@@ -601,15 +601,13 @@ def gas_realization_matches(family):
     return bool(np.array_equal(cfg.matrix, direct.matrix))
 
 
-def full_row_symmetric_power_rank(
-    config, k, point_cap=POINT_CAP, chunk=64, bitmap_cap=1 << 26
-):
+def full_row_symmetric_power_rank(config, k, chunk=64, bitmap_cap=1 << 26):
     """The Sym^k class count over all n**k rows: each chunk's sorted k-tuples
     of coordinate classes encoded in base r (int32 when r**k < 2**31, else
     int64) and marked in a bitmap, or in a set when r**k exceeds
     bitmap_cap."""
     r = config.rank
-    coords = _power_points(config.n_points, k, point_cap)
+    coords = _power_points(config.n_points, k)
     N = len(coords[0])
     codes = r**k
     if codes > 1 << 62:
@@ -631,11 +629,11 @@ def full_row_symmetric_power_rank(
     return int(seen_bitmap.sum()) if use_bitmap else len(seen_set)
 
 
-def unique_rows_symmetric_power(config, k, check="full", point_cap=POINT_CAP):
+def unique_rows_symmetric_power(config, k, check="full"):
     """Sym^k C with its classes found as the distinct rows of the (N*N, k)
     array of sorted coordinate classes, by np.unique(axis=0)."""
     r = config.rank
-    coords = _power_points(config.n_points, k, point_cap)
+    coords = _power_points(config.n_points, k)
     N = len(coords[0])
     stack = _sorted_classes(config.matrix.astype(np.int64), coords, slice(None))
     flat = np.stack(stack).reshape(k, -1).T

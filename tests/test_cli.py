@@ -230,8 +230,28 @@ def test_realize_sympow_rejects_shared_classes(tmp_path, capsys):
     run(capsys, "realize", "fibers", "--ccfg", cc, "-o", rr)
     rc, out, err = run(capsys, "realize", "sympow", "--ccfg", cc,
                        "--real", rr, "--real", rr)
-    assert rc == 1
-    assert "witness" in err
+    assert (rc, out) == (1, "")
+    assert err == (
+        "witness: ('disjoint', 'alpha', 0, 1, 0)\n"
+        "verification failed: alpha images of components 0 and 1 share class 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, components, line",
+    [
+        (4, 2, "sym^2 realization 16,16,16 in rank 2080 OK\n"),
+        (5, 2, "sym^2 realization 25,25,25 in rank 7875 OK\n"),
+        (3, 1, "sym^1 realization 3,3,3 in rank 27 OK\n"),
+        (5, 1, "sym^1 realization 5,5,5 in rank 125 OK\n"),
+    ],
+)
+def test_realize_sympow_prints_the_materialized_line(tmp_path, capsys, n, components, line):
+    # the lines Sym^k C printed when these sizes were materialized
+    prefix = str(tmp_path / "diag")
+    run(capsys, "realize", "diagonal-example", "--n", str(n), "--out-prefix", prefix)
+    reals = [w for i in range(components) for w in ("--real", "%s.%d.real" % (prefix, i))]
+    assert run(capsys, "realize", "sympow", "--ccfg", prefix + ".ccfg", *reals) == (0, line, "")
 
 
 def test_realize_grp_as_family_file(tmp_path, capsys):
@@ -911,3 +931,56 @@ def test_info_on_a_tensor_beyond_64_bit_codes_is_exit_two(tmp_path, capsys):
     rc, out, err = run(capsys, "info", "--check", "trusted", str(cc))
     assert (rc, out) == (2, "")
     assert err == "error: intersection tensor of rank 263169 on 513 points exceeds 64-bit codes\n"
+
+
+# -- bad number tokens and group descriptors name their source -----------------
+
+WANT = ": want cyclic:M, abelian:M1xM2x..., sym:N or wreath:N:BASE"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "gas", "cyclic"], "group descriptor 'cyclic'" + WANT),
+        (["build", "gas", "wreath:2"], "group descriptor 'wreath:2'" + WANT),
+        (["build", "group-scheme", "cyclic:x"], "group descriptor 'cyclic:x': 'x' is not an integer"),
+        (["build", "gas", "abelian:2xx"], "group descriptor 'abelian:2xx': '' is not an integer"),
+        (["build", "gas", "wreath:x:cyclic:2"], "group descriptor 'wreath:x:cyclic:2': 'x' is not an integer"),
+        (["build", "gas", "wreath:2:cyclic"], "group descriptor 'cyclic'" + WANT),
+        (["realize", "grp-as", "--group", "cyclic", "--family", "{f}"], "group descriptor 'cyclic'" + WANT),
+        (["build", "schurian", "translation:sym:y"], "group descriptor 'sym:y': 'y' is not an integer"),
+        (["build", "trivial", "x"], "build trivial N: 'x' is not an integer"),
+        (["build", "sympow", "{f}", "x"], "build sympow CCFG K: 'x' is not an integer"),
+        (["build", "schurian", "diagonal:x"], "action 'diagonal:x': 'x' is not an integer"),
+        (["build", "schurian", "natural:sym:2.5"], "action 'natural:sym:2.5': '2.5' is not an integer"),
+        (["realize", "diagonal-example", "--n", "5", "--set", "1,x"], "--set: 'x' is not an integer"),
+        (["exponent", "commutative", "--dims", "2,x,2", "--rank", "8"], "--dims: 'x' is not an integer"),
+        (["exponent", "commutative", "--dims", "2,2", "--rank", "8"], "--dims needs three sizes l,m,n, not '2,2'"),
+    ],
+)
+def test_bad_tokens_and_descriptors_are_one_named_error(tmp_path, capsys, argv, message):
+    f = tmp_path / "f"
+    f.write_text("ccfg 1\npoints 1 classes 1\n0\n" if "sympow" in argv else "0 0 0\n")
+    rc, out, err = run(capsys, *(str(f) if a == "{f}" else a for a in argv))
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ("x 2\n1 0\n", "matrix line 1: 'x' is not an integer"),
+        ("# identity\n2 2\n1 0\n1 x\n", "matrix line 4: 'x' is not a number"),
+    ],
+)
+def test_matrix_tokens_name_the_line(tmp_path, capsys, a, message):
+    cc, rr = _diagonal_three(tmp_path, capsys)
+    a = _write_matrix_file(tmp_path / "a.mat", a)
+    b = _write_matrix_file(tmp_path / "b.mat", "3 3\n1 0 0\n0 1 0\n0 0 1\n")
+    rc, out, err = run(capsys, "matmul", "--ccfg", cc, "--real", rr, "--a", a, "--b", b)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_exponent_convert_names_a_bad_stdin_number(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("omega_s <= x\n"))
+    rc, out, err = run(capsys, "exponent", "convert")
+    assert (rc, out, err) == (2, "", "error: stdin line 1: 'x' is not a number\n")

@@ -5,10 +5,12 @@ enumerations on groups small enough to verify by eye."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ccmm import constructions
 from ccmm.configuration import AxiomViolation, CoherentConfiguration
 from ccmm.constructions import (
     _class_codes,
@@ -316,9 +318,16 @@ def test_sym_point_cap():
     with pytest.raises(ValueError):
         symmetric_power(base, 6)  # 6**6 = 46656 points
     with pytest.raises(ValueError):
-        symmetric_power(base, 2, point_cap=10)
-    with pytest.raises(ValueError):
         symmetric_power(base, 0)
+    # 2**15 = 32768 points: refused before the 32768 x 32768 class matrix
+    two = trivial_configuration(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^2\*\*15 = 32768 points exceeds cap 20000$"):
+            symmetric_power(two, 15)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_commutative_implies_scheme_across_builders():
@@ -361,10 +370,11 @@ def test_streaming_rank_law_medium():
     assert symmetric_power_rank(cfg, 2) == math.comb(cfg.rank + 1, 2)
 
 
-def test_streaming_rank_set_path():
+def test_streaming_rank_set_path(monkeypatch):
     cfg = group_scheme(CyclicGroup(3))
     want = symmetric_power_rank(cfg, 2)
-    assert symmetric_power_rank(cfg, 2, bitmap_cap=0) == want
+    monkeypatch.setattr(constructions, "RANK_BITMAP_CAP", 0)
+    assert symmetric_power_rank(cfg, 2) == want
 
 
 def test_streaming_rank_respects_point_cap():
@@ -381,7 +391,7 @@ def test_streaming_rank_k1_is_rank():
 def test_sorting_network_sorts_coordinate_classes(k):
     rng = np.random.default_rng(k)
     M = rng.integers(0, 4, size=(3, 3))
-    coords = _power_points(3, k, 10**6)
+    coords = _power_points(3, k)
     assert len(coords) == k
     rows = slice(2, 7)
     got = _sorted_classes(M, coords, rows)
@@ -399,18 +409,20 @@ def test_sorted_rows_are_ranks_of_multisets(n, k):
         sum(t[i] * n ** (k - 1 - i) for i in range(k))
         for t in itertools.combinations_with_replacement(range(n), k)
     ]
-    assert _sorted_rows(_power_points(n, k, 10**6)).tolist() == want
+    assert _sorted_rows(_power_points(n, k)).tolist() == want
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_sorted_row_count_equals_full_row_count(k):
+def test_sorted_row_count_equals_full_row_count(monkeypatch, k):
     checked = 0
     for name, cfg in corpus():
         if cfg.n_points**k > 20000:
             continue
         want = full_row_symmetric_power_rank(cfg, k)
         assert symmetric_power_rank(cfg, k) == want, (name, k)
-        assert symmetric_power_rank(cfg, k, bitmap_cap=0) == want, (name, k)
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "RANK_BITMAP_CAP", 0)
+            assert symmetric_power_rank(cfg, k) == want, (name, k)
         checked += 1
     assert checked >= 20
 
@@ -421,7 +433,7 @@ def test_class_codes_widen_at_two_to_the_31(r, dtype):
     # the codes reach r**4 - 1
     M = r - 1 - np.random.default_rng(r).integers(0, 3, size=(3, 3))
     M[0, 0] = r - 1
-    coords = _power_points(3, 4, 10**6)
+    coords = _power_points(3, 4)
     codes = _class_codes(M, coords, slice(None), r)
     assert codes.dtype == dtype
     want = [

@@ -1,7 +1,9 @@
-"""Fuzzing of the text formats and of the size arguments through the
-command line: whatever the input text or argument, a verb exits 0, 1 or 2,
-never with a traceback; exit 2 comes with exactly one `error:` line and
-exit 1 with a `witness:` line. The matrix verbs never exit 1."""
+"""Fuzzing of the text formats, of the size arguments and of group and
+action descriptors through the command line: whatever the input text or
+argument, a verb exits 0, 1 or 2, never with a traceback; exit 2 comes with
+exactly one `error:` line in the program's own words and exit 1 with a
+`witness:` line. The matrix verbs never exit 1; a malformed descriptor or
+a token that is no integer always exits 2."""
 
 import contextlib
 import io
@@ -148,6 +150,10 @@ def mutated(draw, lines, alphabet):
     return "\n".join(lines) + "\n"
 
 
+# phrases of Python's own messages, which an error line must not pass on
+PYTHON_TEXT = ("Traceback", "invalid literal", "unpack", "could not convert")
+
+
 def run_clean(argv):
     """Run a verb and check the exit-code contract; returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
@@ -158,6 +164,7 @@ def run_clean(argv):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not any(phrase in lines[0] for phrase in PYTHON_TEXT), lines
     elif rc == 1:
         assert any(line.startswith("witness: ") for line in lines), lines
     else:
@@ -245,7 +252,8 @@ ARGUMENT_VERBS = {
     "demo jminusi": (["demo", "jminusi", "--n", "{}"], 300, SPECTRAL_CAP + 1),
     "demo unweight": (["demo", "unweight", "--seed", "0", "--n", "{}"], 10**12, 10**12),
 }
-WORDS = st.sampled_from(["x", "", " ", "1.5", "1e3", "0x10", "nan", "-", "--", "1/2", "3 4", "-x"])
+NON_INTEGERS = ["x", "", " ", "1.5", "1e3", "0x10", "nan", "-", "--", "1/2", "3 4", "-x"]
+WORDS = st.sampled_from(NON_INTEGERS)
 
 
 @st.composite
@@ -256,25 +264,61 @@ def verb_argument(draw):
     return verb, draw(sizes | WORDS)
 
 
+# verb -> argv with a malformed group or action descriptor, or a token that
+# is no integer, at {}
+TOKEN_VERBS = {
+    "build gas": ["build", "gas", "{}"],
+    "build group-scheme": ["build", "group-scheme", "{}"],
+    "realize grp-as": ["realize", "grp-as", "--group", "{}", "--family", "{family}"],
+    "build schurian ACTION": ["build", "schurian", "{}"],
+    "realize diagonal-example --set": ["realize", "diagonal-example", "--n", "5", "--set", "0,{}"],
+    "exponent commutative --dims": ["exponent", "commutative", "--dims", "2,{},2", "--rank", "8"],
+}
+# each kind with a tail that no descriptor of that kind accepts
+TAILS = st.sampled_from(["", ":", ":x", ":2x", ":2xx", ":x2", ":1.5", ": ", ":-", ":2:", ":1e3", ":0x10"])
+GROUPS = st.builds(str.__add__, st.sampled_from(["cyclic", "abelian", "sym", "wreath", "wreath:2", "dihedral", ""]), TAILS)
+ACTIONS = st.builds(str.__add__, st.sampled_from(["translation:", "conjugation:"]), GROUPS) | st.builds(
+    str.__add__, st.sampled_from(["diagonal", "natural", "natural:sym", "orbit"]), TAILS
+)
+
+
+DESCRIPTORS = {"build gas": GROUPS, "build group-scheme": GROUPS, "realize grp-as": GROUPS, "build schurian ACTION": ACTIONS}
+
+
+@st.composite
+def malformed_argument(draw):
+    verb = draw(st.sampled_from(sorted(TOKEN_VERBS)))
+    return verb, draw(DESCRIPTORS.get(verb, WORDS))
+
+
 @pytest.fixture(scope="module")
-def cyclic_five(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("args") / "c5.ccfg")
-    write_ccfg(group_scheme(make_group("cyclic:5")), path)
-    return path
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("args")
+    write_ccfg(group_scheme(make_group("cyclic:5")), str(root / "c5.ccfg"))
+    (root / "family.txt").write_text("0 0 0\n")
+    return {"ccfg": str(root / "c5.ccfg"), "family": str(root / "family.txt")}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=verb_argument())
+@given(case=verb_argument() | malformed_argument())
 @example(case=("demo unweight", "3"))
 # each once asked numpy for gigabytes before a cap was compared
 @example(case=("build trivial", "20001"))
 @example(case=("build schurian", "2000"))
 @example(case=("realize diagonal-example", "2000"))
 @example(case=("demo jminusi", "200000"))
-def test_verb_arguments_never_traceback(cyclic_five, case):
+# each once printed Python's own message or a traceback
+@example(case=("build gas", "cyclic"))
+@example(case=("realize grp-as", "wreath:2"))
+@example(case=("build group-scheme", "abelian:2xx"))
+@example(case=("build trivial", "x"))
+def test_verb_arguments_never_traceback(inputs, case):
     verb, value = case
-    argv = [w.format(value, ccfg=cyclic_five) for w in ARGUMENT_VERBS[verb][0]]
+    template = ARGUMENT_VERBS[verb][0] if verb in ARGUMENT_VERBS else TOKEN_VERBS[verb]
+    argv = [w.format(value, **inputs) for w in template]
     start = time.perf_counter()
     rc = run_clean(argv)
     if rc == 2:
         assert time.perf_counter() - start < 1.0, argv
+    if verb in TOKEN_VERBS or value in NON_INTEGERS:
+        assert rc == 2, argv

@@ -12,6 +12,7 @@ with a part of size 3+ exists)."""
 
 import io
 import itertools
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -34,6 +35,7 @@ from ccmm.realization import (
     HypothesisViolation,
     Realization,
     RealizationInvalid,
+    SymmetricPowerView,
     TripleFamily,
     action_realization,
     diagonal_action,
@@ -325,17 +327,16 @@ def test_action_realization_tpp_equivalence_z6():
     g = make_group("cyclic:6")
     act = left_translation_action(g)
     subsets = [[0], [0, 1], [0, 2], [0, 3], [1, 4]]
-    cfg = schurian(act)
     for A in subsets:
         for B in subsets:
             for C in subsets:
                 expected = tpp_verify(g, A, B, C)
                 if expected:
-                    _, real = action_realization(act, A, B, C, config=cfg)
+                    _, real = action_realization(act, A, B, C)
                     assert real.dims == (len(A), len(B), len(C))
                 else:
                     with pytest.raises(HypothesisViolation):
-                        action_realization(act, A, B, C, config=cfg)
+                        action_realization(act, A, B, C)
 
 
 def test_action_realization_witness_is_genuine():
@@ -499,10 +500,26 @@ def test_sympow_rejects_uns_verified_overlap():
         sympow_realization(cfg, [r0, r0])
 
 
-def test_sympow_materialize_cap():
+def test_sympow_stages_by_default():
     cfg, reals = diagonal_example(5, S=[0, 1])
-    with pytest.raises(ValueError):
-        sympow_realization(cfg, reals, materialize=True, point_cap=100)
+    for k in (1, 2):
+        view, real = sympow_realization(cfg, reals[:k])
+        assert isinstance(view, SymmetricPowerView)
+        assert real.dims == (5**k,) * 3
+
+
+def test_sympow_materialize_cap():
+    # Sym^2 of 169 points has 28561 > POINT_CAP points: refused in one line
+    # before its 28561 x 28561 class matrix
+    cfg, reals = diagonal_example(13)
+    cfg.intersection()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^169\*\*2 = 28561 points exceeds cap 20000$"):
+            sympow_realization(cfg, reals[:2], materialize=True)
+        assert tracemalloc.get_traced_memory()[1] < 64 << 20
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------------------------------- grp-as

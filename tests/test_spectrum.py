@@ -418,7 +418,7 @@ def test_exact_degrees_match_float_cross_check_on_corpus():
     for name, cfg in corpus():
         basis = center_basis(cfg)
         exact = _exact_degrees(cfg, basis)
-        check, residual = _float_degrees(cfg, basis, 0, 1e-8)
+        check, residual = _float_degrees(cfg, basis, 0)
         assert check == exact, name
         assert sum(d * d for d in exact) == cfg.rank, name
         assert residual < 1e-6, name
@@ -429,8 +429,8 @@ def _wrong_cross_checks(monkeypatch, times):
     real = spectrum._float_degrees
     calls = []
 
-    def wrapped(config, basis, seed, cluster_tol):
-        degrees, residual = real(config, basis, seed, cluster_tol)
+    def wrapped(config, basis, seed):
+        degrees, residual = real(config, basis, seed)
         calls.append(seed)
         return (degrees[:-1] if len(calls) <= times else degrees), residual
 

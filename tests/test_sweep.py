@@ -95,7 +95,7 @@ def test_corpus_fibers_realizations_match_reference_loop():
     rng = random.Random(11)
     rejected = 0
     for name, cfg in corpus():
-        real = fibers_realization(cfg, check=False)
+        real = fibers_realization(cfg)
         cases = assert_single_matches(cfg, real, other_class(cfg.rank, rng), rng)
         rejected += sum(
             isinstance(outcome(verify_realization, cfg, c), tuple) for c in cases
@@ -156,9 +156,8 @@ def test_sym2_of_diagonal_4_matches_reference_loop():
 
 def test_staged_triangles_do_not_depend_on_chunk_size(monkeypatch):
     cfg, reals = diagonal_example(4)
-    view, real = sympow_realization(cfg, reals, materialize=False)
-    K = np.array([view.star(int(v)) for v in real.gamma.ravel()])
-    args = (real.alpha.ravel(), real.beta.ravel(), K)
+    view, real = sympow_realization(cfg, reals)
+    args = (real.alpha.ravel(), real.beta.ravel(), real.gamma.ravel())
     whole = set(zip(*(a.tolist() for a in view.triangles(*args))))
     for chunk in (1, 7, 1000):
         monkeypatch.setattr(realization, "SYM_CHUNK", chunk)
@@ -275,13 +274,15 @@ def test_class_row_triangles_are_the_masked_nonzeros():
     rng = random.Random(5)
     for name, cfg in corpus():
         r = cfg.rank
+        star = cfg.star_vector()
         for _ in range(4):
-            A, B, K = (np.array(rng.sample(range(-2, r + 2), min(r + 4, rng.randint(1, 6)))) for _ in range(3))
-            got = list(zip(*(a.tolist() for a in cfg.triangles(A, B, K))))
-            want = set(zip(*(a.tolist() for a in MaskTriangles(cfg).triangles(A, B, K))))
+            A, B, C = (np.array(rng.sample(range(-2, r + 2), min(r + 4, rng.randint(1, 6)))) for _ in range(3))
+            got = list(zip(*(a.tolist() for a in cfg.triangles(A, B, C))))
+            want = set(zip(*(a.tolist() for a in MaskTriangles(cfg).triangles(A, B, C))))
             assert set(got) == want, name
-            # a triangle (x, y, z) is read p^{K[z]}_{A[x], B[y]} times
-            pos = [{c: x for x, c in enumerate(ids.tolist())} for ids in (A, B, K)]
+            # a triangle (x, y, z) is read p^{C[z]*}_{A[x], B[y]} times
+            K = [int(star[c]) if 0 <= c < r else -1 for c in C.tolist()]
+            pos = [{c: x for x, c in enumerate(ids)} for ids in (A.tolist(), B.tolist(), K)]
             counts = {
                 (pos[0][a], pos[1][b], pos[2][c]): v
                 for a, b, c, v in cfg.intersection().iter_nonzero()
@@ -361,7 +362,7 @@ def _product_cases():
     corpus configuration with several fibers and at most 12 points, one of
     a single fiber, and the diagonal components of n = 3."""
     out = [
-        (cfg, fibers_realization(cfg, check=False))
+        (cfg, fibers_realization(cfg))
         for name, cfg in corpus()
         if (cfg.n_fibers > 1 and cfg.n_points <= 12) or name == "grp:cyclic:5"
     ]
