@@ -441,7 +441,7 @@ class IntersectionTensor:
         broadcast shape, ascending. A pair with a class id outside [0, r)
         has no nonzeros."""
         r = self.rank
-        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
+        i, j = np.broadcast_arrays(np.asarray(i, np.int64), np.asarray(j, np.int64))
         key = np.where((i >= 0) & (i < r) & (j >= 0) & (j < r), i * r + j, -1).ravel()
         q = np.minimum(np.searchsorted(self._pairs, key), len(self._pairs) - 1)
         start = self._starts[q]
@@ -455,8 +455,13 @@ class IntersectionTensor:
 
     def slice(self, i, j):
         """{k: p^k_{i,j}} over the nonzero entries of one pair."""
-        _, k, p = self.pair_nonzeros(i, j)
-        return dict(zip(k.tolist(), p.tolist()))
+        r = self.rank
+        s = e = 0
+        if 0 <= i < r and 0 <= j < r:
+            q = int(self._pairs.searchsorted(i * r + j))
+            if q < len(self._pairs) and self._pairs[q] == i * r + j:
+                s, e = self._starts[q], self._starts[q + 1]
+        return dict(zip(self._nz[2][s:e].tolist(), self._nz[3][s:e].tolist()))
 
 
 def _positions(ids, r):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,10 +229,7 @@ def verify_realization(config, real):
     if fail is None:
         return True
     (_, a, bp), (_, b, cp), (_, c, ap), kind = fail
-    message = {
-        "extra": "unexpected triangle for",
-        "missing": "matched triple is not a triangle for",
-    }[kind]
+    message = "unexpected triangle for" if kind == "extra" else "matched triple is not a triangle for"
     raise RealizationInvalid(
         ("triangle", a, ap, b, bp, c, cp, kind),
         "%s a=%d a'=%d b=%d b'=%d c=%d c'=%d" % (message, a, ap, b, bp, c, cp),
@@ -351,16 +349,19 @@ def simultaneous_tpp_verify(family):
 # action realizations
 
 
+# schurian(action) of each live action, built once: a caller that tries
+# many subset triples on one action shares its configuration and tensor
+_SCHEMES = weakref.WeakKeyDictionary()
+
+
 def action_realization(action, A, B, C):
     """Realization of <|A|,|B|,|C|> inside schurian(action), after verifying
     the fixed-point hypothesis: for every f, g, h in the acting group with
     f g h = 1, if fa lands in A, gb in B and hc in C (a in A etc.), then all
     three are fixed. Quantifying over f g h = 1 pairs (f, g) is exhaustive
     since h is determined. Raises HypothesisViolation with a witness.
-    Returns the configuration and the realization."""
-    A = [int(x) for x in A]
-    B = [int(x) for x in B]
-    C = [int(x) for x in C]
+    Returns schurian(action), built once per action, and the realization."""
+    A, B, C = ([int(x) for x in part] for part in (A, B, C))
     if not A or not B or not C:
         raise ValueError("subsets must be non-empty")
     for name, part in (("A", A), ("B", B), ("C", C)):
@@ -413,7 +414,9 @@ def action_realization(action, A, B, C):
                 "hypothesis fails at f=%d g=%d h=%d a=%d b=%d c=%d"
                 % (f, gg, hh, a, b, c),
             )
-    config = schurian(action)
+    config = _SCHEMES.get(action)
+    if config is None:
+        config = _SCHEMES[action] = schurian(action)
     M = config.matrix
     alpha = M[np.ix_(A, B)]
     beta = M[np.ix_(B, C)]
@@ -457,21 +460,15 @@ def diagonal_example(n, S=None):
     if len(S) == 0:
         raise ValueError("need a non-empty 3AP-free set")
     cfg = schurian(action)
-    M = cfg.matrix
+    xs = np.arange(n)  # the points (0, x), codes x; (u, v) has code u*n + v
 
-    def pt(u, v):
-        return (u % n) * n + (v % n)
+    def grid(u, v):
+        return cfg.matrix[np.ix_(xs, (u % n) * n + v % n)].astype(np.int64)
 
-    xs = np.arange(n)
     reals = []
     for i in S.elements:
-        rows = np.array([pt(0, x) for x in xs])
-        cols_ab = np.array([pt(i, i + y) for y in xs])
-        alpha = M[np.ix_(rows, cols_ab)].astype(np.int64)
-        beta = alpha.copy()  # beta_i(y,z) = (y, i-y, z), same lookup grid
-        cols_g = np.array([pt(-2 * i, x - 2 * i) for x in xs])
-        gamma = M[np.ix_(rows, cols_g)].astype(np.int64)
-        reals.append(Realization(alpha, beta, gamma))
+        alpha = grid(i, i + xs)  # beta_i(y,z) = (y, i-y, z) reads the same grid
+        reals.append(Realization(alpha, alpha.copy(), grid(-2 * i, xs - 2 * i)))
     verify_simultaneous(cfg, reals)
     return cfg, reals
 
@@ -521,16 +518,16 @@ class SymmetricPowerView:
     def slice(self, i, j):
         ti = self.tuple_of(i)
         tj = self.tuple_of(j)
-        # the base nonzeros (k, p) of every coordinate pair, in one lookup
-        found = {(a, b): [] for a in ti for b in tj}
-        pair, kk, pp = self.base.pair_nonzeros(np.array(ti)[:, None], np.array(tj))
-        for q, kc, pc in zip(pair.tolist(), kk.tolist(), pp.tolist()):
-            found[ti[q // self.k], tj[q % self.k]].append((kc, pc))
         acc = {}
         for pi in set(itertools.permutations(ti)):
             for pj in set(itertools.permutations(tj)):
-                parts = [found[a, b] for a, b in zip(pi, pj)]
-                if all(parts):
+                parts = []
+                for c in range(self.k):
+                    s = self.base.slice(pi[c], pj[c])
+                    if not s:
+                        break
+                    parts.append(list(s.items()))
+                else:
                     for combo in itertools.product(*parts):
                         key = tuple(sorted(kc for kc, _ in combo))
                         w = 1
@@ -630,8 +627,9 @@ def sympow_realization(config, reals, materialize=False):
     """Realization of the product dims inside Sym^k C, built coordinate-wise
     from a verified simultaneous realization (one map triple per coordinate)
     and verified against the staged view of Sym^k C, or with materialize
-    against Sym^k C built by symmetric_power (within POINT_CAP). Returns
-    (view or configuration, realization)."""
+    against Sym^k C built by symmetric_power. POINT_CAP bounds its points,
+    not the N^2 cells of its class matrix, so materialize is meant for
+    small powers. Returns (view or configuration, realization)."""
     reals = list(reals)
     k = len(reals)
     if k < 1:
@@ -666,15 +664,10 @@ def grp_as_realization(family):
     G = WreathGroup(n, H)
     ident = tuple(range(n))
 
-    def embed(parts):
-        return [
-            G.encode(vec, ident)
-            for vec in itertools.product(*parts)
-        ]
-
-    A = embed([t[0] for t in family.triples])
-    B = embed([t[1] for t in family.triples])
-    C = embed([t[2] for t in family.triples])
+    A, B, C = (
+        [G.encode(vec, ident) for vec in itertools.product(*(t[p] for t in family.triples))]
+        for p in range(3)
+    )
     cfg, real = action_realization(conjugation_action(G), A, B, C)
     expected_rank = count_conjugacy_wreath(n, H.order)
     if cfg.rank != expected_rank:

@@ -341,7 +341,7 @@ def read_matrix(path):
 
 
 def _entry(number, text):
-    exp = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", text)
     if exp and abs(int(exp.group(1))) > EXPONENT_CAP:
         raise ValueError("matrix entry %r has an exponent beyond %d" % (text, EXPONENT_CAP))
     try:

@@ -970,6 +970,8 @@ def test_bad_tokens_and_descriptors_are_one_named_error(tmp_path, capsys, argv, 
     [
         ("x 2\n1 0\n", "matrix line 1: 'x' is not an integer"),
         ("# identity\n2 2\n1 0\n1 x\n", "matrix line 4: 'x' is not a number"),
+        ("2 2\n1 0\n1e5_ 1\n", "matrix line 3: '1e5_' is not a number"),
+        ("2 2\n1e1__2 0\n0 1\n", "matrix line 2: '1e1__2' is not a number"),
     ],
 )
 def test_matrix_tokens_name_the_line(tmp_path, capsys, a, message):

@@ -361,6 +361,16 @@ def test_action_realization_fixed_point():
     assert real.dims == (1, 1, 1)
 
 
+def test_action_realization_builds_one_configuration_per_action():
+    act = left_translation_action(make_group("cyclic:6"))
+    cfg, _ = action_realization(act, [0], [0], [0])
+    again, real = action_realization(act, [0], [0, 1], [0])
+    assert again is cfg and real.dims == (1, 2, 1)
+    assert np.array_equal(cfg.matrix, schurian(act).matrix)
+    other, _ = action_realization(left_translation_action(make_group("cyclic:6")), [0], [0], [0])
+    assert other is not cfg
+
+
 def test_action_realization_validation():
     g = make_group("cyclic:4")
     act = left_translation_action(g)

@@ -154,6 +154,34 @@ def test_sym2_of_diagonal_4_matches_reference_loop():
     assert_single_matches(big, breal, other_class(big.rank, rng), rng)
 
 
+@pytest.mark.parametrize(
+    "name, k",
+    [
+        ("grp:sym:3", 2),
+        ("schurian:diagonal-2", 2),
+        ("schurian:conj-sym-3", 2),
+        ("fuse:cyclic6-inverse-pairs", 2),
+        ("trivial:3", 2),
+        ("schurian:natural-sym-3", 3),
+        ("grp:cyclic:3", 3),
+    ],
+)
+def test_view_slice_equals_the_materialized_tensor(name, k):
+    """Every class pair of Sym^k C, the tuples that repeat a base class
+    (the identity among them) included."""
+    cfg = dict(corpus())[name]
+    big = symmetric_power(cfg, k)
+    tensor = big.intersection()
+    view = SymmetricPowerView(cfg.intersection(), k)
+    index = big.label_index()
+    ids = [view.intern(label) for label in big.class_labels]
+    assert any(len(set(label)) < k for label in big.class_labels)
+    for i, vi in enumerate(ids):
+        for j, vj in enumerate(ids):
+            got = {index[view.tuple_of(v)]: p for v, p in view.slice(vi, vj).items()}
+            assert got == tensor.slice(i, j), (big.class_labels[i], big.class_labels[j])
+
+
 def test_staged_triangles_do_not_depend_on_chunk_size(monkeypatch):
     cfg, reals = diagonal_example(4)
     view, real = sympow_realization(cfg, reals)
