@@ -509,6 +509,11 @@ class SymmetricPowerView:
         return got
 
     def tuple_of(self, cid):
+        if not 0 <= cid < len(self._tuples):
+            raise ValueError(
+                "class %d of Sym^%d was never interned (%d of %d ids are)"
+                % (cid, self.k, len(self._tuples), self.rank)
+            )
         return self._tuples[cid]
 
     def star(self, cid):
@@ -545,7 +550,10 @@ class SymmetricPowerView:
         return out
 
     def _coords(self, ids):
-        return np.array([self._tuples[v] for v in ids], dtype=np.int64).reshape(-1, self.k)
+        ids = np.asarray(ids, dtype=np.int64)
+        for v in ids[(ids < 0) | (ids >= len(self._tuples))][:1]:
+            self.tuple_of(int(v))  # raises, naming the id
+        return np.array([self._tuples[v] for v in ids.tolist()], dtype=np.int64).reshape(-1, self.k)
 
     def triangles(self, A, B, C):
         """Same contract as CoherentConfiguration.triangles: a triple may

@@ -12,14 +12,25 @@ center. The number of components of degree d is t - rank(T - d^2 E).
 These ranks are taken modulo a prime, which can only undercount them, so
 the counts are certified by summing to t (and their squares to r).
 
+Three certificates skip work. A commutative algebra (p^k_{i,j} = p^k_{j,i},
+checked exactly on the intersection tensor) is its own center, so its class
+basis is the center basis. A center of dimension t = r has every degree 1,
+since r positive squares that sum to r are all 1. The count walks d upward
+and stops at the first d where the counts sum to t and their c * d^2 to r:
+if the counts up to d overcount by x components, the true components above
+d number x and take at most d^2 x of r, yet each needs more than d^2, so
+x = 0.
+
 Floating point is only a cross-check that reports its residual. One seeded
 generic Hermitian central element is diagonalized; its eigenspace clusters
 give the central primitive idempotents e_s, and d_s^2 is the rank of the
 regular representation of e_s. Eigenvalues are clustered at 1e-8 * norm and
-idempotent residuals must stay below 1e-6. The element is Hermitian rather
-than real symmetric: a real symmetric central element takes equal values on
-complex-conjugate character pairs (already for the Z/5 scheme), so it could
-never separate them, while generic Hermitian elements do."""
+idempotent residuals must stay below 1e-6. For a cluster of eigenvectors
+V, e = V V^H, and the residual is the larger of max|V (V^H V - I) V^H| =
+max|e e - e| and |vecs vecs^H - I| = |sum e - I|. The element is Hermitian
+rather than real symmetric: a real symmetric central element takes equal
+values on complex-conjugate character pairs (already for the Z/5 scheme),
+so it could never separate them, while generic Hermitian elements do."""
 
 from __future__ import annotations
 
@@ -29,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .configuration import KEY_BLOCK
 
 SPECTRAL_CAP = 2000
 CLUSTER_TOL = 1e-8  # relative eigenvalue gap that separates two clusters
@@ -121,13 +134,9 @@ def _lift(u, m):
 
 def _integerize(vec):
     """Scale a Fraction vector to coprime integers (exact)."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    den = math.lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -212,8 +221,11 @@ def center_basis(config):
     lift is returned only when it is certified complete: its vectors are
     independent, each commutes exactly with every class, and their number
     equals the kernel dimension modulo the primes, which is at least the
-    center's dimension."""
+    center's dimension. A commutative algebra is its own center (see the
+    module docstring)."""
     r = config.rank
+    if config.is_commutative():
+        return [[int(a == b) for b in range(r)] for a in range(r)]
     nz = config.intersection().arrays()
     best, residues, modulus = None, None, 1
     for attempt, prime in enumerate(PRIMES):
@@ -257,7 +269,9 @@ class DegreeProfile:
 def _degree_counts(T, G, s, r, prime):
     """Components per degree d from t - rank(T - d^2 E) over F_prime, where
     E_ab = sum_c gamma^c_ab w_c, gamma^c_ab = G[a, c, b] / s_c and
-    w_c = sum_d gamma^d_cd. None when the prime divides a scale s_c."""
+    w_c = sum_d gamma^d_cd. None when the prime divides a scale s_c.
+    d stops at the first value where the counts sum to t and c * d^2 sums
+    to r (see the module docstring), else at isqrt(r)."""
     if any(v % prime == 0 for v in s):
         return None
     inv = np.array([pow(int(v), -1, prime) for v in s], dtype=np.int64)
@@ -266,17 +280,20 @@ def _degree_counts(T, G, s, r, prime):
     w = (np.diagonal(Gp, axis1=1, axis2=2) * inv % prime).sum(axis=1) % prime
     E = (Gp * (w * inv % prime)[None, :, None] % prime).sum(axis=1) % prime
     Tp = np.array(T % prime, dtype=np.int64)
-    return {
-        d: t - len(_rref_mod((Tp - d * d * E) % prime, prime)[1])
-        for d in range(1, math.isqrt(r) + 1)
-    }
+    counts, found, squares = {}, 0, 0
+    for d in range(1, math.isqrt(r) + 1):
+        counts[d] = t - len(_rref_mod((Tp - d * d * E) % prime, prime)[1])
+        found += counts[d]
+        squares += counts[d] * d * d
+        if found == t and squares == r:
+            break
+    return counts
 
 
-def _exact_degrees(config, basis):
-    """Sorted character degrees from a certified center basis, by ranks of
-    the Gram matrices T and E (see the module docstring) modulo a prime.
-    A rank modulo a prime never exceeds the rational rank, so every count
-    is at least the true one; counts that sum to t are therefore exact."""
+def _gram_matrices(config, basis):
+    """The Gram matrix T, the coordinates G of the products b_a b_b on the
+    free columns of the basis (times the scales s) and the scales s that
+    _degree_counts reads (see the module docstring)."""
     r = config.rank
     nz = config.intersection().arrays()
     i, j, k, p = nz
@@ -289,9 +306,20 @@ def _exact_degrees(config, basis):
     tau = np.zeros(r, dtype=np.int64)  # tau_i = trace of L_i
     np.add.at(tau, i[j == k], p[j == k])
     T = _exact_matmul(prods.transpose(0, 2, 1).reshape(t * t, r), tau[:, None])
-    T = T.reshape(t, t)
     G = prods[:, free, :]  # coordinates of b_a b_b, times s_c
     s = [int(B[c, f]) for c, f in enumerate(free)]
+    return T.reshape(t, t), G, s
+
+
+def _exact_degrees(config, basis):
+    """Sorted character degrees from a certified center basis, by ranks of
+    the Gram matrices T and E (see the module docstring) modulo a prime.
+    A rank modulo a prime never exceeds the rational rank, so every count
+    is at least the true one; counts that sum to t are therefore exact."""
+    r, t = config.rank, len(basis)
+    if t == r:  # r positive squares that sum to r are all 1
+        return (1,) * r
+    T, G, s = _gram_matrices(config, basis)
     for prime in PRIMES:
         counts = _degree_counts(T, G, s, r, prime)
         if counts is None:
@@ -308,10 +336,25 @@ def _exact_degrees(config, basis):
     )
 
 
+def _idempotent_residual(vecs, groups):
+    """max(|e^2 - e|, |sum e - I|) over the clusters e = V V^H, V the
+    columns of vecs in a group, read as e^2 - e = V (V^H V - I) V^H (n^2 k
+    for a cluster of k columns) and sum e = vecs vecs^H."""
+    n = vecs.shape[0]
+    residual = float(np.abs(vecs @ vecs.conj().T - np.eye(n)).max())
+    for grp in groups:
+        V = vecs[:, grp]
+        Vh = V.conj().T
+        defect = Vh @ V - np.eye(len(grp))
+        residual = max(residual, float(np.abs(V @ defect @ Vh).max()))
+    return residual
+
+
 def _float_degrees(config, basis, seed):
     """Floating-point degree profile for cross-checking: sorted degrees (or
-    None when a cluster dimension is no square) and the idempotent residual
-    max(|e^2 - e|, |sum e - I|)."""
+    None when a cluster dimension is no square) and the residual from
+    _idempotent_residual. The regular representations L_e are ranked by
+    stacked SVDs of about KEY_BLOCK cells each."""
     r = config.rank
     n = config.n_points
     M = config.matrix
@@ -328,32 +371,36 @@ def _float_degrees(config, basis, seed):
     H = (sym + sym.T) + 1j * (skew - skew.T)
     scale = max(float(np.abs(H).max()), 1.0)
     vals, vecs = np.linalg.eigh(H)
-    degrees = []
-    residual = 0.0
-    total = np.zeros((n, n), dtype=np.complex128)
     flat = M.ravel()
-    lk = k * r + j
     cuts = np.flatnonzero(np.diff(vals) > CLUSTER_TOL * scale) + 1
-    for grp in np.split(np.arange(n), cuts):
+    groups = np.split(np.arange(n), cuts)
+    residual = _idempotent_residual(vecs, groups)
+    # cs[g, c]: e_g = sum_c cs[g, c] A_c
+    cs = np.empty((len(groups), r), dtype=np.complex128)
+    for g, grp in enumerate(groups):
         V = vecs[:, grp]
-        e = V @ V.conj().T
-        total += e
-        residual = max(residual, float(np.abs(e @ e - e).max()))
-        # e = sum_c c_c A_c, and L_e[k, j] = sum_i c_i p^k_{i,j}
-        c = (
-            np.bincount(flat, weights=e.real.ravel(), minlength=r)
-            + 1j * np.bincount(flat, weights=e.imag.ravel(), minlength=r)
+        e = (V @ V.conj().T).ravel()
+        cs[g] = (
+            np.bincount(flat, weights=e.real, minlength=r)
+            + 1j * np.bincount(flat, weights=e.imag, minlength=r)
         ) / sizes
-        w = c[i] * p
-        L = (
-            np.bincount(lk, weights=w.real, minlength=r * r)
-            + 1j * np.bincount(lk, weights=w.imag, minlength=r * r)
-        ).reshape(r, r)
+    # L_e[k, j] = sum_i cs[g, i] p^k_{i,j}
+    lk = k * r + j
+    step = max(1, KEY_BLOCK // (r * r))
+    degrees = []
+    for lo in range(0, len(groups), step):
+        L = np.stack(
+            [
+                np.bincount(lk, weights=c.real[i] * p, minlength=r * r)
+                + 1j * np.bincount(lk, weights=c.imag[i] * p, minlength=r * r)
+                for c in cs[lo : lo + step]
+            ]
+        ).reshape(-1, r, r)
         sv = np.linalg.svd(L, compute_uv=False)
-        dim = int((sv > CLUSTER_TOL * max(float(sv[0]), 1.0)).sum())
-        d = math.isqrt(dim)
-        degrees.append(d if d >= 1 and d * d == dim else None)
-    residual = max(residual, float(np.abs(total - np.eye(n)).max()))
+        tol = CLUSTER_TOL * np.maximum(sv[:, 0], 1.0)
+        for dim in (sv > tol[:, None]).sum(axis=1):
+            d = math.isqrt(int(dim))
+            degrees.append(d if d >= 1 and d * d == dim else None)
     if None in degrees:
         return None, residual
     return tuple(sorted(degrees)), residual

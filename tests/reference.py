@@ -23,8 +23,10 @@ writers of the ccfg and real formats. Then the unweighting check as the
 literal loop over all n**9 monomials, building the expected and the
 substituted tensors as dicts of Fractions and comparing them. Last, the
 regular representation i -> L_i as r x r integer matrices, the check that
-some character degree reaches the fiber count, and the Salem-Spencer
-digit construction of a 3AP-free set."""
+some character degree reaches the fiber count, the degree counts at every
+d <= isqrt(r) from rational ranks of the Gram matrices, the floating-point
+cross-check with its n x n idempotent products per cluster, and the
+Salem-Spencer digit construction of a 3AP-free set."""
 
 import itertools
 import math
@@ -59,7 +61,7 @@ from ccmm.groups import (
 )
 from ccmm.realization import RealizationInvalid, _check_injective, grp_as_realization
 from ccmm.sets import APFreeSet, triangle_free_set
-from ccmm.spectrum import character_degrees
+from ccmm.spectrum import CLUSTER_TOL, character_degrees
 from ccmm.tensors import UNWEIGHT_CAP, UnweightingReport
 
 DENSE_TENSOR_CAP = 512
@@ -770,6 +772,91 @@ def max_degree_lower_bound_check(config, profile=None):
     if profile is None:
         profile = character_degrees(config)
     return max(profile.degrees) >= config.n_fibers
+
+
+def fraction_rank(rows):
+    """Rank over the rationals by Fraction elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((x for x in range(rank, len(rows)) if rows[x][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for x in range(rank + 1, len(rows)):
+            f = rows[x][c] / rows[rank][c]
+            if f:
+                rows[x] = [a - f * b for a, b in zip(rows[x], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_degree_counts(T, G, s, r):
+    """Components per degree d, for every d <= isqrt(r): t - rank(T - d^2 E)
+    over the rationals, with E_ab = sum_c G[a, c, b] w_c / s_c and
+    w_c = sum_d G[c, d, d] / s_d (the Gram matrices of the spectrum
+    module)."""
+    t = len(s)
+    w = [sum(Fraction(int(G[c, d, d]), s[d]) for d in range(t)) for c in range(t)]
+    E = [
+        [sum(Fraction(int(G[a, c, b]), s[c]) * w[c] for c in range(t)) for b in range(t)]
+        for a in range(t)
+    ]
+    return {
+        d: t - fraction_rank([[int(T[a, b]) - d * d * E[a][b] for b in range(t)] for a in range(t)])
+        for d in range(1, math.isqrt(r) + 1)
+    }
+
+
+def dense_idempotent_residual(vecs, groups):
+    """max(|e @ e - e|, |sum e - I|) with each e = V V^H formed and squared
+    explicitly (n^3 per cluster) and the sum accumulated."""
+    n = vecs.shape[0]
+    residual = 0.0
+    total = np.zeros((n, n), dtype=np.complex128)
+    for grp in groups:
+        V = vecs[:, grp]
+        e = V @ V.conj().T
+        total += e
+        residual = max(residual, float(np.abs(e @ e - e).max()))
+    return max(residual, float(np.abs(total - np.eye(n)).max()))
+
+
+def dense_float_degrees(config, basis, seed):
+    """The floating-point cross-check with one SVD per cluster and the
+    dense idempotent residual: the same seeded Hermitian central element,
+    each e = V V^H spread over the classes with np.add.at."""
+    r, n, M = config.rank, config.n_points, config.matrix
+    i, j, k, p = config.intersection().arrays()
+    sizes = config.class_sizes()
+    rnd = random.Random(seed)
+    coef = np.array(
+        [[rnd.randint(1, 1 << 20) for _ in range(2)] for _ in basis],
+        dtype=np.float64,
+    ) / (1 << 10)
+    Bf = np.array(basis, dtype=np.float64)
+    sym = (coef[:, 0] @ Bf)[M]
+    skew = (coef[:, 1] @ Bf)[M]
+    H = (sym + sym.T) + 1j * (skew - skew.T)
+    scale = max(float(np.abs(H).max()), 1.0)
+    vals, vecs = np.linalg.eigh(H)
+    cuts = np.flatnonzero(np.diff(vals) > CLUSTER_TOL * scale) + 1
+    groups = np.split(np.arange(n), cuts)
+    degrees = []
+    for grp in groups:
+        V = vecs[:, grp]
+        c = np.zeros(r, dtype=np.complex128)
+        np.add.at(c, M.ravel(), (V @ V.conj().T).ravel())
+        L = np.zeros((r, r), dtype=np.complex128)
+        np.add.at(L, (k, j), c[i] / sizes[i] * p)
+        sv = np.linalg.svd(L, compute_uv=False)
+        dim = int((sv > CLUSTER_TOL * max(float(sv[0]), 1.0)).sum())
+        d = math.isqrt(dim)
+        degrees.append(d if d >= 1 and d * d == dim else None)
+    residual = dense_idempotent_residual(vecs, groups)
+    if None in degrees:
+        return None, residual
+    return tuple(sorted(degrees)), residual
 
 
 def salem_spencer(n):

@@ -518,6 +518,20 @@ def test_sympow_stages_by_default():
         assert real.dims == (5**k,) * 3
 
 
+def test_sympow_view_names_a_class_never_interned():
+    # 81 of the 378 ids of Sym^2 are interned; 377 is in range but not one
+    cfg, reals = diagonal_example(3)
+    view, real = sympow_realization(cfg, reals[:2])
+    assert len(view._tuples) == 81 and view.rank == 378
+    alpha = real.alpha.copy()
+    alpha[0, 0] = 377
+    with pytest.raises(ValueError, match=r"^class 377 of Sym\^2 was never interned \(81 of 378 ids are\)$"):
+        verify_realization(view, Realization(alpha, real.beta, real.gamma))
+    for cid in (81, -1):
+        with pytest.raises(ValueError, match="class %d of Sym" % cid):
+            view.tuple_of(cid)
+
+
 def test_sympow_materialize_cap():
     # Sym^2 of 169 points has 28561 > POINT_CAP points: refused in one line
     # before its 28561 x 28561 class matrix

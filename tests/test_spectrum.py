@@ -22,20 +22,30 @@ from ccmm.constructions import (
     trivial_configuration,
 )
 from ccmm.groups import CyclicGroup, SymmetricGroup
-from ccmm.realization import diagonal_action
+from ccmm.realization import diagonal_action, diagonal_example
 from ccmm import spectrum
 from ccmm.spectrum import (
+    IDEM_TOL,
     PRIMES,
     DegreeComputationError,
+    _class_products,
+    _degree_counts,
     _exact_degrees,
     _float_degrees,
+    _gram_matrices,
     _kernel_vectors,
     _lift,
     _rref_mod,
     center_basis,
     character_degrees,
 )
-from reference import max_degree_lower_bound_check, regular_representation
+from reference import (
+    dense_float_degrees,
+    dense_idempotent_residual,
+    fraction_degree_counts,
+    max_degree_lower_bound_check,
+    regular_representation,
+)
 
 # frozen oracle values, written before the implementation ran
 CLASSICAL_DEGREES = {
@@ -422,6 +432,86 @@ def test_exact_degrees_match_float_cross_check_on_corpus():
         assert check == exact, name
         assert sum(d * d for d in exact) == cfg.rank, name
         assert residual < 1e-6, name
+
+
+def test_commutative_center_is_the_class_basis_and_needs_no_elimination(monkeypatch):
+    members = [(name, cfg) for name, cfg in corpus() if cfg.is_commutative()]
+    assert len(members) >= 30
+    for name, cfg in members:
+        B = np.array(center_basis(cfg), dtype=np.int64)
+        nz = cfg.intersection().arrays()
+        assert np.array_equal(B, np.eye(cfg.rank, dtype=np.int64)), name
+        left = _class_products(nz, cfg.rank, cfg.n_points, B, left=True)
+        right = _class_products(nz, cfg.rank, cfg.n_points, B, left=False)
+        assert np.array_equal(left, right), name
+
+    def refuse(*args):
+        raise AssertionError("_rref_mod called on a commutative input")
+
+    monkeypatch.setattr(spectrum, "_rref_mod", refuse)
+    for name, cfg in members:
+        prof = character_degrees(cfg)
+        assert prof.degrees == (1,) * cfg.rank, name
+        assert prof.residual < IDEM_TOL, name
+
+
+@pytest.mark.parametrize("source", ["corpus", "diagonal"])
+def test_early_stopped_counts_equal_full_counts(source):
+    if source == "corpus":
+        members = corpus()
+    else:
+        members = [("diagonal-%d" % n, diagonal_example(n)[0]) for n in range(2, 6)]
+    for name, cfg in members:
+        r = cfg.rank
+        T, G, s = _gram_matrices(cfg, center_basis(cfg))
+        full = {d: c for d, c in fraction_degree_counts(T, G, s, r).items() if c}
+        assert sum(full.values()) == len(s), name
+        for prime in PRIMES:
+            counts = _degree_counts(T, G, s, r, prime)
+            assert {d: c for d, c in counts.items() if c} == full, (name, prime)
+            # the walk stops at the largest degree
+            assert max(counts) == max(full), (name, prime)
+
+
+def test_cluster_residual_matches_dense_products():
+    members = list(corpus()) + [("diagonal-4", diagonal_example(4)[0])]
+    for name, cfg in members:
+        basis = center_basis(cfg)
+        for seed in (0, 1):
+            check, residual = _float_degrees(cfg, basis, seed)
+            want, dense = dense_float_degrees(cfg, basis, seed)
+            assert check == want, name
+            assert abs(residual - dense) < 1e-12, name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_idempotent_residual_matches_dense_products_off_orthonormal(seed):
+    # vectors far from orthonormal give residuals of order one in both terms
+    rng = np.random.default_rng(seed)
+    n = 12
+    vecs = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    for scale in (1e-3, 0.3):
+        noisy = vecs + scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        groups = np.split(np.arange(n), [1, 4, 5, 9])
+        got = spectrum._idempotent_residual(noisy, groups)
+        want = dense_idempotent_residual(noisy, groups)
+        assert got > scale / 10
+        assert abs(got - want) <= 1e-12 * max(want, 1.0)
+    # the |sum e - I| term alone: exact idempotents that miss a direction
+    groups = np.split(np.arange(n - 1), [3])
+    got = spectrum._idempotent_residual(vecs[:, : n - 1], groups)
+    assert abs(got - dense_idempotent_residual(vecs[:, : n - 1], groups)) < 1e-12
+    assert got > 1e-3
+
+
+@pytest.mark.parametrize("block", [1, 2 * 27 * 27])
+def test_float_degrees_rank_in_blocks(monkeypatch, block):
+    # rank 27, three clusters: one L_e per SVD call, then blocks of 2 and 1
+    cfg = diag_config(3)
+    basis = center_basis(cfg)
+    want = _float_degrees(cfg, basis, 0)
+    monkeypatch.setattr(spectrum, "KEY_BLOCK", block)
+    assert _float_degrees(cfg, basis, 0) == want
 
 
 def _wrong_cross_checks(monkeypatch, times):
