@@ -88,32 +88,6 @@ def _check_axiom2(matrix, r, x0, y0):
     return star
 
 
-def _profile_mismatch_witness(matrix, r, x, y, xr, yr):
-    """Locate a composition pair (i,j) whose z-count differs between the
-    pairs (x,y) and (xr,yr) of the same class."""
-    m64 = matrix.astype(np.int64)
-    keys_here = m64[x] * r + m64[:, y]
-    keys_ref = m64[xr] * r + m64[:, yr]
-    uh, ch = np.unique(keys_here, return_counts=True)
-    here = dict(zip(uh.tolist(), ch.tolist()))
-    ur, cr = np.unique(keys_ref, return_counts=True)
-    ref = dict(zip(ur.tolist(), cr.tolist()))
-    for key in sorted(set(here) | set(ref)):
-        if here.get(key, 0) != ref.get(key, 0):
-            i, j = divmod(key, r)
-            return (
-                int(x),
-                int(y),
-                int(xr),
-                int(yr),
-                int(i),
-                int(j),
-                here.get(key, 0),
-                ref.get(key, 0),
-            )
-    raise AssertionError("no differing composition count found")
-
-
 def _key_arrays(matrix, r):
     """left[x, z] = class(x,z)*r and right[y, z] = class(z,y), contiguous,
     in the narrowest dtype that holds every composition key below r*r:
@@ -139,8 +113,11 @@ def _check_axiom3(matrix, r, x0, y0, rows=None):
     (class(x,z), class(z,y)), encoded as one key per z and compared in
     sorted order; the r x n reference profiles are sorted the same way.
     Each block sorts about KEY_BLOCK keys: whole rows for small n, else
-    runs of y within one row."""
+    runs of y within one row. With r = n^2 every class holds one pair, only
+    ever compared with itself, so nothing is built."""
     n = matrix.shape[0]
+    if r == n * n:
+        return
     left, right = _key_arrays(matrix, r)
     step = max(1, KEY_BLOCK // n)
     ref = np.concatenate(
@@ -163,10 +140,17 @@ def _check_axiom3(matrix, r, x0, y0, rows=None):
             bad = (keys != ref[classes]).any(axis=1)
             if not bad.any():
                 continue
-            x, y = divmod(int(np.argmax(bad)), ye - ys)
+            e = int(np.argmax(bad))
+            x, y = divmod(e, ye - ys)
             x, y = int(xb[x]), ys + y
             c = int(matrix[x, y])
-            wit = _profile_mismatch_witness(matrix, r, x, y, int(x0[c]), int(y0[c]))
+            # the sorted rows agree before their first difference, so the
+            # smaller key there is the least key whose counts differ
+            here, there = keys[e], ref[c]
+            d = np.argmax(here != there)
+            key = min(here[d], there[d])
+            counts = [int(np.searchsorted(a, key, "right") - np.searchsorted(a, key)) for a in (here, there)]
+            wit = (x, y, int(x0[c]), int(y0[c])) + divmod(int(key), r) + tuple(counts)
             raise AxiomViolation(
                 3,
                 wit,
@@ -379,12 +363,6 @@ class CoherentConfiguration:
             zi, w = np.nonzero((x >= 0) & (y >= 0))
             out.append((x[zi, w], y[zi, w], z[zi]))
         return tuple(np.concatenate(a) for a in zip(*out))
-
-    def label_index(self):
-        """Map class label -> class id (labels must be present and hashable)."""
-        if self.class_labels is None:
-            raise ValueError("configuration has no class labels")
-        return {lab: i for i, lab in enumerate(self.class_labels)}
 
     def __repr__(self):
         return "<configuration points=%d rank=%d %s>" % (

@@ -15,11 +15,13 @@ reads the triangles between the alpha, beta and gamma images through
 config.triangles: a configuration reads one row of n composition classes
 per starred gamma class, at its representative pair, not every nonzero of
 the tensor; a SymmetricPowerView, the default for Sym^k C, builds them from
-its base tensor. Each triangle is decoded to its positions (a, b'), (b, c')
-and (c, a'), and the sweep demands that they are exactly the matched
-triples. A failure is reported at the first position in the order of the
-pair loop (a, b') x (b, c'), as the exhaustive loop over all (lm)(mn) pairs
-would find it."""
+its base tensor. The view numbers each class of Sym^k C, a sorted k-tuple
+of base classes, by its colexicographic rank, so Sym^k class ids are the
+same in every view and session. Each triangle is decoded to its positions
+(a, b'), (b, c') and (c, a'), and the sweep demands that they are exactly
+the matched triples. A failure is reported at the first position in the
+order of the pair loop (a, b') x (b, c'), as the exhaustive loop over all
+(lm)(mn) pairs would find it."""
 
 from __future__ import annotations
 
@@ -482,47 +484,55 @@ SYM_CHUNK = 1 << 18  # products formed at once by SymmetricPowerView.triangles
 
 class SymmetricPowerView:
     """Intersection data of Sym^k C computed from C's tensor without
-    materializing the point set. Class ids are interned sorted k-tuples of
-    base class ids; slice() sums coordinate-product counts over all
-    alignments of the two multisets, divided by the orbit size of the
-    result multiset. The view is its own intersection data."""
+    materializing the point set. A class of Sym^k C is a multiset of k base
+    classes; sorted as t_0 <= ... <= t_(k-1), its id is the colexicographic
+    rank sum_c C(t_c + c, c + 1) (the combinatorial number system), so the
+    ids are exactly [0, C(r+k-1, k)) in every view and the view keeps no
+    state. slice() sums coordinate-product counts over all alignments of
+    the two multisets, divided by the orbit size of the result multiset.
+    The view is its own intersection data."""
 
     def __init__(self, base_tensor, k):
+        r = base_tensor.rank
         self.base = base_tensor
         self.k = k
-        self.rank = math.comb(base_tensor.rank + k - 1, k)
-        self._ids = {}
-        self._tuples = []
+        self.rank = math.comb(r + k - 1, k)
+        if self.rank >= 1 << 62:
+            raise ValueError("Sym^%d of rank %d is too large for 64-bit class ids" % (k, r))
+        # binom[c, v] = C(v + c, c + 1), by the hockey-stick identity the
+        # running sum of row c - 1; every entry is below the rank
+        rows = [np.arange(r, dtype=np.int64)]
+        for _ in range(1, k):
+            rows.append(np.cumsum(rows[-1]))
+        self._binom = np.stack(rows)
 
     def intersection(self):
         return self
 
-    def intern(self, multiset):
-        key = tuple(sorted(int(v) for v in multiset))
-        if len(key) != self.k:
-            raise ValueError("need %d coordinates" % self.k)
-        got = self._ids.get(key)
-        if got is None:
-            got = len(self._tuples)
-            self._ids[key] = got
-            self._tuples.append(key)
-        return got
+    def class_ids(self, tuples):
+        """The id of each multiset of base classes, given as the last axis
+        of tuples in any order."""
+        t = np.sort(np.asarray(tuples, dtype=np.int64), axis=-1)
+        return self._binom[np.arange(self.k), t].sum(axis=-1)
 
-    def tuple_of(self, cid):
-        if not 0 <= cid < len(self._tuples):
-            raise ValueError(
-                "class %d of Sym^%d was never interned (%d of %d ids are)"
-                % (cid, self.k, len(self._tuples), self.rank)
-            )
-        return self._tuples[cid]
+    def tuples(self, ids):
+        """The sorted base classes of each id in [0, rank), as a new last
+        axis: the inverse of class_ids, peeling the largest coordinate
+        first."""
+        rest = np.asarray(ids, dtype=np.int64)
+        if rest.size and (rest.min() < 0 or rest.max() >= self.rank):
+            raise ValueError("Sym^%d class ids lie in [0,%d)" % (self.k, self.rank))
+        out = np.empty(rest.shape + (self.k,), dtype=np.int64)
+        for c in reversed(range(self.k)):
+            out[..., c] = np.searchsorted(self._binom[c], rest, side="right") - 1
+            rest = rest - self._binom[c, out[..., c]]
+        return out
 
     def star(self, cid):
-        t = self.tuple_of(cid)
-        return self.intern(self.base.star(v) for v in t)
+        return int(self.class_ids(self.base.star_vector[self.tuples(cid)]))
 
     def slice(self, i, j):
-        ti = self.tuple_of(i)
-        tj = self.tuple_of(j)
+        ti, tj = self.tuples(i).tolist(), self.tuples(j).tolist()
         acc = {}
         for pi in set(itertools.permutations(ti)):
             for pj in set(itertools.permutations(tj)):
@@ -546,14 +556,8 @@ class SymmetricPowerView:
                 raise AssertionError(
                     "count %d not divisible by orbit size %d" % (total, orbit)
                 )
-            out[self.intern(key)] = total // orbit
+            out[int(self.class_ids(key))] = total // orbit
         return out
-
-    def _coords(self, ids):
-        ids = np.asarray(ids, dtype=np.int64)
-        for v in ids[(ids < 0) | (ids >= len(self._tuples))][:1]:
-            self.tuple_of(int(v))  # raises, naming the id
-        return np.array([self._tuples[v] for v in ids.tolist()], dtype=np.int64).reshape(-1, self.k)
 
     def triangles(self, A, B, C):
         """Same contract as CoherentConfiguration.triangles: a triple may
@@ -564,14 +568,12 @@ class SymmetricPowerView:
         counts is a positive count. Only base nonzeros between coordinate
         classes of the images are gathered; their k-fold products along each
         alpha tuple are formed in chunks of about SYM_CHUNK products, and
-        each product's sorted j and k coordinates are looked up as one
-        base-r integer."""
+        each product's j and k coordinates are looked up by their class
+        ids."""
         r = self.base.rank
-        if r**self.k >= 1 << 62:
-            raise ValueError("Sym^%d of rank %d is too large to sweep" % (self.k, r))
-        weights = r ** np.arange(self.k - 1, -1, -1)
-        ta, tb = self._coords(A), self._coords(B)
-        tk = np.sort(self.base.star_vector[self._coords(C)], axis=1)
+        ta, tb = self.tuples(A), self.tuples(B)
+        tk = self.base.star_vector[self.tuples(C)]
+        K = self.class_ids(tk)
         i, j, k, _ = self.base.arrays()
         keep = np.ones(len(i), dtype=bool)
         for coords, c in ((ta, i), (tb, j), (tk, k)):
@@ -596,8 +598,8 @@ class SymmetricPowerView:
                 cls = ta[rows, c]
                 local, idx[:, c] = np.divmod(local, count[cls])
                 idx[:, c] += first[cls]
-            y = _position_of(tb @ weights, np.sort(j[idx], axis=1) @ weights)
-            z = _position_of(tk @ weights, np.sort(k[idx], axis=1) @ weights)
+            y = _position_of(B, self.class_ids(j[idx]))
+            z = _position_of(K, self.class_ids(k[idx]))
             hit = (y >= 0) & (z >= 0)
             out.append((rows[hit], y[hit], z[hit]))
             lo = hi
@@ -611,22 +613,15 @@ def _position_of(codes, values):
     return np.where(codes[order[pos]] == values, order[pos], -1)
 
 
-def _product_maps(reals, combine):
+def _product_maps(reals, class_ids):
     """Coordinate-wise product of the maps of k realizations. Rows and
-    columns run over index tuples in lexicographic order; a cell holds
-    combine(sorted tuple of base classes), and combine is called once per
-    distinct sorted tuple, map by map in order of first appearance."""
+    columns run over index tuples in lexicographic order; a cell holds the
+    class id of its k base classes, class_ids mapping every cell of a map
+    in one call (the base classes along the last axis)."""
 
     def build(arrs):
         rows, cols = (np.indices([a.shape[d] for a in arrs]).reshape(len(arrs), -1) for d in (0, 1))
-        cells = np.sort(np.stack([a[x][:, y] for a, x, y in zip(arrs, rows, cols)], axis=-1), axis=-1)
-        tuples, first, inverse = np.unique(
-            cells.reshape(-1, len(arrs)), axis=0, return_index=True, return_inverse=True
-        )
-        ids = np.empty(len(tuples), dtype=np.int64)
-        for u in np.argsort(first):
-            ids[u] = combine(tuple(tuples[u].tolist()))
-        return ids[inverse.ravel()].reshape(cells.shape[:2])
+        return class_ids(np.stack([a[x][:, y] for a, x, y in zip(arrs, rows, cols)], axis=-1))
 
     return Realization(*(build([getattr(r, s) for r in reals]) for s in ("alpha", "beta", "gamma")))
 
@@ -643,12 +638,15 @@ def sympow_realization(config, reals, materialize=False):
     if k < 1:
         raise ValueError("need at least one component")
     verify_simultaneous(config, reals)
+    view = SymmetricPowerView(config.intersection(), k)
     if materialize:
         power = symmetric_power(config, k)
-        real = _product_maps(reals, power.label_index().__getitem__)
+        lookup = np.empty(view.rank, dtype=np.int64)  # view id -> power id
+        lookup[view.class_ids(power.class_labels)] = np.arange(power.rank)
+        real = _product_maps(reals, lambda cells: lookup[view.class_ids(cells)])
     else:
-        power = SymmetricPowerView(config.intersection(), k)
-        real = _product_maps(reals, power.intern)
+        power = view
+        real = _product_maps(reals, view.class_ids)
     verify_realization(power, real)
     return power, real
 

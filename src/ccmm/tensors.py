@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .configuration import named_ints, text_file, text_lines
-from .realization import check_class_ids, is_verified, verify_realization
+from .realization import is_verified, verify_realization
 from .sets import triangle_free_set
 from .spectrum import SPECTRAL_CAP
 
@@ -40,14 +40,13 @@ class WeightedMatMul:
     as int64 arrays ab (= a*m + b), bc (= b*n + c) and p, sorted by the key
     (b, k) and cut into runs beginning at starts. run[a, b, c] is the run
     of (b, gamma(c,a)*), where the product reads out entry (a, c);
-    run_mass is the largest sum of p over one run. check=True sweeps the
-    realization unless its record shows it passed against this
-    configuration's intersection data with the maps it has now."""
+    run_mass is the largest sum of p over one run. The realization is
+    swept unless its record shows it passed against this configuration's
+    intersection data with the maps it has now."""
 
-    def __init__(self, config, real, check=True):
-        if check and not is_verified(config, real):
+    def __init__(self, config, real):
+        if not is_verified(config, real):
             verify_realization(config, real)
-        check_class_ids([real], config.rank)
         self.config = config
         self.real = real
         self.dims = real.dims

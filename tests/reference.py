@@ -42,7 +42,6 @@ from ccmm.configuration import (
     CoherentConfiguration,
     _key_arrays,
     _positions,
-    _profile_mismatch_witness,
     _sorted_keys,
 )
 from ccmm.constructions import (
@@ -277,6 +276,13 @@ def loop_product_maps(reals, combine):
 
     return build("alpha"), build("beta"), build("gamma")
 
+def colex_rank(multiset):
+    """The colexicographic rank of a multiset of class ids among all
+    multisets of its size: sum_c C(t_c + c, c + 1) over its entries sorted
+    as t_0 <= t_1 <= ..., one Python comb per entry."""
+    return sum(math.comb(v + c, c + 1) for c, v in enumerate(sorted(multiset)))
+
+
 def action_from_function(group, n_points, f, name="action"):
     """The action whose table holds f(g, x), one call per (g, x)."""
     T = np.empty((group.order, n_points), dtype=np.int32)
@@ -442,6 +448,33 @@ def verify_action(action):
             )
 
 
+def loop_profile_mismatch_witness(matrix, r, x, y, xr, yr):
+    """Locate the least composition pair (i,j) whose z-count differs
+    between the pairs (x,y) and (xr,yr) of the same class, from both
+    profiles counted in full."""
+    m64 = matrix.astype(np.int64)
+    keys_here = m64[x] * r + m64[:, y]
+    keys_ref = m64[xr] * r + m64[:, yr]
+    uh, ch = np.unique(keys_here, return_counts=True)
+    here = dict(zip(uh.tolist(), ch.tolist()))
+    ur, cr = np.unique(keys_ref, return_counts=True)
+    ref = dict(zip(ur.tolist(), cr.tolist()))
+    for key in sorted(set(here) | set(ref)):
+        if here.get(key, 0) != ref.get(key, 0):
+            i, j = divmod(key, r)
+            return (
+                int(x),
+                int(y),
+                int(xr),
+                int(yr),
+                int(i),
+                int(j),
+                here.get(key, 0),
+                ref.get(key, 0),
+            )
+    raise AssertionError("no differing composition count found")
+
+
 def loop_check_axiom3(matrix, r, x0, y0, rows=None):
     """_check_axiom3 as a row sweep: int64 keys[z, y] sorted along axis 0,
     each column compared with the profile of its class's first pair, seen
@@ -472,7 +505,7 @@ def loop_check_axiom3(matrix, r, x0, y0, rows=None):
                 bad_cols = np.flatnonzero((keys != expected).any(axis=0))
                 yy = ys + int(bad_cols[0])
                 c = int(matrix[x, yy])
-                wit = _profile_mismatch_witness(
+                wit = loop_profile_mismatch_witness(
                     matrix, r, x, yy, int(x0[c]), int(y0[c])
                 )
                 raise AxiomViolation(

@@ -3,6 +3,9 @@ and the documented pipelines."""
 
 import argparse
 import io
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -931,6 +934,37 @@ def test_info_on_a_tensor_beyond_64_bit_codes_is_exit_two(tmp_path, capsys):
     rc, out, err = run(capsys, "info", "--check", "trusted", str(cc))
     assert (rc, out) == (2, "")
     assert err == "error: intersection tensor of rank 263169 on 513 points exceeds 64-bit codes\n"
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+AS_LIMIT = 3 << 30  # bytes of address space for one child CLI run
+CAPPED_CLI = (
+    "import resource, runpy; "
+    "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+    "runpy.run_module('ccmm.cli', run_name='__main__')" % (AS_LIMIT, AS_LIMIT)
+)
+
+
+def run_capped(*argv):
+    """The CLI in a child process that caps its own address space at
+    AS_LIMIT, so that an oversized allocation fails there, not here."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_build_trivial_1000_fits_an_address_space_cap(tmp_path):
+    """Rank n^2 = 10^6: every class holds one pair, so axiom 3 holds and
+    the sweep builds no r x n reference table (10^9 keys)."""
+    cc = str(tmp_path / "t1000.ccfg")
+    rc, out, err = run_capped("build", "trivial", "1000", "-o", cc)
+    assert rc == 0 and "Traceback" not in err, err
+    rc, out, err = run_capped("info", cc)
+    assert (rc, out) == (2, "")
+    assert err == "error: intersection tensor of rank 1000000 on 1000 points exceeds 64-bit codes\n"
 
 
 # -- bad number tokens and group descriptors name their source -----------------

@@ -207,7 +207,6 @@ def test_labels_follow_normalization():
     for c in range(4):
         y = int(np.flatnonzero(cfg.matrix[0] == c)[0])
         assert cfg.class_labels[c] == labels[perm[base[0, y]]]
-    assert cfg.label_index()[cfg.class_labels[1]] == 1
 
 
 # ------------------------------------------------- intersection numbers

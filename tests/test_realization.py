@@ -489,17 +489,10 @@ def test_sympow_diag4_both_modes_agree():
     big, breal = sympow_realization(cfg, reals, materialize=True)
     assert big.n_points == 256 and big.rank == view.rank == 2080
     assert vreal.dims == breal.dims == (16, 16, 16)
-    index = big.label_index()
-    for name in ("alpha", "beta", "gamma"):
-        va = getattr(vreal, name)
-        ba = getattr(breal, name)
-        mapped = np.array(
-            [
-                [index[view.tuple_of(int(v))] for v in row]
-                for row in va
-            ]
-        )
-        assert np.array_equal(mapped, ba)
+    # the staged maps are the canonical ids of the materialized labels
+    ids = view.class_ids(big.class_labels)
+    for va, ba in zip(vreal.maps(), breal.maps()):
+        assert np.array_equal(ids[ba], va)
 
 
 def test_sympow_rejects_uns_verified_overlap():
@@ -518,18 +511,69 @@ def test_sympow_stages_by_default():
         assert real.dims == (5**k,) * 3
 
 
-def test_sympow_view_names_a_class_never_interned():
-    # 81 of the 378 ids of Sym^2 are interned; 377 is in range but not one
+@pytest.mark.parametrize("r", range(1, 7))
+def test_sympow_ids_are_the_colex_ranks(r):
+    base = group_scheme(make_group("cyclic:%d" % r)).intersection()
+    for k in range(1, 5):
+        view = SymmetricPowerView(base, k)
+        colex = sorted(itertools.combinations_with_replacement(range(r), k), key=lambda t: t[::-1])
+        assert view.rank == len(colex)
+        ids = np.arange(view.rank)
+        assert view.tuples(ids).tolist() == [list(t) for t in colex]
+        assert np.array_equal(view.class_ids(colex), ids)
+        assert np.array_equal(view.class_ids(view.tuples(ids)), ids)
+        # the order of a multiset's entries does not matter
+        assert np.array_equal(view.class_ids(np.flip(view.tuples(ids), axis=-1)), ids)
+
+
+def test_sympow_ids_do_not_depend_on_the_view():
+    """Two views built apart, one of them after calls in another order, give
+    the same Sym^2 maps and the same star."""
+    cfg, reals = diagonal_example(3)
+    first, real = sympow_realization(cfg, reals[:2])
+    cfg2, reals2 = diagonal_example(3)
+    second = SymmetricPowerView(cfg2.intersection(), 2)
+    stars = [second.star(c) for c in reversed(range(second.rank))][::-1]
+    again = realization._product_maps(reals2[:2], second.class_ids)
+    assert all(np.array_equal(a, b) for a, b in zip(real.maps(), again.maps()))
+    assert stars == [first.star(c) for c in range(first.rank)]
+    assert sorted(stars) == list(range(first.rank))
+
+
+def test_sympow_of_rank_2_at_power_70():
+    """The binomial table of Sym^70 of a rank-2 base has entries up to
+    C(70, 36) ~ 1.1e20 beyond the rank, and none of them is built."""
+    view = SymmetricPowerView(group_scheme(make_group("cyclic:2")).intersection(), 70)
+    assert view.rank == 71
+    ids = np.arange(71)
+    assert view.tuples(ids).sum(axis=1).tolist() == list(range(71))
+    assert np.array_equal(view.class_ids(view.tuples(ids)), ids)
+
+
+def test_sympow_view_refuses_ids_beyond_64_bits():
+    base = trivial_configuration(8).intersection()  # rank 64
+    with pytest.raises(ValueError, match=r"^Sym\^20 of rank 64 is too large for 64-bit class ids$"):
+        SymmetricPowerView(base, 20)  # C(83, 20) > 2^62
+    view = SymmetricPowerView(base, 19)  # C(82, 19) < 2^62
+    ids = np.array([0, 1, view.rank // 2, view.rank - 2, view.rank - 1])
+    assert np.array_equal(view.class_ids(view.tuples(ids)), ids)
+    assert view.tuples(view.rank - 1).tolist() == [63] * 19
+
+
+def test_sympow_id_in_range_outside_the_images_is_invalid():
     cfg, reals = diagonal_example(3)
     view, real = sympow_realization(cfg, reals[:2])
-    assert len(view._tuples) == 81 and view.rank == 378
+    assert view.rank == 378
+    used = set(np.concatenate([a.ravel() for a in real.maps()]).tolist())
+    assert 377 not in used
     alpha = real.alpha.copy()
     alpha[0, 0] = 377
-    with pytest.raises(ValueError, match=r"^class 377 of Sym\^2 was never interned \(81 of 378 ids are\)$"):
+    with pytest.raises(RealizationInvalid) as info:
         verify_realization(view, Realization(alpha, real.beta, real.gamma))
-    for cid in (81, -1):
-        with pytest.raises(ValueError, match="class %d of Sym" % cid):
-            view.tuple_of(cid)
+    assert info.value.witness[0] == "triangle"
+    for cid in (378, -1):
+        with pytest.raises(ValueError, match=r"^Sym\^2 class ids lie in \[0,378\)$"):
+            view.tuples([0, cid])
 
 
 def test_sympow_materialize_cap():

@@ -247,7 +247,7 @@ def test_embedded_matmul_rational_entries(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_embedded_matmul_diagonal_component(seed):
     cfg, reals = diagonal_example(5)
-    W = WeightedMatMul(cfg, reals[0], check=False)  # verified on construction
+    W = WeightedMatMul(cfg, reals[0])  # verified on construction, so not swept again
     rng = np.random.default_rng(200 + seed)
     A = [[int(v) for v in row] for row in rng.integers(-5, 6, (5, 5))]
     B = [[int(v) for v in row] for row in rng.integers(-5, 6, (5, 5))]
