@@ -19,8 +19,7 @@ from .configuration import POINT_CAP, CoherentConfiguration, orbit_minima
 from .groups import conjugation_action
 
 MAX_POWER = 64  # numpy's limit on array dimensions, one per coordinate
-RANK_CHUNK = 64  # sorted rows swept at once by symmetric_power_rank
-RANK_BITMAP_CAP = 1 << 26  # largest r**k whose class codes symmetric_power_rank marks in a bitmap
+RANK_CHUNK = 64  # rows of Sym^k class ids formed at once
 
 
 def trivial_configuration(n, check="full"):
@@ -180,29 +179,49 @@ def _sorted_rows(coords):
     return np.flatnonzero(np.all(np.diff(np.stack(coords), axis=0) >= 0, axis=0))
 
 
-def _sorted_classes(M, coords, rows):
-    """For the points rows (as an index into coords) against every point,
-    the k coordinate classes of each cell in ascending order: k arrays of
-    shape (len(rows), N), sorted elementwise by a network of k(k-1)/2
-    compare-exchanges."""
-    s = [M[np.ix_(c[rows], c)] for c in coords]
-    for top in range(len(s) - 1, 0, -1):
+def colex_table(r, k):
+    """The k x r int64 table binom[c, v] = C(v + c, c + 1). A multiset of k
+    classes in [0, r), sorted as t_0 <= ... <= t_(k-1), has colexicographic
+    rank sum_c binom[c, t_c] (the combinatorial number system), so the
+    ranks are exactly [0, C(r+k-1, k)). Row c is the running sum of row
+    c - 1 (the hockey-stick identity), and every entry is below
+    C(r+k-1, k)."""
+    rows = [np.arange(r, dtype=np.int64)]
+    for _ in range(1, k):
+        rows.append(np.cumsum(rows[-1]))
+    return np.stack(rows)
+
+
+def multisets(ids, binom):
+    """The sorted classes of each colex rank in ids, as a new last axis:
+    the inverse of the ranking by colex_table binom, peeling the largest
+    coordinate first."""
+    rest = np.asarray(ids, dtype=np.int64)
+    out = np.empty(rest.shape + (len(binom),), dtype=np.int64)
+    for c in reversed(range(len(binom))):
+        out[..., c] = np.searchsorted(binom[c], rest, side="right") - 1
+        rest = rest - binom[c, out[..., c]]
+    return out
+
+
+def _class_ids(M, coords, rows, binom):
+    """The colex rank of the class of every cell of the points rows (an
+    index into coords) against every point, as an int32 array of shape
+    (len(rows), N). Coordinate c's classes are the rows M[coords[c][rows]]
+    broadcast along axis c of the (n,)*k point grid; a network of k(k-1)/2
+    compare-exchanges sorts them elementwise. int32 fits: on N <= POINT_CAP
+    points there are fewer than 2**31 classes, and every table entry is
+    below their number."""
+    k, n = len(coords), len(M)
+    s = [M[c[rows]].reshape((-1,) + (1,) * i + (n,) + (1,) * (k - 1 - i)) for i, c in enumerate(coords)]
+    for top in range(k - 1, 0, -1):
         for a in range(top):
-            lo = np.minimum(s[a], s[a + 1])
-            np.maximum(s[a], s[a + 1], out=s[a + 1])
-            s[a] = lo
-    return s
-
-
-def _class_codes(M, coords, rows, r):
-    """Each cell's sorted k-tuple of coordinate classes as one base-r code
-    (int32 when r**k < 2**31, else int64), ascending as the tuples are."""
-    dtype = np.int32 if r ** len(coords) < 1 << 31 else np.int64
-    s = _sorted_classes(M.astype(dtype), coords, rows)
-    codes = s[0]
-    for c in s[1:]:
-        codes = codes * dtype(r) + c
-    return codes
+            s[a], s[a + 1] = np.minimum(s[a], s[a + 1]), np.maximum(s[a], s[a + 1])
+    binom = binom.astype(np.int32)
+    ids = np.take(binom[0], s[0])
+    for c in range(1, k):
+        ids += np.take(binom[c], s[c])
+    return ids.reshape(len(ids), -1)
 
 
 def symmetric_power(config, k, check="full"):
@@ -214,22 +233,29 @@ def symmetric_power(config, k, check="full"):
     and (for k >= 3) the cyclic shift of the coordinates."""
     r, n = config.rank, config.n_points
     coords = _power_points(n, k)
-    codes = _class_codes(config.matrix, coords, slice(None), r)
-    uniq, inverse = np.unique(codes.ravel(), return_inverse=True)
+    N = n**k
+    binom = colex_table(r, k)
     expected_rank = math.comb(r + k - 1, k)
-    if len(uniq) != expected_rank:
+    matrix = np.empty((N, N), dtype=np.int32)
+    seen = np.zeros(expected_rank, dtype=bool)
+    for lo in range(0, N, RANK_CHUNK):
+        ids = _class_ids(config.matrix, coords, slice(lo, lo + RANK_CHUNK), binom)
+        matrix[lo : lo + RANK_CHUNK] = ids
+        seen[ids] = True
+    found = int(np.count_nonzero(seen))
+    if found != expected_rank:
         raise AssertionError(
             "fused class count %d differs from C(%d+%d-1,%d) = %d"
-            % (len(uniq), r, k, k, expected_rank)
+            % (found, r, k, k, expected_rank)
         )
-    labels = list(zip(*(d.tolist() for d in np.unravel_index(uniq, (r,) * k))))
+    labels = [tuple(t) for t in multisets(np.arange(expected_rank), binom).tolist()]
     rest = n ** (k - 1)
-    gens = list(config.automorphisms[:, coords[0]] * rest + np.arange(n**k) % rest)
+    gens = list(config.automorphisms[:, coords[0]] * rest + np.arange(N) % rest)
     shuffles = [(1, 0) + tuple(range(2, k))] if k >= 2 else []
     shuffles += [tuple(range(1, k)) + (0,)] if k >= 3 else []
     gens += [np.ravel_multi_index([coords[i] for i in s], (n,) * k) for s in shuffles]
     return CoherentConfiguration.from_class_matrix(
-        inverse.reshape(codes.shape), class_labels=labels, check=check, automorphisms=gens
+        matrix, class_labels=labels, check=check, automorphisms=gens
     )
 
 
@@ -237,16 +263,12 @@ def symmetric_power_rank(config, k):
     """Number of classes of Sym^k C, counted without materializing the
     N x N class matrix. Permuting the coordinates of both points keeps a
     cell's class, so only the C(n+k-1, k) sorted rows are swept, in chunks,
-    marking each cell's class code in a bitmap of r**k flags, or in a set
-    (sized by the rank) when r**k exceeds RANK_BITMAP_CAP."""
-    r = config.rank
+    marking each cell's colex class id in a bitmap of C(r+k-1, k) flags,
+    at most N**2 bytes."""
     coords = _power_points(config.n_points, k)
+    binom = colex_table(config.rank, k)
     rows = _sorted_rows(coords)
-    seen = np.zeros(r**k, dtype=bool) if r**k <= RANK_BITMAP_CAP else set()
+    seen = np.zeros(math.comb(config.rank + k - 1, k), dtype=bool)
     for lo in range(0, len(rows), RANK_CHUNK):
-        codes = _class_codes(config.matrix, coords, rows[lo : lo + RANK_CHUNK], r)
-        if isinstance(seen, set):
-            seen.update(np.unique(codes).tolist())
-        else:
-            seen[codes.ravel()] = True
-    return len(seen) if isinstance(seen, set) else int(seen.sum())
+        seen[_class_ids(config.matrix, coords, rows[lo : lo + RANK_CHUNK], binom)] = True
+    return int(np.count_nonzero(seen))

@@ -16,12 +16,14 @@ config.triangles: a configuration reads one row of n composition classes
 per starred gamma class, at its representative pair, not every nonzero of
 the tensor; a SymmetricPowerView, the default for Sym^k C, builds them from
 its base tensor. The view numbers each class of Sym^k C, a sorted k-tuple
-of base classes, by its colexicographic rank, so Sym^k class ids are the
-same in every view and session. Each triangle is decoded to its positions
-(a, b'), (b, c') and (c, a'), and the sweep demands that they are exactly
-the matched triples. A failure is reported at the first position in the
-order of the pair loop (a, b') x (b, c'), as the exhaustive loop over all
-(lm)(mn) pairs would find it."""
+of base classes, by its colexicographic rank (constructions.colex_table,
+the numbering symmetric_power and symmetric_power_rank build their
+classes with), so Sym^k class ids are the same in every view and session.
+Each triangle is decoded to its positions (a, b'), (b, c') and (c, a'),
+and the sweep demands that they are exactly the matched triples. A
+failure is reported at the first position in the order of the pair loop
+(a, b') x (b, c'), as the exhaustive loop over all (lm)(mn) pairs would
+find it."""
 
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import POINT_CAP, named_ints, text_file, text_lines
-from .constructions import schurian, symmetric_power
+from .constructions import colex_table, multisets, schurian, symmetric_power
 from .groups import WreathGroup, conjugation_action, count_conjugacy_wreath
 
 
@@ -486,11 +488,12 @@ class SymmetricPowerView:
     """Intersection data of Sym^k C computed from C's tensor without
     materializing the point set. A class of Sym^k C is a multiset of k base
     classes; sorted as t_0 <= ... <= t_(k-1), its id is the colexicographic
-    rank sum_c C(t_c + c, c + 1) (the combinatorial number system), so the
-    ids are exactly [0, C(r+k-1, k)) in every view and the view keeps no
-    state. slice() sums coordinate-product counts over all alignments of
-    the two multisets, divided by the orbit size of the result multiset.
-    The view is its own intersection data."""
+    rank sum_c C(t_c + c, c + 1) (the combinatorial number system of
+    colex_table, which symmetric_power and symmetric_power_rank use too),
+    so the ids are exactly [0, C(r+k-1, k)) in every view and the view
+    keeps no state. slice() sums coordinate-product counts over all
+    alignments of the two multisets, divided by the orbit size of the
+    result multiset. The view is its own intersection data."""
 
     def __init__(self, base_tensor, k):
         r = base_tensor.rank
@@ -499,12 +502,7 @@ class SymmetricPowerView:
         self.rank = math.comb(r + k - 1, k)
         if self.rank >= 1 << 62:
             raise ValueError("Sym^%d of rank %d is too large for 64-bit class ids" % (k, r))
-        # binom[c, v] = C(v + c, c + 1), by the hockey-stick identity the
-        # running sum of row c - 1; every entry is below the rank
-        rows = [np.arange(r, dtype=np.int64)]
-        for _ in range(1, k):
-            rows.append(np.cumsum(rows[-1]))
-        self._binom = np.stack(rows)
+        self._binom = colex_table(r, k)
 
     def intersection(self):
         return self
@@ -517,16 +515,11 @@ class SymmetricPowerView:
 
     def tuples(self, ids):
         """The sorted base classes of each id in [0, rank), as a new last
-        axis: the inverse of class_ids, peeling the largest coordinate
-        first."""
-        rest = np.asarray(ids, dtype=np.int64)
-        if rest.size and (rest.min() < 0 or rest.max() >= self.rank):
+        axis: the inverse of class_ids."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.rank):
             raise ValueError("Sym^%d class ids lie in [0,%d)" % (self.k, self.rank))
-        out = np.empty(rest.shape + (self.k,), dtype=np.int64)
-        for c in reversed(range(self.k)):
-            out[..., c] = np.searchsorted(self._binom[c], rest, side="right") - 1
-            rest = rest - self._binom[c, out[..., c]]
-        return out
+        return multisets(ids, self._binom)
 
     def star(self, cid):
         return int(self.class_ids(self.base.star_vector[self.tuples(cid)]))

@@ -46,7 +46,6 @@ from ccmm.configuration import (
 )
 from ccmm.constructions import (
     _power_points,
-    _sorted_classes,
     group_association_scheme,
     schurian,
 )
@@ -636,6 +635,20 @@ def gas_realization_matches(family):
     return bool(np.array_equal(cfg.matrix, direct.matrix))
 
 
+def fancy_sorted_classes(M, coords, rows):
+    """For the points rows (as an index into coords) against every point,
+    the k coordinate classes of each cell in ascending order: k arrays of
+    shape (len(rows), N), each gathered by M[np.ix_(...)] and sorted
+    elementwise by a network of k(k-1)/2 compare-exchanges."""
+    s = [M[np.ix_(c[rows], c)] for c in coords]
+    for top in range(len(s) - 1, 0, -1):
+        for a in range(top):
+            lo = np.minimum(s[a], s[a + 1])
+            np.maximum(s[a], s[a + 1], out=s[a + 1])
+            s[a] = lo
+    return s
+
+
 def full_row_symmetric_power_rank(config, k, chunk=64, bitmap_cap=1 << 26):
     """The Sym^k class count over all n**k rows: each chunk's sorted k-tuples
     of coordinate classes encoded in base r (int32 when r**k < 2**31, else
@@ -653,7 +666,7 @@ def full_row_symmetric_power_rank(config, k, chunk=64, bitmap_cap=1 << 26):
     seen_bitmap = np.zeros(codes, dtype=bool) if use_bitmap else None
     seen_set = set() if not use_bitmap else None
     for lo in range(0, N, chunk):
-        stack = _sorted_classes(M, coords, slice(lo, lo + chunk))
+        stack = fancy_sorted_classes(M, coords, slice(lo, lo + chunk))
         enc = stack[0]
         for c in range(1, k):
             enc = enc * dtype(r) + stack[c]
@@ -670,7 +683,7 @@ def unique_rows_symmetric_power(config, k, check="full"):
     r = config.rank
     coords = _power_points(config.n_points, k)
     N = len(coords[0])
-    stack = _sorted_classes(config.matrix.astype(np.int64), coords, slice(None))
+    stack = fancy_sorted_classes(config.matrix.astype(np.int64), coords, slice(None))
     flat = np.stack(stack).reshape(k, -1).T
     uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
     assert len(uniq) == math.comb(r + k - 1, k)

@@ -5,18 +5,21 @@ enumerations on groups small enough to verify by eye."""
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ccmm import constructions
 from ccmm.configuration import AxiomViolation, CoherentConfiguration
 from ccmm.constructions import (
-    _class_codes,
+    _class_ids,
     _power_points,
-    _sorted_classes,
     _sorted_rows,
+    colex_table,
     direct_product,
     fusion,
     group_association_scheme,
@@ -30,6 +33,7 @@ from ccmm.realization import diagonal_action, diagonal_example
 from corpus import corpus
 from reference import (
     action_from_function,
+    colex_rank,
     full_row_symmetric_power_rank,
     gas_equals_schurian_conjugation,
     unique_rows_symmetric_power,
@@ -370,13 +374,6 @@ def test_streaming_rank_law_medium():
     assert symmetric_power_rank(cfg, 2) == math.comb(cfg.rank + 1, 2)
 
 
-def test_streaming_rank_set_path(monkeypatch):
-    cfg = group_scheme(CyclicGroup(3))
-    want = symmetric_power_rank(cfg, 2)
-    monkeypatch.setattr(constructions, "RANK_BITMAP_CAP", 0)
-    assert symmetric_power_rank(cfg, 2) == want
-
-
 def test_streaming_rank_respects_point_cap():
     with pytest.raises(ValueError):
         symmetric_power_rank(group_scheme(CyclicGroup(12)), 4)
@@ -389,14 +386,19 @@ def test_streaming_rank_k1_is_rank():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_sorting_network_sorts_coordinate_classes(k):
+    """_class_ids is the colex rank of each cell's coordinate classes,
+    gathered by M[np.ix_(...)] and sorted by np.sort, for a slice of rows
+    and for an index array of rows."""
     rng = np.random.default_rng(k)
     M = rng.integers(0, 4, size=(3, 3))
     coords = _power_points(3, k)
     assert len(coords) == k
-    rows = slice(2, 7)
-    got = _sorted_classes(M, coords, rows)
-    want = np.sort(np.stack([M[np.ix_(c[rows], c)] for c in coords]), axis=0)
-    assert np.array_equal(np.stack(got), want)
+    for rows in (slice(2, 7), np.array([2, 0, 1])):
+        got = _class_ids(M, coords, rows, colex_table(4, k))
+        stack = np.sort(np.stack([M[np.ix_(c[rows], c)] for c in coords]), axis=0)
+        want = [[colex_rank(cell) for cell in row] for row in np.moveaxis(stack, 0, -1).tolist()]
+        assert got.dtype == np.int32
+        assert got.tolist() == want
 
 
 # -- sorted rows against the full-row references ------------------------------
@@ -413,38 +415,34 @@ def test_sorted_rows_are_ranks_of_multisets(n, k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_sorted_row_count_equals_full_row_count(monkeypatch, k):
+def test_sorted_row_count_equals_full_row_count(k):
     checked = 0
     for name, cfg in corpus():
         if cfg.n_points**k > 20000:
             continue
         want = full_row_symmetric_power_rank(cfg, k)
-        assert symmetric_power_rank(cfg, k) == want, (name, k)
-        with monkeypatch.context() as m:
-            m.setattr(constructions, "RANK_BITMAP_CAP", 0)
-            assert symmetric_power_rank(cfg, k) == want, (name, k)
+        assert symmetric_power_rank(cfg, k) == want == math.comb(cfg.rank + k - 1, k), (name, k)
         checked += 1
     assert checked >= 20
 
 
-@pytest.mark.parametrize("r,dtype", [(215, np.int32), (216, np.int64)])
-def test_class_codes_widen_at_two_to_the_31(r, dtype):
-    # 215**4 < 2**31 <= 216**4; with classes near r - 1 and M[0, 0] = r - 1
-    # the codes reach r**4 - 1
-    M = r - 1 - np.random.default_rng(r).integers(0, 3, size=(3, 3))
-    M[0, 0] = r - 1
-    coords = _power_points(3, 4)
-    codes = _class_codes(M, coords, slice(None), r)
-    assert codes.dtype == dtype
-    want = [
-        [
-            sum(v * r ** (3 - i) for i, v in enumerate(sorted(int(M[c[x], c[y]]) for c in coords)))
-            for y in range(81)
-        ]
-        for x in range(81)
-    ]
-    assert codes.tolist() == want
-    assert int(codes.max()) == r**4 - 1
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+CAPPED_RANK = (
+    "import resource; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from ccmm.constructions import symmetric_power_rank, trivial_configuration; "
+    "print(symmetric_power_rank(trivial_configuration(91), 2))"
+)
+
+
+def test_rank_count_of_a_large_base_fits_one_gib():
+    """Rank 91**2 = 8281: Sym^2 has C(8282, 2) = 34291621 classes, so the
+    count's bitmap takes 34 MB. The child caps its own address space at
+    1 GiB, so an oversized allocation fails there, not here."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CAPPED_RANK], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "%d\n" % math.comb(8282, 2)), proc.stderr
 
 
 def _assert_same_power(got, want):
