@@ -18,6 +18,7 @@ the configuration written to it, and reading it checks them the same way.
 from __future__ import annotations
 
 import contextlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -520,6 +521,22 @@ def text_lines(path):
         return [(k, line) for k, line in enumerate((raw.split("#", 1)[0].strip() for raw in fh), 1) if line]
 
 
+def decimal_labels(A):
+    """str(v) for every entry v of the integer array A, as an object array
+    of A's shape. str() runs once per label of a table that the entries
+    index: the range of values from min(A, 0) to max(A) when it holds no
+    more values than A has entries, as class ids and points do, else the
+    distinct values of A, so the table never outgrows A."""
+    A = np.asarray(A)
+    lo, hi = int(A.min(initial=0)), int(A.max(initial=0))
+    if hi - lo < A.size:
+        values, index = range(lo, hi + 1), A - lo
+    else:
+        values, index = np.unique(A, return_inverse=True)
+        values, index = values.tolist(), index.reshape(A.shape)
+    return np.array(list(map(str, values)), dtype=object)[index]
+
+
 def write_ccfg(config, path):
     """Write "ccfg 1" text: header, points/classes line, the normalized class
     matrix one row per line, then any automorphisms of config as an
@@ -528,11 +545,11 @@ def write_ccfg(config, path):
     with text_file(path, "w") as fh:
         fh.write("ccfg 1\n")
         fh.write("points %d classes %d\n" % (config.n_points, config.rank))
-        fh.writelines(" ".join(map(str, row)) + "\n" for row in config.matrix.tolist())
+        fh.writelines(" ".join(row) + "\n" for row in decimal_labels(config.matrix).tolist())
         gens = config.automorphisms
         if len(gens):
             fh.write("automorphisms %d\n" % len(gens))
-            fh.writelines(" ".join(map(str, g)) + "\n" for g in gens.tolist())
+            fh.writelines(" ".join(g) + "\n" for g in decimal_labels(gens).tolist())
 
 
 def named_ints(source, tokens):
@@ -549,8 +566,26 @@ def named_ints(source, tokens):
             raise ValueError("%s: %r is not an integer" % (source, t)) from None
 
 
+DIGIT_LINE = re.compile(r"[0-9 ]*")
+
+
 def _ccfg_rows(lines, width, name):
-    """(number, text) lines of width integers each, as an int64 array."""
+    """(number, text) lines of width integers each, as an int64 array. Lines
+    of ASCII digits and spaces only, as write_ccfg writes them, are parsed
+    by one np.loadtxt call, kept only if it returns one row of width
+    entries per line. Any other text, a ragged block or an entry past int64
+    (loadtxt raises ValueError for both) is read token by token with int(),
+    which accepts what int() accepts and names the line of a bad token or
+    row length and the entry that does not fit in 64 bits."""
+    texts = [text for _, text in lines]
+    if texts and all(map(DIGIT_LINE.fullmatch, texts)):
+        try:
+            rows = np.loadtxt(texts, dtype=np.int64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if rows.shape == (len(texts), width):
+                return rows
     rows = []
     for number, text in lines:
         row = named_ints("ccfg line %d" % number, text.split())

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import POINT_CAP, named_ints, text_file, text_lines
+from .configuration import POINT_CAP, decimal_labels, named_ints, text_file, text_lines
 from .constructions import colex_table, multisets, schurian, symmetric_power
 from .groups import WreathGroup, conjugation_action, count_conjugacy_wreath
 
@@ -689,8 +689,13 @@ def write_real(real, path):
         fh.write("dims %d %d %d\n" % real.dims)
         for name, arr in zip(("alpha", "beta", "gamma"), real.maps()):
             fh.write("%s\n" % name)
-            for x, row in enumerate(arr.tolist()):
-                fh.write("".join("%d %d -> %d\n" % (x, y, v) for y, v in enumerate(row)))
+            # line x*cols + y is the four pieces "x ", "y -> ", arr[x, y], "\n"
+            pieces = np.empty(arr.shape + (4,), dtype=object)
+            pieces[..., 0] = decimal_labels(np.arange(arr.shape[0]))[:, None] + " "
+            pieces[..., 1] = decimal_labels(np.arange(arr.shape[1])) + " -> "
+            pieces[..., 2] = decimal_labels(arr)
+            pieces[..., 3] = "\n"
+            fh.write("".join(pieces.ravel().tolist()))
 
 
 def read_real(path):
@@ -722,10 +727,10 @@ def read_real(path):
         for number, line in numbered[pos : pos + rows * cols]:
             parts = line.split()
             if len(parts) != 4 or parts[2] != "->":
-                raise ValueError("bad map line %r" % line)
+                raise ValueError("real line %d: bad map line %r" % (number, line))
             x, y, cls = named_ints("real line %d" % number, parts[:2] + parts[3:])
             if not (0 <= x < rows and 0 <= y < cols):
-                raise ValueError("index out of range in %r" % line)
+                raise ValueError("real line %d: index out of range in %r" % (number, line))
             if cls < 0:
                 raise ValueError("negative class id in %r" % line)
             if cls >> 63:

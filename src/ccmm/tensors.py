@@ -334,7 +334,7 @@ def read_matrix(path):
     for number, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != cols:
-            raise ValueError("row has %d entries, expected %d" % (len(parts), cols))
+            raise ValueError("matrix line %d: expected %d entries, found %d" % (number, cols, len(parts)))
         out.append([_entry(number, p) for p in parts])
     return out
 

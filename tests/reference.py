@@ -19,14 +19,15 @@ product. Then the cross-checks of the group association scheme. Then the
 symmetric-power routines over all n**k rows: the rank count that marks the
 cells of every row, and the class build by np.unique(axis=0) over the
 (N*N, k) array of sorted coordinate classes. Then the per-entry text
-writers of the ccfg and real formats. Then the unweighting check as the
-literal loop over all n**9 monomials, building the expected and the
-substituted tensors as dicts of Fractions and comparing them. Last, the
-regular representation i -> L_i as r x r integer matrices, the check that
-some character degree reaches the fiber count, the degree counts at every
-d <= isqrt(r) from rational ranks of the Gram matrices, the floating-point
-cross-check with its n x n idempotent products per cluster, and the
-Salem-Spencer digit construction of a 3AP-free set."""
+writers of the ccfg and real formats and the per-token ccfg row reader.
+Then the unweighting check as the literal loop over all n**9 monomials,
+building the expected and the substituted tensors as dicts of Fractions
+and comparing them. Last, the regular representation i -> L_i as r x r
+integer matrices, the check that some character degree reaches the fiber
+count, the degree counts at every d <= isqrt(r) from rational ranks of
+the Gram matrices, the floating-point cross-check with its n x n
+idempotent products per cluster, and the Salem-Spencer digit
+construction of a 3AP-free set."""
 
 import itertools
 import math
@@ -43,6 +44,7 @@ from ccmm.configuration import (
     _key_arrays,
     _positions,
     _sorted_keys,
+    named_ints,
 )
 from ccmm.constructions import (
     _power_points,
@@ -717,6 +719,26 @@ def loop_write_real(real, fh):
         for x in range(rows):
             for y in range(cols):
                 fh.write("%d %d -> %d\n" % (x, y, int(arr[x, y])))
+
+
+def token_ccfg_rows(lines, width, name):
+    """(number, text) lines of width integers each, as an int64 array, read
+    with one int() call per token: a bad token or row length raises a
+    ValueError naming its file line, an entry past int64 one naming the
+    entry."""
+    rows = []
+    for number, text in lines:
+        row = named_ints("ccfg line %d" % number, text.split())
+        if len(row) != width:
+            raise ValueError("ccfg line %d: expected %d entries, found %d" % (number, width, len(row)))
+        rows.append(row)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError:
+        x, y, v = next(
+            (x, y, v) for x, row in enumerate(rows) for y, v in enumerate(row) if not -(1 << 63) <= v < 1 << 63
+        )
+        raise ValueError("%s entry (%d,%d) = %d does not fit in 64 bits" % (name, x, y, v)) from None
 
 
 def loop_unweighting_check(n, S=None, seed=0):

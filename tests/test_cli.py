@@ -910,6 +910,8 @@ GAMMA = "gamma\n0 0 -> 0\n0 1 -> 2\n1 0 -> 3\n1 1 -> 1\n"
         ([("real 1\n", "# comment\n\nreal 1\n"), ("\ngamma", "\ngama")], "real line 15: expected 'gamma' block"),
         ([(GAMMA, "gamma\n")], "truncated gamma block"),
         ([(GAMMA, "")], "real file ends before its gamma block"),
+        ([("0 1 -> 2", "0 1 => 2")], "real line 5: bad map line '0 1 => 2'"),
+        ([("0 1 -> 2", "0 2 -> 2")], "real line 5: index out of range in '0 2 -> 2'"),
     ],
 )
 def test_real_reader_names_the_line_and_token(tmp_path, capsys, edits, message):
@@ -1006,6 +1008,7 @@ def test_bad_tokens_and_descriptors_are_one_named_error(tmp_path, capsys, argv, 
         ("# identity\n2 2\n1 0\n1 x\n", "matrix line 4: 'x' is not a number"),
         ("2 2\n1 0\n1e5_ 1\n", "matrix line 3: '1e5_' is not a number"),
         ("2 2\n1e1__2 0\n0 1\n", "matrix line 2: '1e1__2' is not a number"),
+        ("# identity\n2 2\n1 0\n0 1 1\n", "matrix line 4: expected 2 entries, found 3"),
     ],
 )
 def test_matrix_tokens_name_the_line(tmp_path, capsys, a, message):

@@ -13,14 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from corpus import corpus
-from reference import dense, loop_write_ccfg
+from reference import dense, loop_write_ccfg, token_ccfg_rows
 
+from ccmm import configuration
 from ccmm.configuration import (
     AxiomViolation,
     CoherentConfiguration,
+    _ccfg_rows,
     read_ccfg,
     write_ccfg,
 )
+from ccmm.constructions import group_scheme, symmetric_power, trivial_configuration
+from ccmm.groups import make_group
 
 
 # ---------------------------------------------------------------- oracles
@@ -366,11 +370,79 @@ def test_ccfg_round_trip_property(n):
 
 
 def test_write_ccfg_bytes_equal_entry_loop_on_corpus():
-    for name, cfg in corpus():
+    cases = list(corpus())
+    # the same matrices without an automorphisms block
+    cases += [(name + " bare", CoherentConfiguration.from_class_matrix(cfg.matrix, check="trusted")) for name, cfg in cases]
+    cases += [
+        ("Sym^2 cyclic:4", symmetric_power(group_scheme(make_group("cyclic:4")), 2)),
+        ("trivial 12", trivial_configuration(12)),  # rank n^2: every id once
+    ]
+    for name, cfg in cases:
         got, want = io.StringIO(), io.StringIO()
         write_ccfg(cfg, got)
         loop_write_ccfg(cfg, want)
         assert got.getvalue() == want.getvalue(), name
+
+
+def test_written_ccfg_rows_skip_the_token_reader(monkeypatch):
+    """Every row write_ccfg writes is parsed by the array path: named_ints,
+    which the per-token path calls for every row, may only read the points
+    line and the automorphisms line."""
+    named_ints = configuration.named_ints
+    for name, cfg in corpus():
+        heads = ("ccfg line 2", "ccfg line %d" % (cfg.n_points + 3))
+
+        def heads_only(source, tokens):
+            if source not in heads:
+                raise AssertionError("%s: %s read token by token" % (name, source))
+            return named_ints(source, tokens)
+
+        monkeypatch.setattr(configuration, "named_ints", heads_only)
+        buf = io.StringIO()
+        write_ccfg(cfg, buf)
+        buf.seek(0)
+        back = read_ccfg(buf)
+        assert np.array_equal(back.matrix, cfg.matrix), name
+        assert np.array_equal(back.automorphisms, cfg.automorphisms), name
+
+
+def _rows_outcome(read, lines, name):
+    try:
+        rows = read(lines, 3, name)
+    except ValueError as exc:
+        return "error", str(exc)
+    return rows.dtype, rows.shape, rows.tolist()
+
+
+@pytest.mark.parametrize("name", ["ccfg", "automorphism"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "2 0 1",
+        "+5 0 1",
+        "007 0 1",
+        "-0 0 1",
+        "1_0 0 1",
+        "\u0663 0 1",
+        "2\t0\t1",
+        "2  0 1",
+        "2 0  1",
+        "9223372036854775807 0 1",
+        "2 0 9223372036854775808",
+        "2 0 99999999999999999999",
+        "2 0 -9223372036854775809",
+        "2 0",
+        "2 0 1 1",
+    ],
+)
+def test_ccfg_rows_match_the_token_reader(name, row):
+    """The array path returns the per-token reader's array, or raises its
+    one-line error, on tokens int() reads that are not plain digits, on
+    other separators, at the edges of int64 and on rows one entry short or
+    long, alone or among good rows."""
+    for block in ([row], ["0 1 2", row, "1 2 0"]):
+        lines = list(enumerate(block, 3))
+        assert _rows_outcome(_ccfg_rows, lines, name) == _rows_outcome(token_ccfg_rows, lines, name)
 
 
 # cyclic:2 group scheme: matrix rows on lines 3-4, the block on lines 5-6

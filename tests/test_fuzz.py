@@ -175,12 +175,37 @@ def run_clean(argv):
 CCFG_CHARS = "ccfg pointsclasses0123456789#-\n"
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@st.composite
+def digit_rows(draw, lines):
+    """The lines with one row past the header changed at the edges of the
+    reader's all-digit array path: an all-digit row one entry short or
+    long, a 19- or 20-digit token, or a token signed with + or padded with
+    zeros."""
+    lines = list(lines)
+    k = draw(st.integers(2, len(lines) - 1))
+    parts = lines[k].split()
+    defect = draw(st.sampled_from(["width", "digits", "plus", "zeros"]))
+    if defect == "width":
+        width = len(parts) + draw(st.sampled_from([-1, 1]))
+        parts = draw(st.lists(st.integers(0, 9).map(str), min_size=width, max_size=width))
+    else:
+        t = draw(st.integers(0, len(parts) - 1))
+        if defect == "digits":
+            parts[t] = str(draw(st.integers(10**18, 10**20 - 1)))
+        else:
+            parts[t] = {"plus": "+", "zeros": "00"}[defect] + parts[t]
+    lines[k] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
 @given(
-    text=st.sampled_from(CCFGS).flatmap(lambda lines: mutated(lines, CCFG_CHARS)),
+    text=st.sampled_from(CCFGS).flatmap(lambda lines: mutated(lines, CCFG_CHARS) | digit_rows(lines)),
     verb=st.sampled_from(["info", "degrees"]),
 )
 @example(text="ccfg 1\npoints 1 classes 1\n%s\n" % BIG, verb="info")
+@example(text="ccfg 1\npoints 1 classes 1\n9223372036854775808\n", verb="info")
+@example(text="ccfg 1\npoints 2 classes 2\n0 1\n1 0\nautomorphisms 1\n+1 00\n", verb="degrees")
 @example(text="ccfg 1\npoints 1 classes %s\n0\n" % BIG, verb="degrees")
 @example(text="ccfg 1\npoints 1 classes 1\n4294967296\n", verb="info")
 @example(text="ccfg 1 # v1\npoints 1 classes 1\n0 # the diagonal\n", verb="degrees")

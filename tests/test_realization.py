@@ -732,6 +732,9 @@ def test_verified_realization_changed_in_place_is_rejected(slot):
 def test_write_real_bytes_equal_entry_loop():
     reals = [fibers_realization(cfg) for _, cfg in corpus()]
     reals += diagonal_example(5)[1]
+    # ids spread far wider than the entries, and negative ones: the labels
+    # are the distinct values, not the range they span
+    reals.append(Realization([[-3, 5], [7, -1]], [[0, 1], [2, 3]], [[10**12, 0], [1, 2]]))
     for real in reals:
         got, want = io.StringIO(), io.StringIO()
         write_real(real, got)
