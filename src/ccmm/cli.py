@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .configuration import AxiomViolation, named_ints, read_ccfg, text_lines, write_ccfg
+from .configuration import CHECKS, AxiomViolation, named_ints, read_ccfg, text_lines, write_ccfg
 from .constructions import (
     direct_product,
     fusion,
@@ -90,7 +90,7 @@ def _read_blocks(path):
     for number, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError("block line needs three dimensions: %r" % line)
+            raise ValueError("blocks line %d: expected 3 dimensions, found %d" % (number, len(parts)))
         out.append(tuple(named_ints("blocks line %d" % number, parts)))
     if not out:
         raise ValueError("blocks file %s is empty" % path)
@@ -102,7 +102,7 @@ def _read_family(path, group):
     for number, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError("family line needs three subsets: %r" % line)
+            raise ValueError("family line %d: expected 3 subsets, found %d" % (number, len(parts)))
         triples.append(tuple(tuple(named_ints("family line %d" % number, p.split(","))) for p in parts))
     return TripleFamily(group, tuple(triples))
 
@@ -130,28 +130,24 @@ BUILD_SPECS = {
 
 
 def cmd_build(args):
-    check = args.check
     usage = BUILD_SPECS[args.what]
     if len(args.spec) != len(usage.split()):
         raise ValueError("usage: ccmm build %s %s" % (args.what, usage))
+    inputs = [read_ccfg(path, check=args.check) for path in args.spec[: usage.count("CCFG")]]
     if args.what == "group-scheme":
-        cfg = group_scheme(make_group(args.spec[0]), check=check)
+        cfg = group_scheme(make_group(args.spec[0]))
     elif args.what == "gas":
-        cfg = group_association_scheme(make_group(args.spec[0]), check=check)
+        cfg = group_association_scheme(make_group(args.spec[0]))
     elif args.what == "trivial":
-        cfg = trivial_configuration(*named_ints("build trivial N", args.spec), check=check)
+        cfg = trivial_configuration(*named_ints("build trivial N", args.spec))
     elif args.what == "schurian":
-        cfg = schurian(_parse_action(args.spec[0]), check=check)
+        cfg = schurian(_parse_action(args.spec[0]))
     elif args.what == "product":
-        c1 = read_ccfg(args.spec[0], check=check)
-        c2 = read_ccfg(args.spec[1], check=check)
-        cfg = direct_product(c1, c2, check=check)
+        cfg = direct_product(*inputs)
     elif args.what == "sympow":
-        base = read_ccfg(args.spec[0], check=check)
-        cfg = symmetric_power(base, *named_ints("build sympow CCFG K", args.spec[1:]), check=check)
+        cfg = symmetric_power(*inputs, *named_ints("build sympow CCFG K", args.spec[1:]))
     else:
-        base = read_ccfg(args.spec[0], check=check)
-        cfg = fusion(base, _read_partition(args.spec[1]), check=check)
+        cfg = fusion(*inputs, _read_partition(args.spec[1]))
     write_ccfg(cfg, args.out or sys.stdout)
     return 0
 
@@ -348,15 +344,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     """Each verb takes only the options it reads: --check where it reads a
-    ccfg file or builds a configuration, --seed, --cap and --tolerance
-    where its computation takes them."""
+    ccfg file (a built configuration is always proved), --seed, --cap and
+    --tolerance where its computation takes them."""
     check = argparse.ArgumentParser(add_help=False)
-    check.add_argument(
-        "--check",
-        choices=["full", "sampled", "trusted"],
-        default="full",
-        help="verification mode for configuration inputs",
-    )
+    check.add_argument("--check", choices=CHECKS, default="full", help="verification mode for ccfg inputs")
 
     p = _Parser(prog="ccmm", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)

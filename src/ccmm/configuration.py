@@ -4,9 +4,11 @@ intersection numbers, star involution, fibers, and the ccfg text format.
 A configuration on n points is stored as an n x n matrix of class ids in
 [0, r). Class ids are normalized: classes appearing on the diagonal come
 first (ordered by their smallest point), the rest follow in row-major order
-of first occurrence. Verification is a full sweep by default. Constructions
-in other modules pass their output through from_class_matrix together with
-point permutations they know to be automorphisms; each is checked exactly
+of first occurrence. Verification is a full sweep of axiom 3 by default;
+check="trusted" skips that sweep for known-good input and the result
+reports itself unchecked. Constructions in other modules pass their output
+through from_class_matrix with the default check, together with point
+permutations they know to be automorphisms; each is checked exactly
 against the class matrix, and the axiom-3 sweep then covers one row per
 orbit of the group they generate. An automorphism maps every pair to a pair
 of the same class and composition profile, so this is still a proof for
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 POINT_CAP = 20000
+CHECKS = ("full", "trusted")  # the verification modes of outside matrices and files
 KEY_BLOCK = 1 << 20  # composition keys sorted per block by the axiom-3 sweep and the tensor build
 
 
@@ -202,14 +205,16 @@ class CoherentConfiguration:
     constructions module); direct __init__ expects normalized input.
     automorphisms holds the verified point permutations (read-only rows)."""
 
-    def __init__(self, matrix, rank, verification, class_labels, x0, y0, automorphisms):
+    def __init__(self, matrix, rank, verification, class_labels, reps, automorphisms):
         self.matrix = matrix
         self.n_points = matrix.shape[0]
         self.rank = rank
-        self.verification = verification  # "full", "sampled", or "trusted"
+        self.verification = verification  # one of CHECKS
         self.class_labels = class_labels
         self.automorphisms = automorphisms
-        self._x0, self._y0 = x0, y0  # (x0[c], y0[c]): row-major first pair of class c
+        # (x0[c], y0[c]): row-major first pair of class c; (x1[c], y1[c]) its
+        # second, or the first again when the class has one pair
+        self._x0, self._y0, self._x1, self._y1 = reps
         self._star = None
         self._sizes = None
         self._tensor = None
@@ -221,12 +226,15 @@ class CoherentConfiguration:
     @classmethod
     def from_class_matrix(cls, matrix, rank=None, class_labels=None, check="full", automorphisms=()):
         """Normalize class ids, verify the three axioms, return the verified
-        configuration. check: "full" (default), "sampled" (spot-check axiom 3,
-        configuration reports itself unchecked), or "trusted" (skip axiom 3).
-        automorphisms: point permutations, each checked to be a permutation
-        of range(n) that keeps every class (else ValueError); with check
-        "full" and at least one of them, axiom 3 is swept over the least
-        point of every orbit of the group they generate."""
+        configuration. check: "full" (default) proves axiom 3, "trusted"
+        skips its sweep and the configuration reports itself unchecked; any
+        other value is a ValueError. automorphisms: point permutations, each
+        checked to be a permutation of range(n) that keeps every class (else
+        ValueError); with check "full" and at least one of them, axiom 3 is
+        swept over the least point of every orbit of the group they
+        generate."""
+        if check not in CHECKS:
+            raise ValueError("check must be %s" % " or ".join(CHECKS))
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("class matrix must be square")
@@ -249,10 +257,14 @@ class CoherentConfiguration:
         if r > n * n:
             raise ValueError("%d classes exceed the %d pairs of %d points" % (r, n * n, n))
         matrix = matrix.astype(np.int32)
-        present, first = np.unique(matrix, return_index=True)
-        if len(present) != r:
-            missing = sorted(set(range(r)) - set(present.tolist()))
-            raise ValueError("class ids not onto [0,%d): missing %s" % (r, missing))
+        # one stable sort lists each class's pairs in row-major order
+        order = np.argsort(matrix.ravel(), kind="stable")
+        sizes = np.bincount(matrix.ravel(), minlength=r)
+        if not sizes.all():
+            raise ValueError("class ids not onto [0,%d): missing %s" % (r, np.flatnonzero(sizes == 0).tolist()))
+        starts = np.cumsum(sizes) - sizes
+        first, second = order[starts], order[starts + (sizes > 1)]
+        del order
         perm = _normalization_perm(matrix, first)
         matrix = perm[matrix].astype(np.int32)
         gens = _verified_automorphisms(matrix, automorphisms)
@@ -261,8 +273,10 @@ class CoherentConfiguration:
             for old, lab in enumerate(class_labels):
                 relabeled[perm[old]] = lab
             class_labels = relabeled
-        # the first pair of new class perm[c] is that of old class c
-        x0, y0 = np.divmod(first[np.argsort(perm)], n)
+        # the pairs of new class perm[c] are those of old class c
+        back = np.argsort(perm)
+        x0, y0 = np.divmod(first[back], n)
+        reps = (x0, y0) + np.divmod(second[back], n)
         _check_axiom1(matrix, r)
         _check_axiom2(matrix, r, x0, y0)
         if check == "full":
@@ -270,16 +284,7 @@ class CoherentConfiguration:
             if len(gens):
                 rows = np.flatnonzero(orbit_minima(gens, np.arange(n)) == np.arange(n))
             _check_axiom3(matrix, r, x0, y0, rows=rows)
-            verification = "full"
-        elif check == "sampled":
-            sample = sorted(set(x0.tolist()) | set(range(0, n, max(1, n // 8))))
-            _check_axiom3(matrix, r, x0, y0, rows=sample)
-            verification = "sampled"
-        elif check == "trusted":
-            verification = "trusted"
-        else:
-            raise ValueError("check must be full, sampled or trusted")
-        return cls(matrix, r, verification, class_labels, x0, y0, gens)
+        return cls(matrix, r, check, class_labels, reps, gens)
 
     # -- basic structure ----------------------------------------------
 
@@ -456,7 +461,7 @@ def _build_tensor(config):
     """Intersection numbers from one representative pair (x, y) per class k:
     row k holds the keys class(x,z)*r + class(z,y) over all z, sorted, and
     each run of equal keys i*r + j is one nonzero p^k_{i,j}. The sorted row
-    of a second representative, where the class has one, must be equal.
+    of the second representative, where the class has one, must be equal.
     Rows are built in chunks of classes to bound memory; each nonzero is
     packed as the int64 code ((i*r + j)*r + k)*(n+1) + p, and one sort of
     the codes orders them by (i, j, k). A configuration whose codes would
@@ -465,14 +470,8 @@ def _build_tensor(config):
     r = config.rank
     if r**3 * (n + 1) >= 1 << 63:
         raise ValueError("intersection tensor of rank %d on %d points exceeds 64-bit codes" % (r, n))
-    x0, y0 = config._x0, config._y0
+    x0, y0, x1, y1 = config._x0, config._y0, config._x1, config._y1
     left, right = _key_arrays(config.matrix, r)
-    flat = config.matrix.ravel()
-    order = np.argsort(flat, kind="stable")
-    starts = np.zeros(r + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=r), out=starts[1:])
-    # the second row-major pair of each class, or its first if it has one
-    x1, y1 = np.divmod(order[np.minimum(starts[:-1] + 1, starts[1:] - 1)], n)
     chunk = max(1, KEY_BLOCK // n)
     codes = []
     for lo in range(0, r, chunk):
@@ -603,9 +602,9 @@ def _ccfg_rows(lines, width, name):
 
 def read_ccfg(path, check="full"):
     """Parse and re-verify a ccfg file (filename or text handle), handing the
-    rows of its automorphisms block, if any, to from_class_matrix. check=
-    "trusted" skips the axiom 3 sweep for known-good files; the result then
-    reports itself unchecked."""
+    rows of its automorphisms block, if any, and check, one of CHECKS, to
+    from_class_matrix: "trusted" skips the axiom 3 sweep for known-good
+    files, and the result then reports itself unchecked."""
     lines = text_lines(path)
     if not lines or lines[0][1].split() != ["ccfg", "1"]:
         raise ValueError("not a ccfg 1 file")

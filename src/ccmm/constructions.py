@@ -1,13 +1,14 @@
 """Configuration builders: group schemes, Schurian configurations from
 actions, group association schemes, direct products, fusions, and symmetric
 powers. Every builder funnels its class matrix through
-CoherentConfiguration.from_class_matrix, so the output is verified rather
-than trusted by construction. Builders also hand it point permutations
-that the construction makes automorphisms: left translations, rows of the
-action table, lifts of the factors' or the base's automorphisms. Each is
-checked exactly against the built matrix, and the axiom-3 sweep runs over
-one row per orbit of the group they generate, which still proves the axiom
-for every pair."""
+CoherentConfiguration.from_class_matrix with the full check, so the output
+is proved rather than trusted by construction and reports verification
+"full"; no builder takes a check mode. Builders also hand it point
+permutations that the construction makes automorphisms: left translations,
+rows of the action table, lifts of the factors' or the base's
+automorphisms. Each is checked exactly against the built matrix, and the
+axiom-3 sweep runs over one row per orbit of the group they generate, which
+still proves the axiom for every pair."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ MAX_POWER = 64  # numpy's limit on array dimensions, one per coordinate
 RANK_CHUNK = 64  # rows of Sym^k class ids formed at once
 
 
-def trivial_configuration(n, check="full"):
+def trivial_configuration(n):
     """Every ordered pair its own class: rank n**2, n fibers. The adjacency
     algebra is the full n x n matrix algebra."""
     if n < 1:
@@ -30,7 +31,7 @@ def trivial_configuration(n, check="full"):
     if n > POINT_CAP:
         raise ValueError("point count %d exceeds cap %d" % (n, POINT_CAP))
     M = np.arange(n * n, dtype=np.int64).reshape(n, n)
-    return CoherentConfiguration.from_class_matrix(M, check=check)
+    return CoherentConfiguration.from_class_matrix(M)
 
 
 def _orbit_generators(table):
@@ -48,7 +49,7 @@ def _orbit_generators(table):
     return gens
 
 
-def group_scheme(G, check="full"):
+def group_scheme(G):
     """Classes R_g = {(h, hg)}: the class of (h, k) is h^-1 k. Association
     scheme on |G| points of rank |G|, commutative iff G is abelian."""
     if G.order > POINT_CAP:
@@ -58,11 +59,11 @@ def group_scheme(G, check="full"):
     M = T[inv]  # M[h, k] = (h^-1) k
     labels = list(range(G.order))
     return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check, automorphisms=_orbit_generators(T)
+        M, class_labels=labels, automorphisms=_orbit_generators(T)
     )
 
 
-def schurian(action, check="full"):
+def schurian(action):
     """Orbits of the diagonal action of the group on ordered point pairs.
     Class labels are representative pairs."""
     X = action.n_points
@@ -79,11 +80,11 @@ def schurian(action, check="full"):
             M[T[:, x], T[:, y]] = len(labels)
             labels.append((x, y))
     return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check, automorphisms=_orbit_generators(T)
+        M, class_labels=labels, automorphisms=_orbit_generators(T)
     )
 
 
-def group_association_scheme(G, check="full"):
+def group_association_scheme(G):
     """The scheme on G whose classes are {(g,h) : g h^-1 in C_i} for the
     conjugacy classes C_i. Commutative regardless of G; identical to
     schurian(conjugation_action(G))."""
@@ -96,11 +97,11 @@ def group_association_scheme(G, check="full"):
     labels = [tuple(c) for c in G.conjugacy_classes()]
     # left translation by a keeps the class: (a g)(a h)^-1 = a (g h^-1) a^-1
     return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check, automorphisms=_orbit_generators(T)
+        M, class_labels=labels, automorphisms=_orbit_generators(T)
     )
 
 
-def direct_product(c1, c2, check="full"):
+def direct_product(c1, c2):
     """Points are pairs, the class of ((x1,x2),(y1,y2)) is the pair of
     coordinate classes. Rank r1*r2. The factors' automorphisms act on their
     coordinate: g x id and id x g."""
@@ -126,12 +127,10 @@ def direct_product(c1, c2, check="full"):
             (np.arange(n1)[:, None] * n2 + c2.automorphisms[:, None, :]).reshape(-1, n),
         ]
     )
-    return CoherentConfiguration.from_class_matrix(
-        M, class_labels=labels, check=check, automorphisms=gens
-    )
+    return CoherentConfiguration.from_class_matrix(M, class_labels=labels, automorphisms=gens)
 
 
-def fusion(config, blocks, check="full"):
+def fusion(config, blocks):
     """Merge classes along a partition of [r]. Raises ValueError for a
     malformed partition; a well-formed partition whose merged matrix breaks
     an axiom raises AxiomViolation from re-verification, which is the
@@ -153,9 +152,7 @@ def fusion(config, blocks, check="full"):
     if len(uncovered):
         raise ValueError("classes not covered: %s" % uncovered.tolist())
     M = blockmap[config.matrix]
-    return CoherentConfiguration.from_class_matrix(
-        M, check=check, automorphisms=config.automorphisms
-    )
+    return CoherentConfiguration.from_class_matrix(M, automorphisms=config.automorphisms)
 
 
 def _power_points(n, k):
@@ -224,7 +221,7 @@ def _class_ids(M, coords, rows, binom):
     return ids.reshape(len(ids), -1)
 
 
-def symmetric_power(config, k, check="full"):
+def symmetric_power(config, k):
     """Fuse the k-fold direct power under coordinate permutations. Points
     are all k-tuples of source points (lexicographic); classes are multisets
     of source classes, so the rank is C(r+k-1, k). The count and the axioms
@@ -254,9 +251,7 @@ def symmetric_power(config, k, check="full"):
     shuffles = [(1, 0) + tuple(range(2, k))] if k >= 2 else []
     shuffles += [tuple(range(1, k)) + (0,)] if k >= 3 else []
     gens += [np.ravel_multi_index([coords[i] for i in s], (n,) * k) for s in shuffles]
-    return CoherentConfiguration.from_class_matrix(
-        matrix, class_labels=labels, check=check, automorphisms=gens
-    )
+    return CoherentConfiguration.from_class_matrix(matrix, class_labels=labels, automorphisms=gens)
 
 
 def symmetric_power_rank(config, k):

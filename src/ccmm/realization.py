@@ -89,21 +89,6 @@ class Realization:
         return "<realization %d,%d,%d>" % self.dims
 
 
-def _check_injective(name, arr):
-    flat = arr.reshape(-1)
-    vals, first = np.unique(flat, return_index=True)
-    if len(vals) != flat.size:
-        seen = {}
-        for idx, v in enumerate(flat.tolist()):
-            if v in seen:
-                raise RealizationInvalid(
-                    ("injective", name, seen[v], idx),
-                    "%s repeats class %d at flat indices %d and %d"
-                    % (name, v, seen[v], idx),
-                )
-            seen[v] = idx
-
-
 def check_class_ids(reals, rank):
     """Every entry of every map is a class id in [0, rank); else ValueError
     naming the map (with its component index when there are several), the
@@ -185,25 +170,36 @@ def _verify(config, reals, name):
     """The checks both verifiers run, in order: each map of each component
     is injective (name(slot, ci) names the map in the witness), map by map
     the images of the components are pairwise disjoint, then the sweep.
-    Both checks read one np.unique of each map's concatenated images.
-    Returns the sweep's failure, or None after recording on every
-    component the intersection data and copies of its maps."""
+    Both checks read one stable sort of each map's concatenated images,
+    which gives every position the last earlier position of its class.
+    Components are scanned in order up to the first one that shares a
+    class with an earlier one; the first position whose class occurred
+    earlier in its own component is a repeat, and that earlier position is
+    the class's first there. Returns the sweep's failure, or None after
+    recording on every component the intersection data and copies of its
+    maps."""
     for slot in ("alpha", "beta", "gamma"):
         arrs = [getattr(real, slot) for real in reals]
         flat = np.concatenate([a.ravel() for a in arrs])
-        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        if len(first) == len(flat):
+        order = np.argsort(flat, kind="stable")
+        same = flat[order[1:]] == flat[order[:-1]]
+        if not same.any():
             continue  # every map injective, the images disjoint
-        comp = np.repeat(np.arange(len(arrs)), [a.size for a in arrs])
-        owner = comp[first][inverse]  # the first component holding each value
-        shared = np.flatnonzero(owner < comp)
-        last = comp[shared[0]] if len(shared) else len(arrs) - 1
-        for ci in range(last + 1):
-            _check_injective(name(slot, ci), arrs[ci])
-        if len(shared):
-            e = shared[0]
-            wit = ("disjoint", slot, int(owner[e]), int(comp[e]), int(flat[e]))
-            raise RealizationInvalid(wit, "%s images of components %d and %d share class %d" % wit[1:])
+        prev = np.full(len(flat), -1)
+        prev[order[1:][same]] = order[:-1][same]
+        sizes = [a.size for a in arrs]
+        comp = np.repeat(np.arange(len(arrs)), sizes)
+        start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        shared = np.flatnonzero((prev >= 0) & (prev < start))
+        last = comp[shared[0]] if len(shared) else len(arrs)
+        repeats = np.flatnonzero((prev >= start) & (comp <= last))
+        if len(repeats):
+            e = repeats[0]
+            wit = ("injective", name(slot, int(comp[e])), int(prev[e] - start[e]), int(e - start[e]))
+            raise RealizationInvalid(wit, "%s repeats class %d at flat indices %d and %d" % ((wit[1], flat[e]) + wit[2:]))
+        e = shared[0]
+        wit = ("disjoint", slot, int(comp[prev[e]]), int(comp[e]), int(flat[e]))
+        raise RealizationInvalid(wit, "%s images of components %d and %d share class %d" % wit[1:])
     t = config.intersection()  # checks a second representative of every class
     fail = _sweep(config, reals)
     if fail is None:
@@ -709,7 +705,7 @@ def read_real(path):
         raise ValueError("real file ends before its dims line")
     head = lines[1].split()
     if len(head) != 4 or head[0] != "dims":
-        raise ValueError("bad dims line %r" % lines[1])
+        raise ValueError("real line %d: bad dims line %r" % (numbered[1][0], lines[1]))
     l, m, n = named_ints("real line %d" % numbered[1][0], head[1:])
     shapes = {"alpha": (l, m), "beta": (m, n), "gamma": (n, l)}
     arrays = {}
@@ -717,12 +713,13 @@ def read_real(path):
     for name in ("alpha", "beta", "gamma"):
         if pos >= len(lines):
             raise ValueError("real file ends before its %s block" % name)
+        block = "real line %d" % numbered[pos][0]
         if lines[pos] != name:
-            raise ValueError("real line %d: expected %r block" % (numbered[pos][0], name))
+            raise ValueError("%s: expected %r block" % (block, name))
         pos += 1
         rows, cols = shapes[name]
         if pos + rows * cols > len(lines):
-            raise ValueError("truncated %s block" % name)
+            raise ValueError("%s: truncated %s block" % (block, name))
         arr = np.full((rows, cols), -1, dtype=np.int64)
         for number, line in numbered[pos : pos + rows * cols]:
             parts = line.split()
@@ -732,14 +729,15 @@ def read_real(path):
             if not (0 <= x < rows and 0 <= y < cols):
                 raise ValueError("real line %d: index out of range in %r" % (number, line))
             if cls < 0:
-                raise ValueError("negative class id in %r" % line)
+                raise ValueError("real line %d: negative class id in %r" % (number, line))
             if cls >> 63:
-                raise ValueError("class id in %r does not fit in 64 bits" % line)
+                raise ValueError("real line %d: class id in %r does not fit in 64 bits" % (number, line))
             arr[x, y] = cls
         pos += rows * cols
         if (arr < 0).any():
-            raise ValueError("missing entries in %s block" % name)
+            x, y = np.argwhere(arr < 0)[0].tolist()
+            raise ValueError("%s: missing entries in %s block, first (%d,%d)" % (block, name, x, y))
         arrays[name] = arr
     if pos != len(lines):
-        raise ValueError("trailing content after gamma block")
+        raise ValueError("real line %d: trailing content after gamma block" % numbered[pos][0])
     return Realization(arrays["alpha"], arrays["beta"], arrays["gamma"])

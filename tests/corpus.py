@@ -125,7 +125,7 @@ def build_corpus():
     at construction time."""
     entries = []
     for g in groups_up_to_order_12():
-        entries.append(("grp:%s" % g.descriptor, group_scheme(g, check="full")))
+        entries.append(("grp:%s" % g.descriptor, group_scheme(g)))
 
     entries.append(("schurian:natural-sym-3", schurian(natural_action(3))))
     entries.append(("schurian:natural-sym-4", schurian(natural_action(4))))

@@ -5,7 +5,8 @@ scalar products written on tuples, and the axiom-3 row sweep with int64
 keys sorted along the strided axis. The realization loops read the
 intersection data only through slice(), star() and iter_nonzero(), so they
 run against tensors and symmetric-power views alike. Beside them sit the
-first forms of the sweep's parts: the per-entry disjointness loop, the
+first forms of the sweep's parts: the dict loop of the injectivity check
+(loop_check_injective), the per-entry disjointness loop, the
 triangles read by masking every tensor nonzero (MaskTriangles), the tensor
 build by lexsort of per-run keys, and the per-cell loop of the
 symmetric-power product maps. Next to the group
@@ -59,7 +60,7 @@ from ccmm.groups import (
     perm_rank,
     perm_unrank,
 )
-from ccmm.realization import RealizationInvalid, _check_injective, grp_as_realization
+from ccmm.realization import RealizationInvalid, grp_as_realization
 from ccmm.sets import APFreeSet, triangle_free_set
 from ccmm.spectrum import CLUSTER_TOL, character_degrees
 from ccmm.tensors import UNWEIGHT_CAP, UnweightingReport
@@ -92,11 +93,24 @@ def dict_tensor(config):
     return out
 
 
+def loop_check_injective(name, arr):
+    """The injectivity check of one map as a dict loop: the first flat index
+    whose class occurred earlier, with that earlier index."""
+    seen = {}
+    for idx, v in enumerate(arr.reshape(-1).tolist()):
+        if v in seen:
+            raise RealizationInvalid(
+                ("injective", name, seen[v], idx),
+                "%s repeats class %d at flat indices %d and %d" % (name, v, seen[v], idx),
+            )
+        seen[v] = idx
+
+
 def loop_verify_realization(t, real):
     """verify_realization as a loop over (a, b') x (b, c')."""
     l, m, n = real.dims
     for name, arr in (("alpha", real.alpha), ("beta", real.beta), ("gamma", real.gamma)):
-        _check_injective(name, arr)
+        loop_check_injective(name, arr)
     owner = {}
     for c in range(n):
         for a in range(l):
@@ -135,7 +149,7 @@ def loop_verify_simultaneous(t, reals):
         seen = {}
         for ci, real in enumerate(reals):
             arr = getattr(real, slot)
-            _check_injective("%s[%d]" % (slot, ci), arr)
+            loop_check_injective("%s[%d]" % (slot, ci), arr)
             for v in arr.reshape(-1).tolist():
                 if v in seen and seen[v] != ci:
                     raise RealizationInvalid(
@@ -188,7 +202,7 @@ def loop_disjoint(reals, name):
         owner = {}
         for ci, real in enumerate(reals):
             arr = getattr(real, slot)
-            _check_injective(name(slot, ci), arr)
+            loop_check_injective(name(slot, ci), arr)
             flat = arr.reshape(-1).tolist()
             for v in flat:
                 if v in owner:

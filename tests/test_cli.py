@@ -15,7 +15,8 @@ import pytest
 
 from ccmm import cli
 from ccmm.cli import build_parser, main
-from ccmm.configuration import read_ccfg
+from ccmm.configuration import CoherentConfiguration, read_ccfg, write_ccfg
+from ccmm.constructions import group_scheme
 from ccmm.groups import make_group
 from ccmm.realization import read_real
 from ccmm.spectrum import SPECTRAL_CAP
@@ -121,11 +122,32 @@ def _fuse_c5(tmp_path, capsys, *check):
     return run(capsys, "build", "fuse", c5, str(part), *check)
 
 
-def test_build_fuse_trusted_skips_axiom_three(tmp_path, capsys):
-    rc, out, err = _fuse_c5(tmp_path, capsys, "--check", "trusted")
-    assert rc == 0
-    assert out.startswith("ccfg 1\npoints 5 classes 4\n")
-    assert err == ""
+def test_build_fuse_trusted_check_still_proves_axiom_three(tmp_path, capsys):
+    # --check trusted reads the input unchecked; the built output is proved
+    assert _fuse_c5(tmp_path, capsys, "--check", "trusted") == _fuse_c5(tmp_path, capsys)
+
+
+def test_trusted_read_skips_only_the_sweep(tmp_path, capsys):
+    """The incoherent fusion of cyclic:5, written unchecked: a full read
+    fails the axiom-3 sweep, a trusted read skips it and fails later, when
+    info builds the intersection numbers and compares two representatives."""
+    c5 = group_scheme(make_group("cyclic:5"))
+    merged = np.array([0, 1, 2, 3, 1])[c5.matrix]
+    path = str(tmp_path / "bad.ccfg")
+    write_ccfg(CoherentConfiguration.from_class_matrix(merged, check="trusted", automorphisms=c5.automorphisms), path)
+    rc, out, err = run(capsys, "info", path)
+    assert (rc, out) == (1, "")
+    assert "axiom (3): pairs (0,4) and (0,1) of class 1 disagree" in err
+    rc, out, err = run(capsys, "info", "--check", "trusted", path)
+    assert (rc, out) == (1, "")
+    assert "axiom (3): intersection numbers differ between representatives of class" in err
+
+
+def test_check_sampled_is_a_usage_error(tmp_path, capsys):
+    rc, out, err = run(capsys, "info", "--check", "sampled", _c5(tmp_path, capsys))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: argument --check: invalid choice: 'sampled'")
+    assert "'full', 'trusted'" in err and err.count("\n") == 1
 
 
 def test_build_fuse_full_check_rejects_with_witness(tmp_path, capsys):
@@ -591,7 +613,7 @@ def test_negative_class_id_in_real_file_is_exit_two(tmp_path, capsys, verb):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err == "error: negative class id in '0 1 -> -1'\n"
+    assert err == "error: real line 5: negative class id in '0 1 -> -1'\n"
 
 
 def test_oversized_ccfg_entry_is_exit_two(tmp_path, capsys):
@@ -653,7 +675,7 @@ def test_oversized_class_id_in_real_file_is_exit_two(tmp_path, capsys):
     rc, out, err = run(capsys, "realize", "verify", "--ccfg", cc, "--real", rr)
     assert rc == 2
     assert out == ""
-    assert err == "error: class id in '1 1 -> 99999999999999999999' does not fit in 64 bits\n"
+    assert err == "error: real line 12: class id in '1 1 -> 99999999999999999999' does not fit in 64 bits\n"
 
 
 def _diagonal_three(tmp_path, capsys):
@@ -887,6 +909,13 @@ def _c5(tmp_path, capsys):
             ["realize", "grp-as", "--group", "cyclic:4", "--family", "{f}"],
             "family line 3: 'z' is not an integer",
         ),
+        ("blocks", "2 2 2\n2 2\n", ["exponent", "asi", "--blocks", "{f}", "--rank", "8"], "blocks line 2: expected 3 dimensions, found 2"),
+        (
+            "family",
+            "0 0,1 0\n0 1 0 1\n",
+            ["realize", "grp-as", "--group", "cyclic:4", "--family", "{f}"],
+            "family line 2: expected 3 subsets, found 4",
+        ),
     ],
 )
 def test_reader_errors_name_the_line_and_token(tmp_path, capsys, kind, text, argv, message):
@@ -908,10 +937,13 @@ GAMMA = "gamma\n0 0 -> 0\n0 1 -> 2\n1 0 -> 3\n1 1 -> 1\n"
         ([("0 1 -> 2", "0 1 -> one")], "real line 5: 'one' is not an integer"),
         ([("beta\n0 0 -> 0\n0 1", "beta\n0 0 -> 0\n0 x")], "real line 10: 'x' is not an integer"),
         ([("real 1\n", "# comment\n\nreal 1\n"), ("\ngamma", "\ngama")], "real line 15: expected 'gamma' block"),
-        ([(GAMMA, "gamma\n")], "truncated gamma block"),
+        ([(GAMMA, "gamma\n")], "real line 13: truncated gamma block"),
         ([(GAMMA, "")], "real file ends before its gamma block"),
         ([("0 1 -> 2", "0 1 => 2")], "real line 5: bad map line '0 1 => 2'"),
         ([("0 1 -> 2", "0 2 -> 2")], "real line 5: index out of range in '0 2 -> 2'"),
+        ([("dims 2 2 2", "dims 2 2")], "real line 2: bad dims line 'dims 2 2'"),
+        ([("0 1 -> 2", "0 0 -> 2")], "real line 3: missing entries in alpha block, first (0,1)"),
+        ([(GAMMA, GAMMA + "1 1 -> 1\n")], "real line 18: trailing content after gamma block"),
     ],
 )
 def test_real_reader_names_the_line_and_token(tmp_path, capsys, edits, message):

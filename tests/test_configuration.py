@@ -17,6 +17,7 @@ from reference import dense, loop_write_ccfg, token_ccfg_rows
 
 from ccmm import configuration
 from ccmm.configuration import (
+    CHECKS,
     AxiomViolation,
     CoherentConfiguration,
     _ccfg_rows,
@@ -314,22 +315,23 @@ def test_adjacency_out_of_range():
 
 
 def test_sampled_and_trusted_modes():
+    """full and trusted are the only modes: "sampled", like any other value,
+    is refused with one line by from_class_matrix and by read_ccfg."""
+    assert CHECKS == ("full", "trusted")
     M = cyclic_scheme_matrix(60)
     full = CoherentConfiguration.from_class_matrix(M, check="full")
     assert full.verification == "full"
-    sampled = CoherentConfiguration.from_class_matrix(M, check="sampled")
-    assert sampled.verification == "sampled"
     trusted = CoherentConfiguration.from_class_matrix(M, check="trusted")
     assert trusted.verification == "trusted"
-    assert np.array_equal(full.matrix, sampled.matrix)
-    with pytest.raises(ValueError):
-        CoherentConfiguration.from_class_matrix(M, check="bogus")
-
-
-def test_sampled_never_reports_full():
-    M = cyclic_scheme_matrix(12)
-    cfg = CoherentConfiguration.from_class_matrix(M, check="sampled")
-    assert cfg.verification == "sampled"
+    assert np.array_equal(full.matrix, trusted.matrix)
+    buf = io.StringIO()
+    write_ccfg(full, buf)
+    assert read_ccfg(io.StringIO(buf.getvalue()), check="trusted").verification == "trusted"
+    for check in ("sampled", "bogus", None):
+        with pytest.raises(ValueError, match=r"^check must be full or trusted$"):
+            CoherentConfiguration.from_class_matrix(M, check=check)
+        with pytest.raises(ValueError, match=r"^check must be full or trusted$"):
+            read_ccfg(io.StringIO(buf.getvalue()), check=check)
 
 
 # ------------------------------------------------------------- file io

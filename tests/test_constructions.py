@@ -3,6 +3,7 @@ group isomorphism, so relabeling points of the product scheme by it must give
 exactly the Z/6 scheme. Fusion and power facts are checked against hand
 enumerations on groups small enough to verify by eye."""
 
+import inspect
 import itertools
 import math
 import os
@@ -46,6 +47,29 @@ from ccmm.groups import (
     make_group,
     perm_unrank,
 )
+
+
+# ------------------------------------------------------------- all builders
+
+
+def test_builders_always_prove_axiom_three():
+    """No builder takes a check mode, and the corpus, which holds the
+    output of every builder, is fully verified."""
+    builders = (
+        trivial_configuration,
+        group_scheme,
+        schurian,
+        group_association_scheme,
+        direct_product,
+        fusion,
+        symmetric_power,
+    )
+    assert not any("check" in inspect.signature(f).parameters for f in builders)
+    entries = corpus()
+    kinds = {name.split(":")[0] for name, _ in entries}
+    assert kinds == {"trivial", "grp", "schurian", "gas", "prod", "fuse", "sym2", "sym3"}
+    for name, cfg in entries:
+        assert cfg.verification == "full", name
 
 
 # ------------------------------------------------------------- trivial
@@ -477,7 +501,7 @@ def test_symmetric_power_matches_reference_across_corpus():
         for k in (2, 3):
             if cfg.n_points**k > 400:
                 continue
-            got = symmetric_power(cfg, k, check="trusted")
+            got = symmetric_power(cfg, k)
             _assert_same_power(got, unique_rows_symmetric_power(cfg, k, check="trusted"))
             checked += 1
     assert checked >= 40

@@ -21,8 +21,8 @@ from reference import (
 )
 
 from ccmm import realization
-from ccmm.configuration import AxiomViolation
-from ccmm.constructions import fusion, group_scheme, symmetric_power, trivial_configuration
+from ccmm.configuration import AxiomViolation, CoherentConfiguration
+from ccmm.constructions import group_scheme, symmetric_power, trivial_configuration
 from ccmm.groups import make_group
 from ccmm.realization import (
     Realization,
@@ -279,7 +279,10 @@ def test_tensor_arrays_are_byte_identical_to_the_lexsort_build():
 
 def test_trusted_fusion_raises_the_lexsort_witness():
     c5 = group_scheme(make_group("cyclic:5"))
-    fused = fusion(c5, [[0], [1, 4], [2], [3]], check="trusted")
+    # classes 1 and 4 (g and g^-1) merged, which breaks axiom 3
+    fused = CoherentConfiguration.from_class_matrix(
+        np.array([0, 1, 2, 3, 1])[c5.matrix], check="trusted", automorphisms=c5.automorphisms
+    )
     with pytest.raises(AxiomViolation) as want:
         lexsort_build_tensor(fused)
     with pytest.raises(AxiomViolation) as got:
@@ -294,7 +297,7 @@ def test_trusted_fusion_raises_the_lexsort_witness():
 def test_tensor_beyond_64_bit_codes_is_refused():
     # r**3 * (n + 1) first reaches 2**63 at 512 points; 511 stays below
     assert ((511**2) ** 3) * 512 < 1 << 63 <= ((512**2) ** 3) * 513
-    cfg = trivial_configuration(513, check="trusted")
+    cfg = trivial_configuration(513)
     with pytest.raises(ValueError, match=r"^intersection tensor of rank 263169 on 513 points exceeds 64-bit codes$"):
         cfg.intersection()
 
