@@ -111,6 +111,15 @@ def _sorted_keys(left, right):
 
 
 def _check_axiom3(matrix, r, x0, y0, rows=None):
+    """Raise the failure _axiom3_witness returns. It is raised here, once the
+    sweep has freed its key blocks, so that a kept traceback does not pin them."""
+    wit = _axiom3_witness(matrix, r, x0, y0, rows)
+    if wit is not None:
+        msg = "pairs (%d,%d) and (%d,%d) of class %d disagree on the count for composition (%d,%d): %d vs %d"
+        raise AxiomViolation(3, wit, msg % (wit[:4] + (int(matrix[wit[0], wit[1]]),) + wit[4:]))
+
+
+def _axiom3_witness(matrix, r, x0, y0, rows=None):
     """Sweep pairs (x, y) for x in rows (default: all rows), ascending,
     comparing every pair's composition profile against the profile of the
     first pair of its class. The profile of (x,y) is the multiset over z of
@@ -118,10 +127,11 @@ def _check_axiom3(matrix, r, x0, y0, rows=None):
     sorted order; the r x n reference profiles are sorted the same way.
     Each block sorts about KEY_BLOCK keys: whole rows for small n, else
     runs of y within one row. With r = n^2 every class holds one pair, only
-    ever compared with itself, so nothing is built."""
+    ever compared with itself, so nothing is built. Returns the witness
+    (x, y, x0, y0, i, j, count at (x,y), count at (x0,y0)) or None."""
     n = matrix.shape[0]
     if r == n * n:
-        return
+        return None
     left, right = _key_arrays(matrix, r)
     step = max(1, KEY_BLOCK // n)
     ref = np.concatenate(
@@ -154,14 +164,8 @@ def _check_axiom3(matrix, r, x0, y0, rows=None):
             d = np.argmax(here != there)
             key = min(here[d], there[d])
             counts = [int(np.searchsorted(a, key, "right") - np.searchsorted(a, key)) for a in (here, there)]
-            wit = (x, y, int(x0[c]), int(y0[c])) + divmod(int(key), r) + tuple(counts)
-            raise AxiomViolation(
-                3,
-                wit,
-                "pairs (%d,%d) and (%d,%d) of class %d disagree on the "
-                "count for composition (%d,%d): %d vs %d"
-                % ((wit[0], wit[1], wit[2], wit[3], c) + wit[4:]),
-            )
+            return (x, y, int(x0[c]), int(y0[c])) + divmod(int(key), r) + tuple(counts)
+    return None
 
 
 def _verified_automorphisms(matrix, automorphisms):

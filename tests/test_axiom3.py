@@ -92,6 +92,23 @@ def test_sweep_blocks_do_not_change_the_witness(monkeypatch):
         assert [verdict(bad) for bad in bads] == want
 
 
+def test_violation_traceback_keeps_no_key_block():
+    """The sweep returns its witness and _check_axiom3 raises it, so the
+    raising frame, which a handler that keeps the exception keeps alive,
+    holds no array but its arguments."""
+    rng = random.Random(7)
+    name, cfg = next(e for e in CORPUS if e[0] == "sym2:grp-sym3")
+    with pytest.raises(AxiomViolation) as info:
+        CoherentConfiguration.from_class_matrix(corrupted(cfg, rng, False))
+    tb = info.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    assert code.co_name == "_check_axiom3"
+    arrays = [k for k, v in tb.tb_frame.f_locals.items() if isinstance(v, np.ndarray)]
+    assert set(arrays) <= set(code.co_varnames[: code.co_argcount])
+
+
 def test_key_width_follows_rank():
     one = np.zeros((1, 1), dtype=np.int32)
     assert _key_arrays(one, 46340)[0].dtype == np.int32  # 46340**2 < 2**31
