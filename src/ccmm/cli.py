@@ -352,11 +352,13 @@ def build_parser():
     p = _Parser(prog="ccmm", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    b = sub.add_parser("build", parents=[check], help="construct a configuration")
-    b.add_argument("what", choices=list(BUILD_SPECS))
-    b.add_argument("spec", nargs="+")
-    b.add_argument("-o", "--out", default=None)
-    b.set_defaults(func=cmd_build)
+    b = sub.add_parser("build", help="construct a configuration")
+    bs = b.add_subparsers(dest="what", required=True)
+    for what, usage in BUILD_SPECS.items():
+        bw = bs.add_parser(what, parents=[check] if "CCFG" in usage else [])
+        bw.add_argument("spec", nargs="+")
+        bw.add_argument("-o", "--out", default=None)
+        bw.set_defaults(func=cmd_build)
 
     i = sub.add_parser("info", parents=[check], help="summarize a configuration file")
     i.add_argument("ccfg")

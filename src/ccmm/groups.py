@@ -13,11 +13,12 @@ from descriptor strings:
 One further kind exists as plumbing only (not parseable from descriptors):
 direct products, used for two-sided actions such as conjugation.
 
-Each kind has one product formula, written on integer arrays (_product).
-The multiplication table is built from it in row blocks, and scalar mult
-evaluates the same formula on two codes. Symmetric and wreath products
-compose rows of the cached array of all n! permutations and rank the
-results with a vectorized Lehmer code.
+Each kind has one product formula, written on integer arrays (_product),
+and scalar mult evaluates it on two codes. The multiplication table
+evaluates it only on the rows of generators: by associativity row s*a is
+row a mapped through row s, so every other row is one gather of a known
+row. Symmetric and wreath products compose rows of the cached array of all
+n! permutations and rank the results with a vectorized Lehmer code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .configuration import named_ints
 
 TABLE_CAP = 4096  # largest order for which a multiplication table is materialized
 PERM_CAP = 40320  # largest n! for which the array of all permutations is built
-TABLE_BLOCK = 1 << 18  # table entries computed per array product
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +118,37 @@ class FiniteGroup:
         return int(self.inverse_vector()[a])
 
     def table(self):
-        """Full multiplication table T[a, b] = a*b, cached, filled in row
-        blocks of about TABLE_BLOCK entries by one _product call each.
-        Orders above TABLE_CAP are refused so memory stays bounded."""
+        """Full multiplication table T[a, b] = a*b, cached. By associativity
+        row s*a is row a mapped through row s, T[s*a] = T[s][T[a]], so rows
+        are filled breadth first from the identity row (code 0, so the row
+        is range(n)) by one gather each. _product evaluates only the row of
+        each generator, the least element not reached yet; each generator
+        at least doubles the reached subgroup, so there are at most log2(n)
+        of them. Orders above TABLE_CAP are refused so memory stays bounded."""
         if self._table is None:
             n = self.order
             if n > TABLE_CAP:
                 raise ValueError("order %d exceeds table cap %d" % (n, TABLE_CAP))
             T = np.empty((n, n), dtype=np.int32)
-            rows = max(1, TABLE_BLOCK // n)
-            for lo in range(0, n, rows):
-                hi = min(n, lo + rows)
-                a, b = np.divmod(np.arange(lo * n, hi * n), n)
-                T[lo:hi] = self._product(a, b).reshape(hi - lo, n)
+            T[0] = np.arange(n)
+            reached = bytearray(n)
+            reached[0] = 1
+            filled, gens = [0], []  # elements in the order their rows were filled
+            while len(filled) < n:
+                g = reached.find(0)
+                T[g] = self._product(np.full(n, g), np.arange(n))
+                reached[g] = 1
+                filled.append(g)
+                gens.append((T[g], memoryview(T[g])))
+                # filled grows while it is read; once read to its end it is
+                # closed under every generator, so it is their subgroup
+                for a in filled:
+                    for s_row, s_codes in gens:
+                        c = s_codes[a]
+                        if not reached[c]:
+                            reached[c] = 1
+                            s_row.take(T[a], out=T[c], mode="clip")
+                            filled.append(c)
             self._table = T
         return self._table
 

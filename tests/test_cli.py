@@ -822,7 +822,13 @@ def test_matrix_comments_leave_entries_exact(tmp_path):
 
 SHARED = {"--check", "--seed", "--cap", "--tolerance"}
 VERB_OPTIONS = {
-    "build": {"--check"},
+    "build group-scheme": set(),
+    "build gas": set(),
+    "build trivial": set(),
+    "build schurian": set(),
+    "build product": {"--check"},
+    "build sympow": {"--check"},
+    "build fuse": {"--check"},
     "info": {"--check"},
     "degrees": {"--check", "--seed", "--cap"},
     "realize verify": {"--check"},
@@ -858,7 +864,7 @@ def test_each_verb_takes_only_the_options_it_reads():
         for verb, leaf in _leaf_parsers(build_parser())
     }
     assert got == VERB_OPTIONS
-    assert sum(map(len, got.values())) == 13
+    assert sum(map(len, got.values())) == 15
 
 
 def test_option_defaults_live_in_the_parser():
@@ -878,6 +884,10 @@ def test_option_defaults_live_in_the_parser():
         ["demo", "jminusi", "--n", "3", "--seed", "1"],
         ["realize", "diagonal-example", "--n", "3", "--check", "trusted"],
         ["realize", "sympow", "--ccfg", "x", "--real", "y", "--materialize", "always"],
+        ["build", "group-scheme", "cyclic:3", "--check", "trusted"],
+        ["build", "gas", "cyclic:3", "--check", "full"],
+        ["build", "trivial", "3", "--check", "trusted"],
+        ["build", "schurian", "diagonal:2", "--check", "full"],
     ],
 )
 def test_option_a_verb_does_not_read_is_exit_two(capsys, argv):

@@ -3,8 +3,10 @@ defined at the top of this file (brute-force conjugation orbits, a separate
 semidirect product model, pure python axiom sweeps) before being compared
 with the library's answers."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,10 +312,16 @@ LOOP_TABLE_GROUPS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _loop_table(desc):
+    """loop_table of a fresh group, computed once per descriptor."""
+    return loop_table(make_group(desc))
+
+
 @pytest.mark.parametrize("desc", LOOP_TABLE_GROUPS)
 def test_table_equals_pair_loop(desc, monkeypatch):
     G = make_group(desc)
-    want = loop_table(G)
+    want = _loop_table(desc)
 
     def refuse(self, a, b):
         raise AssertionError("table() called scalar mult")
@@ -328,14 +336,35 @@ def test_table_equals_pair_loop(desc, monkeypatch):
         assert [G.mult(a, b) for b in range(G.order)] == want[a].tolist()
 
 
-def test_table_blocks_do_not_change_the_table(monkeypatch):
-    import ccmm.groups as groups
+@pytest.mark.parametrize("desc", ["cyclic:12", "abelian:2x2x2x2", "sym:5", "wreath:3:abelian:2x2"])
+def test_table_evaluates_the_formula_on_generator_rows_only(desc):
+    """abelian:2x2x2x2 takes 4 generators and wreath:3:abelian:2x2 takes 8,
+    each a row of n entries; every other row is a gather."""
+    G = make_group(desc)
+    formula = G._product
+    entries = []
 
-    want = make_group("wreath:2:cyclic:3").table()
-    monkeypatch.setattr(groups, "TABLE_BLOCK", 80)  # four of the 18 rows per block, a partial last block
-    assert np.array_equal(make_group("wreath:2:cyclic:3").table(), want)
-    monkeypatch.setattr(groups, "TABLE_BLOCK", 7)  # fewer entries than one row
-    assert np.array_equal(make_group("wreath:2:cyclic:3").table(), want)
+    def counted(a, b):
+        entries.append(np.size(a))
+        return formula(a, b)
+
+    G._product = counted
+    T = G.table()
+    n = G.order
+    assert sum(entries) <= n * n.bit_length()  # n * (floor(log2 n) + 1)
+    assert np.array_equal(T, _loop_table(desc))
+
+
+def test_table_scratch_is_small_beside_the_table():
+    G = make_group("abelian:" + "x".join(["2"] * 12))
+    tracemalloc.start()
+    try:
+        T = G.table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.nbytes == 64 << 20
+    assert peak - T.nbytes <= 1 << 20
 
 
 def test_product_group_mult_matches_table():
