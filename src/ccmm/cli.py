@@ -7,6 +7,7 @@ demand an explicit --seed."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -253,7 +254,7 @@ def cmd_demo_unweight(args):
 
 
 def cmd_demo_jminusi(args):
-    rep = jminusi_demo(args.n, tolerance=args.tolerance)
+    rep = jminusi_demo(args.n)
     print("n %d" % rep.n)
     print("rank_full %d" % rep.rank_plain)
     print("rank_weighted %d" % rep.rank_weighted)
@@ -342,10 +343,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % message)
 
 
+@functools.cache
 def build_parser():
     """Each verb takes only the options it reads: --check where it reads a
-    ccfg file (a built configuration is always proved), --seed, --cap and
-    --tolerance where its computation takes them."""
+    ccfg file (a built configuration is always proved), --seed and --cap
+    where its computation takes them. Cached: one parser per process."""
     check = argparse.ArgumentParser(add_help=False)
     check.add_argument("--check", choices=CHECKS, default="full", help="verification mode for ccfg inputs")
 
@@ -403,7 +405,6 @@ def build_parser():
     du.set_defaults(func=cmd_demo_unweight)
     dj = ds.add_parser("jminusi")
     dj.add_argument("--n", type=int, required=True)
-    dj.add_argument("--tolerance", type=float, default=1e-8, help="singular-value tolerance")
     dj.set_defaults(func=cmd_demo_jminusi)
 
     operands = argparse.ArgumentParser(add_help=False, parents=[check])

@@ -154,13 +154,16 @@ class FiniteGroup:
 
     def inverse_vector(self):
         """inv[a] is the column of the identity in row a of the table; a row
-        without exactly one identity is refused."""
+        without exactly one identity is refused. The identity is code 0, the
+        least code, so inv is the row-wise argmin (O(n) scratch), accepted
+        when each T[a, inv[a]] is 0 and T holds n zeros in all."""
         if self._inv is None:
-            hits = self.table() == self.identity
-            bad = np.flatnonzero(hits.sum(axis=1) != 1)
-            if len(bad):
+            T = self.table()
+            inv = T.argmin(axis=1).astype(np.int32)
+            if T[np.arange(self.order), inv].any() or np.count_nonzero(T) != T.size - self.order:
+                bad = np.flatnonzero(np.count_nonzero(T == self.identity, axis=1) != 1)
                 raise ValueError("element %d has no unique inverse" % bad[0])
-            self._inv = hits.argmax(axis=1).astype(np.int32)
+            self._inv = inv
         return self._inv
 
     def conjugacy_classes(self):

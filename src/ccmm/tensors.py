@@ -2,9 +2,9 @@
 realization, its Boolean form, the unweighting substitution check, the
 J - I demo and the matrix file format.
 
-Everything here is exact except jminusi_demo, where complex roots of unity
-force numerics (ranks via singular values at a stated tolerance). The
-embedded product runs on integer numerators (int64 under an overflow bound,
+Everything here is exact, jminusi_demo included: its ranks and support
+come from short certificates on integers and Fractions. The embedded
+product runs on integer numerators (int64 under an overflow bound,
 Python ints above it) with a remainder certificate at every weight
 division; Fraction appears only at its input and output."""
 
@@ -183,36 +183,29 @@ class JMinusIReport:
         return self.support_match and self.rank_weighted == 2
 
 
-def jminusi_demo(n, tolerance=1e-8):
+def jminusi_demo(n):
     """The all-ones-minus-identity support gap: J - I on n points has rank
     n, while M - J with M_{i,j} = zeta^{i-j} (zeta a primitive n-th root
-    of unity) has the same support and rank 2. The tolerance must be a
-    finite number in (0, 1)."""
+    of unity) has the same support and rank 2. Each value is certified
+    exactly, and a failed certificate raises AssertionError: J/(n-1) - I
+    inverts J - I, as (aI + bJ)(cI + dJ) = ac I + (ad + bc + n bd) J is I
+    in Fractions; M - J is a sum of two rank-1 terms (M = u v^H) whose minor
+    on rows and columns {0, 1}, -(1 - zeta)(1 - zeta^{-1}), is nonzero as
+    zeta != 1; and M_{i,j} = 1 exactly when the integer exponent (i - j)
+    mod n is 0, so the supports are compared on exponents."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n > SPECTRAL_CAP:
         raise ValueError("n %d exceeds cap %d" % (n, SPECTRAL_CAP))
-    if not (math.isfinite(tolerance) and 0 < tolerance < 1):
-        raise ValueError("tolerance must be a finite number in (0, 1), got %r" % tolerance)
+    a, b, c, d = -1, 1, -1, Fraction(1, n - 1)
+    if (a * c, a * d + b * c + n * b * d) != (1, 0):
+        raise AssertionError("J/(n-1) - I is not the inverse of J - I")
     idx = np.arange(n)
-    zeta = np.exp(2j * np.pi / n)
-    M = zeta ** ((idx[:, None] - idx[None, :]) % n)
-    J = np.ones((n, n))
-    I = np.eye(n)
-
-    def numrank(mat):
-        sv = np.linalg.svd(mat, compute_uv=False)
-        return int((sv > tolerance * max(float(sv[0]), 1.0)).sum())
-
-    support_match = bool(
-        np.array_equal(np.abs(M - J) > tolerance, np.abs(J - I) > tolerance)
-    )
-    return JMinusIReport(
-        n=n,
-        rank_plain=numrank(J - I),
-        rank_weighted=numrank(M - J),
-        support_match=support_match,
-    )
+    e = (idx[:, None] - idx[None, :]) % n
+    if not (e[0, 1] and e[1, 0]):  # the minor is -(zeta^e01 - 1)(zeta^e10 - 1)
+        raise AssertionError("the minor of M - J on rows and columns {0, 1} vanishes")
+    support_match = bool(np.array_equal(e != 0, idx[:, None] != idx[None, :]))
+    return JMinusIReport(n=n, rank_plain=n, rank_weighted=2, support_match=support_match)
 
 
 # -- the unweighting substitution check --------------------------------------

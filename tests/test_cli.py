@@ -330,22 +330,10 @@ def test_demo_unweight_requires_seed(capsys):
 
 
 def test_demo_jminusi_reports_ranks(capsys):
-    rc, out, err = run(capsys, "demo", "jminusi", "--n", "5")
-    assert rc == 0
-    assert "rank_full 5" in out
-    assert "rank_weighted 2" in out
-    assert "support_match true" in out
-
-
-@pytest.mark.parametrize(
-    "tolerance,shown",
-    [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"), ("1", "1.0")],
-)
-def test_demo_jminusi_refuses_tolerance_outside_open_unit_interval(capsys, tolerance, shown):
-    # --tolerance nan once printed ranks 0 and 0 and exited 1 with no witness
-    rc, out, err = run(capsys, "demo", "jminusi", "--n", "5", "--tolerance", tolerance)
-    message = "tolerance must be a finite number in (0, 1), got %s" % shown
-    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+    for n in (2, 3, 5, 100, 2000):
+        rc, out, err = run(capsys, "demo", "jminusi", "--n", str(n))
+        assert (rc, err) == (0, "")
+        assert out == "n %d\nrank_full %d\nrank_weighted 2\nsupport_match true\n" % (n, n)
 
 
 # -- matmul / boolmm ---------------------------------------------------------
@@ -820,7 +808,7 @@ def test_matrix_comments_leave_entries_exact(tmp_path):
 
 # -- option surface ----------------------------------------------------------
 
-SHARED = {"--check", "--seed", "--cap", "--tolerance"}
+SHARED = {"--check", "--seed", "--cap"}
 VERB_OPTIONS = {
     "build group-scheme": set(),
     "build gas": set(),
@@ -837,7 +825,7 @@ VERB_OPTIONS = {
     "realize grp-as": set(),
     "realize sympow": {"--check"},
     "demo unweight": {"--seed"},
-    "demo jminusi": {"--tolerance"},
+    "demo jminusi": set(),
     "matmul": {"--check"},
     "boolmm": {"--check", "--seed"},
     "exponent commutative": set(),
@@ -864,14 +852,13 @@ def test_each_verb_takes_only_the_options_it_reads():
         for verb, leaf in _leaf_parsers(build_parser())
     }
     assert got == VERB_OPTIONS
-    assert sum(map(len, got.values())) == 15
+    assert sum(map(len, got.values())) == 14
 
 
 def test_option_defaults_live_in_the_parser():
     parse = build_parser().parse_args
     args = parse(["degrees", "x.ccfg"])
     assert (args.seed, args.cap, args.check) == (0, SPECTRAL_CAP, "full")
-    assert parse(["demo", "jminusi", "--n", "3"]).tolerance == 1e-8
     assert parse(["demo", "unweight", "--n", "2"]).seed is None
 
 
@@ -888,6 +875,7 @@ def test_option_defaults_live_in_the_parser():
         ["build", "gas", "cyclic:3", "--check", "full"],
         ["build", "trivial", "3", "--check", "trusted"],
         ["build", "schurian", "diagonal:2", "--check", "full"],
+        ["demo", "jminusi", "--n", "3", "--tolerance", "1e-8"],
     ],
 )
 def test_option_a_verb_does_not_read_is_exit_two(capsys, argv):

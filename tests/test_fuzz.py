@@ -274,7 +274,7 @@ ARGUMENT_VERBS = {
     "build sympow": (["build", "sympow", "{ccfg}", "{}"], 4, 7),  # 5**7 > POINT_CAP
     "build schurian": (["build", "schurian", "diagonal:{}"], 14, math.isqrt(POINT_CAP) + 1),
     "realize diagonal-example": (["realize", "diagonal-example", "--n", "{}"], 14, math.isqrt(POINT_CAP) + 1),
-    "demo jminusi": (["demo", "jminusi", "--n", "{}"], 300, SPECTRAL_CAP + 1),
+    "demo jminusi": (["demo", "jminusi", "--n", "{}"], SPECTRAL_CAP, SPECTRAL_CAP + 1),
     "demo unweight": (["demo", "unweight", "--seed", "0", "--n", "{}"], 10**12, 10**12),
 }
 NON_INTEGERS = ["x", "", " ", "1.5", "1e3", "0x10", "nan", "-", "--", "1/2", "3 4", "-x"]

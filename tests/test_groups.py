@@ -367,6 +367,35 @@ def test_table_scratch_is_small_beside_the_table():
     assert peak - T.nbytes <= 1 << 20
 
 
+@pytest.mark.parametrize(
+    "cells,bad",
+    [
+        ({(2, 3): 4}, 2),  # row 2 holds no identity
+        ({(3, 1): 0}, 3),  # row 3 holds two; n + 1 zeros in all
+        ({(1, 4): 2, (3, 1): 0}, 1),  # rows 1 and 3 are bad, n zeros in all
+    ],
+)
+def test_inverse_vector_refuses_a_row_without_one_identity(cells, bad):
+    T = make_group("cyclic:5").table().copy()
+    for cell, code in cells.items():
+        T[cell] = code
+    with pytest.raises(ValueError, match=r"^element %d has no unique inverse$" % bad):
+        TableGroup(T).inverse_vector()
+
+
+def test_inverse_vector_scratch_is_small_beside_the_table():
+    G = make_group("abelian:64x64")
+    T = G.table()
+    tracemalloc.start()
+    try:
+        inv = G.inverse_vector()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # an n x n scratch array would take 16 MiB
+    assert np.array_equal(T[np.arange(G.order), inv], np.zeros(G.order))
+
+
 def test_product_group_mult_matches_table():
     G = ProductGroup(make_group("sym:3"), make_group("cyclic:4"))
     T = G.table()

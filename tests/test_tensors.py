@@ -333,11 +333,17 @@ def test_jminusi_rejects_small_n():
         jminusi_demo(1)
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
-def test_jminusi_rejects_tolerance_outside_open_unit_interval(tolerance):
-    # a NaN tolerance once gave rank 0 for both matrices and a support match
-    with pytest.raises(ValueError, match="finite number in"):
-        jminusi_demo(5, tolerance=tolerance)
+@pytest.mark.parametrize("n", range(2, 65))
+def test_jminusi_certificates_agree_with_floating_point(n):
+    # the certified values against SVD ranks and the float support of the
+    # complex matrix M_{i,j} = zeta^{i-j}
+    idx = np.arange(n)
+    M = np.exp(2j * np.pi / n) ** ((idx[:, None] - idx[None, :]) % n)
+    J, I = np.ones((n, n)), np.eye(n)
+    rep = jminusi_demo(n)
+    assert rep.rank_plain == np.linalg.matrix_rank(J - I) == n
+    assert rep.rank_weighted == np.linalg.matrix_rank(M - J) == 2
+    assert rep.support_match == np.array_equal(np.abs(M - J) > 1e-8, J - I != 0)
 
 
 # -- the unweighting substitution check --------------------------------------
