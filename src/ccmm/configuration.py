@@ -27,7 +27,7 @@ import numpy as np
 
 POINT_CAP = 20000
 CHECKS = ("full", "trusted")  # the verification modes of outside matrices and files
-KEY_BLOCK = 1 << 20  # composition keys sorted per block by the axiom-3 sweep and the tensor build
+KEY_BLOCK = 1 << 20  # composition keys sorted per block by the axiom-3 sweep and the row read
 
 
 class AxiomViolation(Exception):
@@ -352,6 +352,53 @@ class CoherentConfiguration:
             self._tensor = _build_tensor(self)
         return self._tensor
 
+    def intersection_rows(self, I, J=None):
+        """The nonzeros p^k_{i,j} with i in the class ids I (and j in J, if
+        given) as an IntersectionTensor, read in blocks of about KEY_BLOCK
+        cells. Both sides of |R_k| p^k_{i,j} = |R_i| p^i_{k,j*} count the
+        same triangles, so row i is read at i's representative pair (x, y):
+        the sorted keys class(y,w)*r + class(x,w) over all points w are runs
+        (j, k) of length p^i_{k,j*}, and rows taken in ascending i come out
+        sorted by (i, j, k). Where axiom 3 is unproven (check "trusted") the
+        row at i's second pair must be the same, and every count must divide
+        by |R_k|; else AxiomViolation. I and J are arrays of ids in [0, r)."""
+        n, r, M, sizes = self.n_points, self.rank, self.matrix, self.class_sizes()
+        I = np.unique(np.asarray(I, dtype=np.int64))
+        if J is not None:
+            inJ = np.zeros(r, dtype=bool)
+            inJ[J] = True
+        dtype = np.int32 if r * r < 1 << 31 else np.int64
+        step = max(1, KEY_BLOCK // n)
+        parts = [(np.zeros(0, np.int64),) * 4]
+        for lo in range(0, len(I), step):
+            i = I[lo : lo + step]
+            rows = _sorted_keys(M[self._y0[i]].astype(dtype) * dtype(r), M[self._x0[i]])
+            if self.verification == "trusted":
+                bad = (rows != _sorted_keys(M[self._y1[i]].astype(dtype) * dtype(r), M[self._x1[i]])).any(axis=1)
+                if bad.any():
+                    c = int(i[np.argmax(bad)])
+                    wit = tuple(int(v[c]) for v in (self._x0, self._y0, self._x1, self._y1)) + (c,)
+                    raise AxiomViolation(3, wit, "intersection numbers differ between representatives of class %d" % c)
+            new = np.ones(rows.shape, dtype=bool)
+            np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+            run = np.flatnonzero(new)  # run starts, row-major; each row starts one
+            i = np.repeat(i, np.count_nonzero(new, axis=1))
+            tri = sizes[i] * np.diff(run, append=rows.size)  # |R_i| p^i_{k,j*}, the triangles of a run
+            j, k = np.divmod(rows.ravel()[run], dtype(r), out=(np.empty_like(run), np.empty_like(run)))
+            if J is not None:
+                keep = inJ[j]
+                i, j, k, tri = i[keep], j[keep], k[keep], tri[keep]
+            sk = sizes[k]
+            p = tri // sk
+            if (p * sk != tri).any():
+                e = np.argmax(p * sk != tri)
+                msg = "|R_%d| p^%d_{%d,%d*} = %d is not a multiple of |R_%d| = %d" % (
+                    i[e], i[e], k[e], j[e], tri[e], k[e], sk[e])
+                raise AxiomViolation(3, (int(i[e]), int(j[e]), int(k[e])), msg)
+            parts.append((i, j, k, p))
+        i, j, k, p = parts[1] if len(parts) == 2 else (np.concatenate(a) for a in zip(*parts))
+        return IntersectionTensor(r, self.star_vector(), (i, j, k, p))
+
     def triangles(self, A, B, C):
         """Index triples (x, y, z) with p^{C[z]*}_{A[x], B[y]} > 0 for arrays
         A, B, C of distinct class ids, C holding gamma classes, read in
@@ -398,18 +445,19 @@ class IntersectionTensor:
     """The nonzero intersection numbers p^k_{i,j} as four int64 arrays
     i, j, k, p sorted by (i, j, k), with a CSR index on the (i, j) pairs:
     the q-th pair present has key _pairs[q] = i*r + j and its nonzeros at
-    _starts[q]:_starts[q+1]. p, slice and iter_nonzero are views of them.
-    The builder hands over the pair key i*r + j of every nonzero with them."""
+    _starts[q]:_starts[q+1], and a last key r*r, past every pair, has none.
+    p, slice and iter_nonzero are views of them."""
 
-    def __init__(self, rank, star, nonzeros, key):
+    def __init__(self, rank, star, nonzeros):
         self.rank = rank
         self.star_vector = star
         for a in nonzeros:
             a.flags.writeable = False
         self._nz = nonzeros
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        self._pairs = key[first]
-        self._starts = np.r_[first, len(key)]
+        key = nonzeros[0] * rank + nonzeros[1]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][: len(key)])
+        self._pairs = np.r_[key[first], rank * rank]
+        self._starts = np.r_[first, len(key), len(key)]
 
     def star(self, i):
         return int(self.star_vector[i])
@@ -431,7 +479,7 @@ class IntersectionTensor:
         r = self.rank
         i, j = np.broadcast_arrays(np.asarray(i, np.int64), np.asarray(j, np.int64))
         key = np.where((i >= 0) & (i < r) & (j >= 0) & (j < r), i * r + j, -1).ravel()
-        q = np.minimum(np.searchsorted(self._pairs, key), len(self._pairs) - 1)
+        q = np.searchsorted(self._pairs, key)
         start = self._starts[q]
         size = np.where(self._pairs[q] == key, self._starts[q + 1] - start, 0)
         pair = np.repeat(np.arange(len(key)), size)
@@ -447,7 +495,7 @@ class IntersectionTensor:
         s = e = 0
         if 0 <= i < r and 0 <= j < r:
             q = int(self._pairs.searchsorted(i * r + j))
-            if q < len(self._pairs) and self._pairs[q] == i * r + j:
+            if self._pairs[q] == i * r + j:
                 s, e = self._starts[q], self._starts[q + 1]
         return dict(zip(self._nz[2][s:e].tolist(), self._nz[3][s:e].tolist()))
 
@@ -462,46 +510,12 @@ def _positions(ids, r):
 
 
 def _build_tensor(config):
-    """Intersection numbers from one representative pair (x, y) per class k:
-    row k holds the keys class(x,z)*r + class(z,y) over all z, sorted, and
-    each run of equal keys i*r + j is one nonzero p^k_{i,j}. The sorted row
-    of the second representative, where the class has one, must be equal.
-    Rows are built in chunks of classes to bound memory; each nonzero is
-    packed as the int64 code ((i*r + j)*r + k)*(n+1) + p, and one sort of
-    the codes orders them by (i, j, k). A configuration whose codes would
-    reach 2**63 is refused before anything is allocated."""
-    n = config.n_points
-    r = config.rank
+    """Every row of the row read, refused before anything is allocated when
+    r^3 (n+1) reaches 2^63: at that size the tensor cannot fit in memory."""
+    n, r = config.n_points, config.rank
     if r**3 * (n + 1) >= 1 << 63:
         raise ValueError("intersection tensor of rank %d on %d points exceeds 64-bit codes" % (r, n))
-    x0, y0, x1, y1 = config._x0, config._y0, config._x1, config._y1
-    left, right = _key_arrays(config.matrix, r)
-    chunk = max(1, KEY_BLOCK // n)
-    codes = []
-    for lo in range(0, r, chunk):
-        ks = np.arange(lo, min(r, lo + chunk))
-        rows = _sorted_keys(left[x0[ks]], right[y0[ks]])
-        bad = (rows != _sorted_keys(left[x1[ks]], right[y1[ks]])).any(axis=1)
-        if bad.any():
-            k = int(ks[np.argmax(bad)])
-            raise AxiomViolation(
-                3,
-                (int(x0[k]), int(y0[k]), int(x1[k]), int(y1[k]), k),
-                "intersection numbers differ between representatives of "
-                "class %d" % k,
-            )
-        new = np.ones(rows.shape, dtype=bool)
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
-        run = np.flatnonzero(new)  # run starts, row-major; each row starts one
-        code = rows.ravel()[run].astype(np.int64)
-        code *= r * (n + 1)
-        code += np.repeat(ks * (n + 1), np.count_nonzero(new, axis=1))
-        code += np.diff(run, append=rows.size)  # p, the run length
-        codes.append(code)
-    code, p = np.divmod(np.sort(np.concatenate(codes)), n + 1)
-    key, k = np.divmod(code, r)
-    i, j = np.divmod(key, r)
-    return IntersectionTensor(r, config.star_vector(), (i, j, k, p), key)
+    return config.intersection_rows(np.arange(r))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ gamma(c,a') form a triangle iff a = a', b = b', c = c'. (i,j,k) is a
 triangle iff p^{k*}_{i,j} > 0.
 
 verify_realization and verify_simultaneous (one component or several) run
-the same checks, _verify, which builds the intersection tensor (checking a
-second representative of every class) before the sweep, _sweep. The sweep
-reads the triangles between the alpha, beta and gamma images through
-config.triangles: a configuration reads one row of n composition classes
-per starred gamma class, at its representative pair, not every nonzero of
-the tensor; a SymmetricPowerView, the default for Sym^k C, builds them from
+the same checks, _verify, whose sweep, _sweep, reads the triangles between
+the alpha, beta and gamma images through config.triangles: a
+configuration reads one row of n composition classes per starred gamma
+class, at its representative pair, not every nonzero of the tensor; a
+SymmetricPowerView, the default for Sym^k C, builds them from
 its base tensor. The view numbers each class of Sym^k C, a sorted k-tuple
 of base classes, by its colexicographic rank (constructions.colex_table,
 the numbering symmetric_power and symmetric_power_rank build their
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import weakref
 from dataclasses import dataclass
 
@@ -61,9 +61,10 @@ class HypothesisViolation(Exception):
 
 class Realization:
     """Three injective maps into class ids, stored as integer arrays of
-    shapes (l, m), (m, n) and (n, l). record is None, or the intersection
-    data the realization last passed verification against together with
-    copies of its maps at that time."""
+    shapes (l, m), (m, n) and (n, l). record is None, or (config, rows,
+    alpha, beta, gamma) from the last verification passed: the configuration
+    or view, its intersection rows of the alpha classes restricted to the
+    beta classes, and copies of the maps at that time."""
 
     def __init__(self, alpha, beta, gamma):
         self.alpha = np.asarray(alpha, dtype=np.int64)
@@ -175,9 +176,11 @@ def _verify(config, reals, name):
     Components are scanned in order up to the first one that shares a
     class with an earlier one; the first position whose class occurred
     earlier in its own component is a repeat, and that earlier position is
-    the class's first there. Returns the sweep's failure, or None after
-    recording on every component the intersection data and copies of its
-    maps."""
+    the class's first there. Only a trusted configuration builds its tensor
+    first, which compares a second representative of every class. Returns
+    the sweep's failure, or None after recording on every component config,
+    its intersection rows of all alpha classes restricted to all beta
+    classes (read once), and copies of the component's maps."""
     for slot in ("alpha", "beta", "gamma"):
         arrs = [getattr(real, slot) for real in reals]
         flat = np.concatenate([a.ravel() for a in arrs])
@@ -200,31 +203,35 @@ def _verify(config, reals, name):
         e = shared[0]
         wit = ("disjoint", slot, int(comp[prev[e]]), int(comp[e]), int(flat[e]))
         raise RealizationInvalid(wit, "%s images of components %d and %d share class %d" % wit[1:])
-    t = config.intersection()  # checks a second representative of every class
+    if getattr(config, "verification", None) == "trusted":
+        config.intersection()
     fail = _sweep(config, reals)
     if fail is None:
+        A, B = (np.concatenate([getattr(real, s).ravel() for real in reals]) for s in ("alpha", "beta"))
+        pairs = config.intersection_rows(A, B)
         for real in reals:
-            real.record = (t,) + tuple(a.copy() for a in real.maps())
+            real.record = (config, pairs) + tuple(a.copy() for a in real.maps())
     return fail
 
 
 def is_verified(config, real):
-    """real passed verification against config.intersection() and its maps
-    are unchanged since."""
+    """real passed verification against config itself (not an equal copy)
+    and its maps are unchanged since."""
     rec = real.record
     return (
         rec is not None
-        and rec[0] is config.intersection()
-        and all(np.array_equal(a, b) for a, b in zip(rec[1:], real.maps()))
+        and rec[0] is config
+        and all(np.array_equal(a, b) for a, b in zip(rec[2:], real.maps()))
     )
 
 
 def verify_realization(config, real):
     """Exhaustive check of the realization conditions: injectivity of the
     three maps, then the triangle-iff-matched sweep over all pairs of map
-    values ((a,b') x (b,c')), reading triangles from the intersection data.
-    Raises RealizationInvalid with the first violating witness in sweep
-    order (a, b', b, c')."""
+    values ((a,b') x (b,c')), reading triangles from the class rows of the
+    gamma classes. Raises RealizationInvalid with the first violating
+    witness in sweep order (a, b', b, c'); on success records real's
+    intersection rows (see Realization)."""
     fail = _verify(config, [real], lambda slot, ci: slot)
     if fail is None:
         return True
@@ -489,7 +496,7 @@ class SymmetricPowerView:
     so the ids are exactly [0, C(r+k-1, k)) in every view and the view
     keeps no state. slice() sums coordinate-product counts over all
     alignments of the two multisets, divided by the orbit size of the
-    result multiset. The view is its own intersection data."""
+    result multiset. The view is its own intersection data and rows."""
 
     def __init__(self, base_tensor, k):
         r = base_tensor.rank
@@ -501,6 +508,9 @@ class SymmetricPowerView:
         self._binom = colex_table(r, k)
 
     def intersection(self):
+        return self
+
+    def intersection_rows(self, I, J=None):
         return self
 
     def class_ids(self, tuples):
@@ -627,7 +637,8 @@ def sympow_realization(config, reals, materialize=False):
     if k < 1:
         raise ValueError("need at least one component")
     verify_simultaneous(config, reals)
-    view = SymmetricPowerView(config.intersection(), k)
+    # a staged view reads the base tensor; numbering the classes reads no row
+    view = SymmetricPowerView(config.intersection_rows(()) if materialize else config.intersection(), k)
     if materialize:
         power = symmetric_power(config, k)
         lookup = np.empty(view.rank, dtype=np.int64)  # view id -> power id
@@ -694,6 +705,42 @@ def write_real(real, path):
             fh.write("".join(pieces.ravel().tolist()))
 
 
+MAP_LINES = re.compile(r"(?:[0-9]+ [0-9]+ -> [0-9]+\n)*")
+
+
+def _map_block(lines, rows, cols):
+    """The rows x cols map set by (number, "x y -> class") lines, -1 where
+    no line sets an entry. A block of lines of ASCII digits in that form
+    only, as write_real writes them, is parsed by one np.loadtxt call and
+    kept if every index is in range. Any other text, or an entry past int64
+    (loadtxt raises ValueError), is read line by line, which names the line
+    of a bad token, form, index or class id."""
+    arr = np.full((rows, cols), -1, dtype=np.int64)
+    texts = [text for _, text in lines]
+    if MAP_LINES.fullmatch("".join(text + "\n" for text in texts)):
+        try:
+            x, y, cls = np.loadtxt(texts, dtype=np.int64, usecols=(0, 1, 3), ndmin=2).T
+        except ValueError:
+            pass
+        else:
+            if (x < rows).all() and (y < cols).all():
+                arr[x, y] = cls
+                return arr
+    for number, line in lines:
+        parts = line.split()
+        if len(parts) != 4 or parts[2] != "->":
+            raise ValueError("real line %d: bad map line %r" % (number, line))
+        x, y, cls = named_ints("real line %d" % number, parts[:2] + parts[3:])
+        if not (0 <= x < rows and 0 <= y < cols):
+            raise ValueError("real line %d: index out of range in %r" % (number, line))
+        if cls < 0:
+            raise ValueError("real line %d: negative class id in %r" % (number, line))
+        if cls >> 63:
+            raise ValueError("real line %d: class id in %r does not fit in 64 bits" % (number, line))
+        arr[x, y] = cls
+    return arr
+
+
 def read_real(path):
     """Parse a "real 1" file back into a Realization (no configuration
     context, so verification happens at the call site)."""
@@ -720,19 +767,7 @@ def read_real(path):
         rows, cols = shapes[name]
         if pos + rows * cols > len(lines):
             raise ValueError("%s: truncated %s block" % (block, name))
-        arr = np.full((rows, cols), -1, dtype=np.int64)
-        for number, line in numbered[pos : pos + rows * cols]:
-            parts = line.split()
-            if len(parts) != 4 or parts[2] != "->":
-                raise ValueError("real line %d: bad map line %r" % (number, line))
-            x, y, cls = named_ints("real line %d" % number, parts[:2] + parts[3:])
-            if not (0 <= x < rows and 0 <= y < cols):
-                raise ValueError("real line %d: index out of range in %r" % (number, line))
-            if cls < 0:
-                raise ValueError("real line %d: negative class id in %r" % (number, line))
-            if cls >> 63:
-                raise ValueError("real line %d: class id in %r does not fit in 64 bits" % (number, line))
-            arr[x, y] = cls
+        arr = _map_block(numbered[pos : pos + rows * cols], rows, cols)
         pos += rows * cols
         if (arr < 0).any():
             x, y = np.argwhere(arr < 0)[0].tolist()

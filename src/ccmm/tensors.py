@@ -41,8 +41,9 @@ class WeightedMatMul:
     (b, k) and cut into runs beginning at starts. run[a, b, c] is the run
     of (b, gamma(c,a)*), where the product reads out entry (a, c);
     run_mass is the largest sum of p over one run. The realization is
-    swept unless its record shows it passed against this configuration's
-    intersection data with the maps it has now."""
+    swept unless its record shows it passed in this configuration with the
+    maps it has now. The pairs are read, elementwise, from the intersection
+    rows of that record, or of the configuration when no record matches."""
 
     def __init__(self, config, real):
         if not is_verified(config, real):
@@ -51,7 +52,7 @@ class WeightedMatMul:
         self.real = real
         self.dims = real.dims
         l, m, n = real.dims
-        t = config.intersection()
+        t = real.record[1] if is_verified(config, real) else config.intersection_rows(real.alpha, real.beta)
         pair, k, p = t.pair_nonzeros(real.alpha[:, :, None], real.beta[None, :, :])
         a, b, c = np.unravel_index(pair, (l, m, n))
         readout = t.star_vector[real.gamma].T  # readout[a, c] = star(gamma(c, a))

@@ -8,8 +8,9 @@ run against tensors and symmetric-power views alike. Beside them sit the
 first forms of the sweep's parts: the dict loop of the injectivity check
 (loop_check_injective), the per-entry disjointness loop, the
 triangles read by masking every tensor nonzero (MaskTriangles), the tensor
-build by lexsort of per-run keys, and the per-cell loop of the
-symmetric-power product maps. Next to the group
+build by lexsort of per-run keys and by one sort of packed int64 codes
+(both read along class k, not class i as the row read does), and the
+per-cell loop of the symmetric-power product maps. Next to the group
 table loop sit its tuple helpers (perm_compose, perm_inverse, perm_cycles),
 the wreath conjugacy key built on cycles, groups given by an explicit
 table (TableGroup, for hand-built and corrupted tables), and the exhaustive
@@ -218,14 +219,17 @@ class MaskTriangles:
     """A configuration whose triangles come from masking every nonzero of
     its intersection tensor by class, as the sweep first read them: each
     triple once. triangles takes gamma classes C and masks k by their
-    stars. Its intersection data is itself, so verify_realization and
-    verify_simultaneous run the sweep on it unchanged."""
+    stars. Its intersection data and rows are itself, so verify_realization
+    and verify_simultaneous run the sweep on it unchanged."""
 
     def __init__(self, config):
         self.t = config.intersection()
         self.rank = config.rank
 
     def intersection(self):
+        return self
+
+    def intersection_rows(self, I, J=None):
         return self
 
     def triangles(self, A, B, C):
@@ -272,6 +276,43 @@ def lexsort_build_tensor(config):
     order = np.lexsort((k, key))
     i, j = np.divmod(key[order], r)
     return i, j, k[order], p[order]
+
+
+def packed_build_tensor(config):
+    """The intersection arrays (i, j, k, p) as the tensor build made them
+    before the row read: row k holds the keys class(x,z)*r + class(z,y)
+    over all z at k's representative pair (x, y), sorted, compared with the
+    row at the second pair of k, and each run of equal keys i*r + j is one
+    nonzero p^k_{i,j}, packed as the int64 code ((i*r + j)*r + k)*(n+1) + p;
+    one sort of the codes orders them by (i, j, k)."""
+    n, r = config.n_points, config.rank
+    x0, y0, x1, y1 = config._x0, config._y0, config._x1, config._y1
+    left, right = _key_arrays(config.matrix, r)
+    chunk = max(1, KEY_BLOCK // n)
+    codes = []
+    for lo in range(0, r, chunk):
+        ks = np.arange(lo, min(r, lo + chunk))
+        rows = _sorted_keys(left[x0[ks]], right[y0[ks]])
+        bad = (rows != _sorted_keys(left[x1[ks]], right[y1[ks]])).any(axis=1)
+        if bad.any():
+            k = int(ks[np.argmax(bad)])
+            raise AxiomViolation(
+                3,
+                (int(x0[k]), int(y0[k]), int(x1[k]), int(y1[k]), k),
+                "intersection numbers differ between representatives of class %d" % k,
+            )
+        new = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+        run = np.flatnonzero(new)
+        code = rows.ravel()[run].astype(np.int64)
+        code *= r * (n + 1)
+        code += np.repeat(ks * (n + 1), np.count_nonzero(new, axis=1))
+        code += np.diff(run, append=rows.size)
+        codes.append(code)
+    code, p = np.divmod(np.sort(np.concatenate(codes)), n + 1)
+    key, k = np.divmod(code, r)
+    i, j = np.divmod(key, r)
+    return i, j, k, p
 
 
 def loop_product_maps(reals, combine):

@@ -13,12 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ccmm import cli
+from ccmm import cli, configuration
 from ccmm.cli import build_parser, main
 from ccmm.configuration import CoherentConfiguration, read_ccfg, write_ccfg
 from ccmm.constructions import group_scheme
 from ccmm.groups import make_group
-from ccmm.realization import read_real
+from ccmm.realization import Realization, read_real, write_real
 from ccmm.spectrum import SPECTRAL_CAP
 from ccmm.tensors import read_matrix
 
@@ -141,6 +141,41 @@ def test_trusted_read_skips_only_the_sweep(tmp_path, capsys):
     rc, out, err = run(capsys, "info", "--check", "trusted", path)
     assert (rc, out) == (1, "")
     assert "axiom (3): intersection numbers differ between representatives of class" in err
+
+
+def test_trusted_realize_verify_compares_representatives_first(tmp_path, capsys):
+    """Verifying in a trusted configuration still builds its intersection
+    numbers, comparing two representatives of every class, before the
+    sweep: the incoherent fusion of cyclic:5 fails there, at class 1."""
+    c5 = group_scheme(make_group("cyclic:5"))
+    merged = np.array([0, 1, 2, 3, 1])[c5.matrix]
+    cc, rr = str(tmp_path / "bad.ccfg"), str(tmp_path / "one.real")
+    write_ccfg(CoherentConfiguration.from_class_matrix(merged, check="trusted", automorphisms=c5.automorphisms), cc)
+    write_real(Realization([[0]], [[0]], [[0]]), rr)
+    rc, out, err = run(capsys, "realize", "verify", "--ccfg", cc, "--real", rr, "--check", "trusted")
+    assert (rc, out) == (1, "")
+    assert err == (
+        "witness: (0, 1, 0, 4, 1)\n"
+        "verification failed: axiom (3): intersection numbers differ between representatives of class 1; "
+        "witness (0, 1, 0, 4, 1)\n"
+    )
+
+
+def test_verify_and_matmul_on_a_full_file_build_no_tensor(tmp_path, capsys, monkeypatch):
+    prefix = str(tmp_path / "diag")
+    run(capsys, "realize", "diagonal-example", "--n", "5", "--out-prefix", prefix)
+    a = tmp_path / "a.mat"
+    a.write_text("5 5\n" + "1 2 0 -1 3/2\n" * 5)
+
+    def refuse(config):
+        raise AssertionError("the whole intersection tensor was built")
+
+    monkeypatch.setattr(configuration, "_build_tensor", refuse)
+    files = ["--ccfg", prefix + ".ccfg", "--real", prefix + ".1.real"]
+    assert run(capsys, "realize", "verify", *files) == (0, "realization 5,5,5 OK\n", "")
+    rc, out, err = run(capsys, "matmul", *files, "--a", str(a), "--b", str(a))
+    assert (rc, err) == (0, "")
+    assert out == "5 5\n" + "7/2 7 0 -7/2 21/4\n" * 5  # each row of A sums to 7/2
 
 
 def test_check_sampled_is_a_usage_error(tmp_path, capsys):

@@ -270,6 +270,21 @@ def test_class_sizes_sum_and_star():
         assert sizes[i] == sizes[cfg.star(i)]
 
 
+def test_trusted_row_count_off_the_class_size_is_an_axiom_violation():
+    """Pair {0,1} and the pairs of point 2 agree on their first two pairs of
+    every class, so only the full check sees axiom 3 fail. The row read of
+    the trusted matrix counts 3 triangles over the diagonal class for a
+    class of 2 pairs, which no coherent configuration can give."""
+    M = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    with pytest.raises(AxiomViolation, match=r"^axiom \(3\): pairs \(2,0\) and \(0,2\) of class 2 disagree"):
+        CoherentConfiguration.from_class_matrix(M)
+    cfg = CoherentConfiguration.from_class_matrix(M, check="trusted")
+    with pytest.raises(AxiomViolation) as exc:
+        cfg.intersection()
+    assert exc.value.witness == (0, 1, 1)
+    assert str(exc.value) == "axiom (3): |R_0| p^0_{1,1*} = 3 is not a multiple of |R_1| = 2; witness (0, 1, 1)"
+
+
 def test_dense_tensor_and_cap():
     cfg = CoherentConfiguration.from_class_matrix(cyclic_scheme_matrix(5))
     d = dense(cfg.intersection())

@@ -12,6 +12,7 @@ with a part of size 3+ exists)."""
 
 import io
 import itertools
+import re
 import tracemalloc
 from itertools import product
 
@@ -659,6 +660,43 @@ def test_real_format_errors():
     assert int(real.alpha[0, 0]) == 5
     with pytest.raises(ValueError):
         read_real(io.StringIO(good + "junk\n"))
+
+
+def test_real_map_blocks_read_as_the_line_loop_reads_them(monkeypatch):
+    """Every text gives the same maps, or the same error, with the one-call
+    block parse and with the per-line loop alone (MAP_LINES never matching)."""
+    reals = [fibers_realization(cfg) for _, cfg in corpus()][:6] + diagonal_example(4)[1]
+    reals.append(Realization([[3, 10**12]], [[1], [2]], [[7]]))
+    texts = []
+    for real in reals:
+        out = io.StringIO()
+        write_real(real, out)
+        texts.append(out.getvalue())
+    head, body = "real 1\ndims 1 2 1\nalpha\n", "\nbeta\n0 0 -> 1\n1 0 -> 2\ngamma\n0 0 -> 7\n"
+    for alpha in [
+        "0 1 -> 10\n0 0 -> 3",  # lines in any order
+        "0 0 -> 007\n0 1 -> 10",  # leading zeros
+        "0 0  -> 3\n0 1 -> +10",  # other spacing, a sign
+        "0 0 -> 3\n0 0 -> 4",  # a repeated entry leaves one missing
+        "0 0 -> 3\n0 2 -> 4",  # an index out of range
+        "0 0 -> 3\n0 1 -> 9223372036854775808",  # a class id past int64
+        "0 0 -> 3\n0 1 -> 9223372036854775807",
+    ]:
+        texts.append(head + alpha + body)
+
+    def outcomes():
+        out = []
+        for text in texts:
+            try:
+                out.append([a.tolist() for a in read_real(io.StringIO(text)).maps()])
+            except ValueError as exc:
+                out.append(str(exc))
+        return out
+
+    fast = outcomes()
+    monkeypatch.setattr(realization, "MAP_LINES", re.compile("(?!)"))
+    assert fast == outcomes()
+    assert sum(isinstance(o, str) for o in fast) == 3
 
 
 # -- one sweep per realization -------------------------------------------------
