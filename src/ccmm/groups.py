@@ -172,6 +172,9 @@ class FiniteGroup:
         if self._classes is None:
             T = self.table()
             inv = self.inverse_vector()
+            if self.is_abelian():  # x g x^-1 = g: every class is a singleton
+                self._classes = [(g,) for g in range(self.order)]
+                return self._classes
             assigned = np.full(self.order, -1, dtype=np.int32)
             classes = []
             for g in range(self.order):

@@ -22,15 +22,17 @@ d number x and take at most d^2 x of r, yet each needs more than d^2, so
 x = 0.
 
 Floating point is only a cross-check that reports its residual. One seeded
-generic Hermitian central element is diagonalized; its eigenspace clusters
-give the central primitive idempotents e_s, and d_s^2 is the rank of the
-regular representation of e_s. Eigenvalues are clustered at 1e-8 * norm and
-idempotent residuals must stay below 1e-6. For a cluster of eigenvectors
-V, e = V V^H, and the residual is the larger of max|V (V^H V - I) V^H| =
-max|e e - e| and |vecs vecs^H - I| = |sum e - I|. The element is Hermitian
-rather than real symmetric: a real symmetric central element takes equal
-values on complex-conjugate character pairs (already for the Z/5 scheme),
-so it could never separate them, while generic Hermitian elements do."""
+generic Hermitian central element H is diagonalized; its eigenvalues,
+clustered at 1e-8 * norm, are its values lambda_s on the components s, and
+d_s^2 is the multiplicity of lambda_s in the regular representation of H,
+read from one r x r eigvalsh (one complex r x r array, 64 MB at
+SPECTRAL_CAP, less than the n x n H). For a cluster of eigenvectors V,
+e = V V^H, and the residual, at most 1e-6, is the larger of
+max|V (V^H V - I) V^H| = max|e e - e| and |vecs vecs^H - I| = |sum e - I|.
+The element is Hermitian rather than real symmetric: a real symmetric
+central element takes equal values on complex-conjugate character pairs
+(already for the Z/5 scheme), so it could never separate them, while
+generic Hermitian elements do."""
 
 from __future__ import annotations
 
@@ -40,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from .configuration import KEY_BLOCK
 
 SPECTRAL_CAP = 2000
 CLUSTER_TOL = 1e-8  # relative eigenvalue gap that separates two clusters
@@ -350,58 +350,57 @@ def _idempotent_residual(vecs, groups):
     return residual
 
 
+def _regular_eigenvalues(config, h, tol):
+    """Eigenvalues of L_H[k, j] = sum_i h_i p^k_{i,j}, the regular
+    representation of H = h[M], by one eigvalsh of the similar matrix
+    K = D^{1/2} L_H D^{-1/2}, D = diag(class sizes). K is Hermitian when
+    h_{i*} = conj(h_i), as |R_k| p^k_{i,j} = |R_j| p^j_{i*,k}; None unless
+    that holds within tol."""
+    r = config.rank
+    i, j, k, p = config.intersection().arrays()
+    root = np.sqrt(config.class_sizes())
+    q = p * root[k] / root[j]
+    K = np.empty((r, r), dtype=np.complex128)
+    K.real = np.bincount(k * r + j, weights=h.real[i] * q, minlength=r * r).reshape(r, r)
+    K.imag = np.bincount(k * r + j, weights=h.imag[i] * q, minlength=r * r).reshape(r, r)
+    if max(np.abs(K.real - K.real.T).max(), np.abs(K.imag + K.imag.T).max()) > tol:
+        return None
+    return np.linalg.eigvalsh(K)
+
+
 def _float_degrees(config, basis, seed):
     """Floating-point degree profile for cross-checking: sorted degrees (or
-    None when a cluster dimension is no square) and the residual from
-    _idempotent_residual. The regular representations L_e are ranked by
-    stacked SVDs of about KEY_BLOCK cells each."""
-    r = config.rank
+    None) and the residual from _idempotent_residual. d_s^2 is the number of
+    eigenvalues of the regular representation of H in the span of cluster s
+    widened by CLUSTER_TOL * scale; None when that representation is not
+    Hermitian, one of its eigenvalues lies outside every cluster or a count
+    is no square."""
     n = config.n_points
-    M = config.matrix
-    i, j, k, p = config.intersection().arrays()
-    sizes = config.class_sizes()
     rnd = random.Random(seed)
     coef = np.array(
         [[rnd.randint(1, 1 << 20) for _ in range(2)] for _ in basis],
         dtype=np.float64,
     ) / (1 << 10)
     Bf = np.array(basis, dtype=np.float64)
-    sym = (coef[:, 0] @ Bf)[M]
-    skew = (coef[:, 1] @ Bf)[M]
-    H = (sym + sym.T) + 1j * (skew - skew.T)
-    scale = max(float(np.abs(H).max()), 1.0)
-    vals, vecs = np.linalg.eigh(H)
-    flat = M.ravel()
-    cuts = np.flatnonzero(np.diff(vals) > CLUSTER_TOL * scale) + 1
+    sym = coef[:, 0] @ Bf
+    skew = coef[:, 1] @ Bf
+    star = config.star_vector()
+    h = (sym + sym[star]) + 1j * (skew - skew[star])  # H = h[M]
+    scale = max(float(np.abs(h).max()), 1.0)
+    tol = CLUSTER_TOL * scale
+    lam = _regular_eigenvalues(config, h, tol)
+    vals, vecs = np.linalg.eigh(h[config.matrix])
+    cuts = np.flatnonzero(np.diff(vals) > tol) + 1
     groups = np.split(np.arange(n), cuts)
     residual = _idempotent_residual(vecs, groups)
-    # cs[g, c]: e_g = sum_c cs[g, c] A_c
-    cs = np.empty((len(groups), r), dtype=np.complex128)
-    for g, grp in enumerate(groups):
-        V = vecs[:, grp]
-        e = (V @ V.conj().T).ravel()
-        cs[g] = (
-            np.bincount(flat, weights=e.real, minlength=r)
-            + 1j * np.bincount(flat, weights=e.imag, minlength=r)
-        ) / sizes
-    # L_e[k, j] = sum_i cs[g, i] p^k_{i,j}
-    lk = k * r + j
-    step = max(1, KEY_BLOCK // (r * r))
-    degrees = []
-    for lo in range(0, len(groups), step):
-        L = np.stack(
-            [
-                np.bincount(lk, weights=c.real[i] * p, minlength=r * r)
-                + 1j * np.bincount(lk, weights=c.imag[i] * p, minlength=r * r)
-                for c in cs[lo : lo + step]
-            ]
-        ).reshape(-1, r, r)
-        sv = np.linalg.svd(L, compute_uv=False)
-        tol = CLUSTER_TOL * np.maximum(sv[:, 0], 1.0)
-        for dim in (sv > tol[:, None]).sum(axis=1):
-            d = math.isqrt(int(dim))
-            degrees.append(d if d >= 1 and d * d == dim else None)
-    if None in degrees:
+    if lam is None:
+        return None, residual
+    g = np.searchsorted(vals[np.r_[cuts, n] - 1] + tol, lam)  # first cluster reaching lam
+    if g.max() == len(groups) or (lam < vals[np.r_[0, cuts]][g] - tol).any():
+        return None, residual
+    dims = np.bincount(g, minlength=len(groups)).tolist()
+    degrees = [math.isqrt(dim) for dim in dims]
+    if any(d == 0 or d * d != dim for d, dim in zip(degrees, dims)):
         return None, residual
     return tuple(sorted(degrees)), residual
 

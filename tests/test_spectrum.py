@@ -19,9 +19,10 @@ from ccmm.constructions import (
     group_association_scheme,
     group_scheme,
     schurian,
+    symmetric_power,
     trivial_configuration,
 )
-from ccmm.groups import CyclicGroup, SymmetricGroup
+from ccmm.groups import CyclicGroup, SymmetricGroup, make_group
 from ccmm.realization import diagonal_action, diagonal_example
 from ccmm import spectrum
 from ccmm.spectrum import (
@@ -474,14 +475,18 @@ def test_early_stopped_counts_equal_full_counts(source):
 
 
 def test_cluster_residual_matches_dense_products():
-    members = list(corpus()) + [("diagonal-4", diagonal_example(4)[0])]
+    # dense_float_degrees ranks each cluster's L_e by its own SVD
+    members = list(corpus())
+    members += [("diagonal-%d" % n, diagonal_example(n)[0]) for n in range(2, 6)]
+    members += [("sym2-diagonal-2", symmetric_power(diagonal_example(2)[0], 2))]
+    members += [(g, group_association_scheme(make_group(g))) for g in ("wreath:2:cyclic:6", "wreath:2:cyclic:7")]
     for name, cfg in members:
         basis = center_basis(cfg)
-        for seed in (0, 1):
+        for seed in range(3):
             check, residual = _float_degrees(cfg, basis, seed)
             want, dense = dense_float_degrees(cfg, basis, seed)
-            assert check == want, name
-            assert abs(residual - dense) < 1e-12, name
+            assert check == want == _exact_degrees(cfg, basis), (name, seed)
+            assert abs(residual - dense) < 1e-12, (name, seed)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -504,14 +509,86 @@ def test_idempotent_residual_matches_dense_products_off_orthonormal(seed):
     assert got > 1e-3
 
 
-@pytest.mark.parametrize("block", [1, 2 * 27 * 27])
-def test_float_degrees_rank_in_blocks(monkeypatch, block):
-    # rank 27, three clusters: one L_e per SVD call, then blocks of 2 and 1
+def _hermitian_coefficients(cfg, seed):
+    """h = s + s[star] + i (w - w[star]) for random central s, w: the class
+    coefficients of a central Hermitian H = h[M]."""
+    rng = np.random.default_rng(seed)
+    B = np.array(center_basis(cfg), dtype=np.float64)
+    s, w = rng.normal(size=(2, len(B))) @ B
+    star = cfg.star_vector()
+    return s + s[star] + 1j * (w - w[star])
+
+
+@pytest.mark.parametrize("cfg_factory", [lambda: diag_config(3), lambda: group_scheme(SymmetricGroup(3))])
+def test_regular_eigenvalues_are_those_of_the_regular_representation(cfg_factory):
+    # eigvalsh of the scaled K against the eigenvalues of sum_i h_i L_i,
+    # with L_i the unscaled integer matrices; each lambda_s appears d_s^2 times
+    cfg = cfg_factory()
+    h = _hermitian_coefficients(cfg, 0)
+    got = spectrum._regular_eigenvalues(cfg, h, 1e-8)
+    L_H = sum(c * L for c, L in zip(h, regular_representation(cfg)))
+    want = np.sort(np.linalg.eigvals(L_H).real)
+    assert np.allclose(got, want, atol=1e-9 * np.abs(h).max() * cfg.n_points)
+    dims = np.diff(np.r_[0, np.flatnonzero(np.diff(got) > 1e-6) + 1, len(got)])
+    assert sorted(dims.tolist()) == sorted(d * d for d in character_degrees(cfg).degrees)
+
+
+def test_non_hermitian_regular_matrix_is_refused(monkeypatch):
+    # wrong class sizes scale K off Hermitian; so does h without h_i* = conj(h_i)
+    cfg = group_scheme(SymmetricGroup(3))
+    basis = center_basis(cfg)
+    h = _hermitian_coefficients(cfg, 1)
+    assert spectrum._regular_eigenvalues(cfg, h, 1e-8) is not None
+    assert spectrum._regular_eigenvalues(cfg, h + 1j * np.arange(cfg.rank), 1e-8) is None
+    sizes = cfg.class_sizes().copy()
+    sizes[1] *= 2
+    monkeypatch.setattr(cfg, "class_sizes", lambda: sizes)
+    assert spectrum._regular_eigenvalues(cfg, h, 1e-8) is None
+    assert _float_degrees(cfg, basis, 0)[0] is None
+
+
+def _shift_one_regular_eigenvalue(monkeypatch, index, sign):
+    """Move eigenvalue index of K by sign * 1e-3 * scale; count calls."""
+    real = spectrum._regular_eigenvalues
+    calls = []
+
+    def shifted(config, h, tol):
+        lam = real(config, h, tol).copy()
+        lam[index] += sign * 1e-3 * tol / spectrum.CLUSTER_TOL
+        calls.append(index)
+        return lam
+
+    monkeypatch.setattr(spectrum, "_regular_eigenvalues", shifted)
+    return calls
+
+
+@pytest.mark.parametrize("index, sign", [(0, -1), (-1, 1)])
+def test_eigenvalue_outside_every_cluster_fails_the_cross_check(monkeypatch, index, sign):
     cfg = diag_config(3)
     basis = center_basis(cfg)
-    want = _float_degrees(cfg, basis, 0)
-    monkeypatch.setattr(spectrum, "KEY_BLOCK", block)
-    assert _float_degrees(cfg, basis, 0) == want
+    assert _float_degrees(cfg, basis, 0)[0] == (3, 3, 3)
+    calls = _shift_one_regular_eigenvalue(monkeypatch, index, sign)
+    check, residual = _float_degrees(cfg, basis, 0)
+    assert check is None and residual < IDEM_TOL
+    with pytest.raises(DegreeComputationError):
+        character_degrees(cfg)
+    assert len(calls) == 3  # one direct call, then the seed and its one retry
+
+
+def test_cluster_without_regular_eigenvalues_fails_the_cross_check(monkeypatch):
+    # Z/5 has five clusters of one; moving the lowest three eigenvalues of K
+    # onto the fourth leaves counts 0, 0, 0, 4, 1: squares, but no degrees
+    cfg = group_scheme(CyclicGroup(5))
+    basis = center_basis(cfg)
+    real = spectrum._regular_eigenvalues
+
+    def merged(config, h, tol):
+        lam = real(config, h, tol).copy()
+        lam[:3] = lam[3]
+        return lam
+
+    monkeypatch.setattr(spectrum, "_regular_eigenvalues", merged)
+    assert _float_degrees(cfg, basis, 0)[0] is None
 
 
 def _wrong_cross_checks(monkeypatch, times):
