@@ -52,18 +52,17 @@ def _normalization_perm(matrix, first):
     order = np.concatenate(
         [diag_classes[np.argsort(diag_first)], rest[np.argsort(first[rest])]]
     )
-    perm = np.empty(len(first), dtype=np.int64)
+    perm = np.empty(len(first), dtype=np.int32)  # r <= n*n < 2**31 ids
     perm[order] = np.arange(len(first))
     return perm
 
 
-def _check_axiom1(matrix, r):
+def _check_axiom1(matrix, sizes):
     diag = np.diagonal(matrix)
-    on_diag = np.bincount(diag, minlength=r)
-    everywhere = np.bincount(matrix.ravel(), minlength=r)
+    on_diag = np.bincount(diag, minlength=len(sizes))
     for c in np.unique(diag):
         c = int(c)
-        if everywhere[c] != on_diag[c]:
+        if sizes[c] != on_diag[c]:
             pos = np.argwhere(matrix == c)
             for x, y in pos:
                 if x != y:
@@ -76,7 +75,7 @@ def _check_axiom1(matrix, r):
 
 
 def _check_axiom2(matrix, r, x0, y0):
-    star = matrix[y0, x0].astype(np.int64)  # transpose class of each first pair
+    star = matrix[y0, x0]  # transpose class of each first pair
     transposed = star[matrix]
     if not np.array_equal(transposed, matrix.T):
         bad = np.argwhere(transposed != matrix.T)
@@ -89,7 +88,6 @@ def _check_axiom2(matrix, r, x0, y0):
             % (c, int(star[c]), int(matrix[y, x])),
         )
     assert np.array_equal(star[star], np.arange(r)), "star not an involution"
-    return star
 
 
 def _key_arrays(matrix, r):
@@ -98,7 +96,7 @@ def _key_arrays(matrix, r):
     int32 when r*r < 2**31, else int64. The composition keys of a pair
     (x, y) are then left[x] + right[y]."""
     dtype = np.int32 if r * r < 1 << 31 else np.int64
-    M = matrix.astype(dtype)
+    M = matrix.astype(dtype, copy=False)
     return M * dtype(r), np.ascontiguousarray(M.T)
 
 
@@ -110,36 +108,40 @@ def _sorted_keys(left, right):
     return keys
 
 
-def _check_axiom3(matrix, r, x0, y0, rows=None):
+def _check_axiom3(matrix, r, x0, y0, sizes, rows=None):
     """Raise the failure _axiom3_witness returns. It is raised here, once the
     sweep has freed its key blocks, so that a kept traceback does not pin them."""
-    wit = _axiom3_witness(matrix, r, x0, y0, rows)
+    wit = _axiom3_witness(matrix, r, x0, y0, sizes, rows)
     if wit is not None:
         msg = "pairs (%d,%d) and (%d,%d) of class %d disagree on the count for composition (%d,%d): %d vs %d"
         raise AxiomViolation(3, wit, msg % (wit[:4] + (int(matrix[wit[0], wit[1]]),) + wit[4:]))
 
 
-def _axiom3_witness(matrix, r, x0, y0, rows=None):
+def _axiom3_witness(matrix, r, x0, y0, sizes, rows=None):
     """Sweep pairs (x, y) for x in rows (default: all rows), ascending,
     comparing every pair's composition profile against the profile of the
     first pair of its class. The profile of (x,y) is the multiset over z of
     (class(x,z), class(z,y)), encoded as one key per z and compared in
-    sorted order; the r x n reference profiles are sorted the same way.
-    Each block sorts about KEY_BLOCK keys: whole rows for small n, else
-    runs of y within one row. With r = n^2 every class holds one pair, only
-    ever compared with itself, so nothing is built. Returns the witness
+    sorted order. A first pair is row-major least in its class, so its row
+    is least in its orbit: the sweep meets it first and keeps its keys as
+    the class's profile. A class of sizes[c] = 1 pair is only compared with
+    itself, so it gets none. Blocks holding no pair of a larger class are
+    skipped, and once their profiles are kept, so are blocks whose such
+    pairs are all first pairs. Each block sorts about KEY_BLOCK keys: whole
+    rows for small n, else runs of y within one row. Returns the witness
     (x, y, x0, y0, i, j, count at (x,y), count at (x0,y0)) or None."""
     n = matrix.shape[0]
-    if r == n * n:
+    multi = sizes > 1
+    if not multi.any():
         return None
+    # ref rows of the classes of two or more pairs (-1: one pair), or None
+    # when every class has two or more and ids index ref directly
+    slot = None if multi.all() else np.where(multi, np.cumsum(multi) - 1, -1)
+    first = x0 * n + y0  # flat index of each class's first pair
+    last = int(first[multi].max())  # no block past it holds a first pair
     left, right = _key_arrays(matrix, r)
+    ref = np.empty((np.count_nonzero(multi), n), dtype=left.dtype)
     step = max(1, KEY_BLOCK // n)
-    ref = np.concatenate(
-        [
-            _sorted_keys(left[x0[lo : lo + step]], right[y0[lo : lo + step]])
-            for lo in range(0, r, step)
-        ]
-    )
     xs = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     # blocks of 1, 2, 4, ... rows, so a failure in an early row is found
     # after at most twice the rows it needs
@@ -149,9 +151,24 @@ def _axiom3_witness(matrix, r, x0, y0, rows=None):
         lo, per = lo + len(xb), min(2 * per, max(1, step // n))
         for ys in range(0, n, step):
             ye = min(n, ys + step)
-            keys = _sorted_keys(left[xb, None], right[None, ys:ye])
             classes = matrix[xb, ys:ye].ravel()
-            bad = (keys != ref[classes]).any(axis=1)
+            at, live = classes, None
+            if slot is not None:
+                at = slot[classes]
+                live = at >= 0
+                if not live.any():
+                    continue
+            keys = _sorted_keys(left[xb, None], right[None, ys:ye])
+            if xb[0] * n + ys <= last:
+                # a pair of a one-pair class is its first pair too
+                own = first[classes] == (xb[:, None] * n + np.arange(ys, ye)).ravel()
+                keep = own if live is None else own & live
+                ref[at[keep]] = keys[keep]
+                if own.all():
+                    continue
+            bad = (keys != ref[at]).any(axis=1)
+            if live is not None:
+                bad &= live
             if not bad.any():
                 continue
             e = int(np.argmax(bad))
@@ -160,7 +177,7 @@ def _axiom3_witness(matrix, r, x0, y0, rows=None):
             c = int(matrix[x, y])
             # the sorted rows agree before their first difference, so the
             # smaller key there is the least key whose counts differ
-            here, there = keys[e], ref[c]
+            here, there = keys[e], ref[at[e]]
             d = np.argmax(here != there)
             key = min(here[d], there[d])
             counts = [int(np.searchsorted(a, key, "right") - np.searchsorted(a, key)) for a in (here, there)]
@@ -182,7 +199,7 @@ def _verified_automorphisms(matrix, automorphisms):
             or not (np.sort(g) == points).all()
         ):
             raise ValueError("automorphism %d is not a permutation of range(%d)" % (idx, n))
-        if not (matrix[g[:, None], g] == matrix).all():
+        if not (matrix.take(g, 0).take(g, 1) == matrix).all():
             raise ValueError("automorphism %d does not preserve the class matrix" % idx)
         rows.append(g)
     out = np.array(rows, dtype=np.int64).reshape(len(rows), n)
@@ -270,7 +287,7 @@ class CoherentConfiguration:
         first, second = order[starts], order[starts + (sizes > 1)]
         del order
         perm = _normalization_perm(matrix, first)
-        matrix = perm[matrix].astype(np.int32)
+        matrix = perm[matrix]
         gens = _verified_automorphisms(matrix, automorphisms)
         if class_labels is not None:
             relabeled = [None] * r
@@ -281,13 +298,14 @@ class CoherentConfiguration:
         back = np.argsort(perm)
         x0, y0 = np.divmod(first[back], n)
         reps = (x0, y0) + np.divmod(second[back], n)
-        _check_axiom1(matrix, r)
+        sizes = sizes[back]
+        _check_axiom1(matrix, sizes)
         _check_axiom2(matrix, r, x0, y0)
         if check == "full":
             rows = None
             if len(gens):
                 rows = np.flatnonzero(orbit_minima(gens, np.arange(n)) == np.arange(n))
-            _check_axiom3(matrix, r, x0, y0, rows=rows)
+            _check_axiom3(matrix, r, x0, y0, sizes, rows=rows)
         return cls(matrix, r, check, class_labels, reps, gens)
 
     # -- basic structure ----------------------------------------------

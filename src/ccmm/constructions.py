@@ -38,12 +38,16 @@ def _orbit_generators(table):
     """Rows of an action table that generate its point orbits: in table
     order, a row is kept when it merges two orbits of the group the rows
     kept before it generate, until the orbit count equals that of the whole
-    table (point x is least in its orbit iff it is least in column x)."""
+    table (point x is least in its orbit iff it is least in column x). The
+    rows after the last kept one are read in windows of 1, 2, 4, ... rows."""
     points = np.arange(table.shape[1])
     target = np.count_nonzero(table.min(axis=0) == points)
     lab, gens, at = points, [], 0
     while np.count_nonzero(lab == points) > target:
-        at += int(np.argmax((lab[table[at:]] != lab).any(axis=1)))
+        width = 1
+        while not (merges := (lab[table[at : at + width]] != lab).any(axis=1)).any():
+            at, width = at + width, 2 * width
+        at += int(np.argmax(merges))
         gens.append(table[at])
         lab = orbit_minima(np.array(gens, dtype=np.int64), lab)
     return gens
@@ -64,21 +68,33 @@ def group_scheme(G):
 
 
 def schurian(action):
-    """Orbits of the diagonal action of the group on ordered point pairs.
-    Class labels are representative pairs."""
+    """Orbits of the diagonal action of the group on ordered point pairs,
+    numbered in row-major order of their least pairs, the class labels.
+    The rows of T form a group, so T.min(axis=0) is the least point x0 of
+    each point's orbit. For any g with g.x0 = x, the least pair of the
+    class of (x, y) is (x0, v), v the least point of the orbit of g^-1.y
+    under the stabilizer of x0: one pass over the orbit representatives
+    numbers the cells (x0, u) and one scatter of the rows g^-1 reads every
+    cell from them. X <= POINT_CAP keeps the ids in int32."""
     X = action.n_points
     if X > POINT_CAP:
         raise ValueError("point count %d exceeds cap" % X)
     T = action.table
-    M = np.full((X, X), -1, dtype=np.int64)
+    rep = T.min(axis=0)
+    reps = np.flatnonzero(rep == np.arange(X))
+    g = np.empty(X, dtype=np.intp)
+    g[T[:, reps]] = np.arange(len(T))[:, None]  # g[x].rep[x] = x; any such row does
+    U = np.empty((X, X), dtype=np.int32)  # U[x, y] = g[x]^-1.y
+    np.put_along_axis(U, T[g], np.arange(X, dtype=np.int32), axis=1)
+    ids = np.empty((len(reps), X), dtype=np.int32)  # class of (x0, u), row per x0
     labels = []
-    for x in range(X):
-        row = M[x]
-        for y in range(X):
-            if row[y] >= 0:
-                continue
-            M[T[:, x], T[:, y]] = len(labels)
-            labels.append((x, y))
+    for o, x0 in enumerate(reps.tolist()):
+        low = T[T[:, x0] == x0].min(axis=0)  # least point of each Stab(x0)-orbit
+        least = low == np.arange(X)
+        ids[o] = (np.cumsum(least, dtype=np.int32) + (len(labels) - 1))[low]
+        labels += [(x0, u) for u in np.flatnonzero(least).tolist()]
+    U += (np.searchsorted(reps, rep).astype(np.int32) * X)[:, None]
+    M = ids.ravel().take(U)
     return CoherentConfiguration.from_class_matrix(
         M, class_labels=labels, automorphisms=_orbit_generators(T)
     )

@@ -351,13 +351,11 @@ class ProductGroup(FiniteGroup):
                 raise ValueError(
                     "order %d exceeds table cap %d" % (self.order, TABLE_CAP)
                 )
-            t1 = self.g1.table().astype(np.int64)
-            t2 = self.g2.table().astype(np.int64)
-            o2 = self.g2.order
-            T = (t1[:, None, :, None] * o2 + t2[None, :, None, :]).reshape(
-                self.order, self.order
-            )
-            self._table = T.astype(np.int32)
+            o1, o2 = self.g1.order, self.g2.order
+            # codes stay below TABLE_CAP, so int32 holds every sum
+            T = np.empty((o1, o2, o1, o2), dtype=np.int32)
+            np.add(self.g1.table()[:, None, :, None] * np.int32(o2), self.g2.table()[None, :, None, :], out=T)
+            self._table = T.reshape(self.order, self.order)
         return self._table
 
 

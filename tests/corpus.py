@@ -19,6 +19,8 @@ from ccmm.constructions import (
     trivial_configuration,
 )
 from ccmm.groups import (
+    CyclicGroup,
+    GroupAction,
     conjugation_action,
     make_group,
     natural_action,
@@ -115,6 +117,14 @@ def groups_up_to_order_12():
         dihedral_group(6),
         dicyclic_group(3),
     ]
+
+
+def cyclic_6_on_12():
+    """Z/6 acting on Z/6, Z/3, Z/2 and Z/1 side by side (6+3+2+1 points): a
+    non-transitive action, whose fixed point's loop is a class of one pair."""
+    g = np.arange(6)[:, None]
+    parts = [(g + np.arange(m)) % m + off for m, off in ((6, 0), (3, 6), (2, 9), (1, 11))]
+    return GroupAction(CyclicGroup(6), np.concatenate(parts, axis=1), "cyclic-6-on-12")
 
 
 # -- the configuration corpus ------------------------------------------------

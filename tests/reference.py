@@ -14,7 +14,11 @@ per-cell loop of the symmetric-power product maps. Next to the group
 table loop sit its tuple helpers (perm_compose, perm_inverse, perm_cycles),
 the wreath conjugacy key built on cycles, groups given by an explicit
 table (TableGroup, for hand-built and corrupted tables), and the exhaustive
-axiom checks verify_group and verify_action. The embedded product
+axiom checks verify_group and verify_action, and the first forms of the
+Schurian builder: the loop over all point pairs that numbers each pair
+orbit by its first unlabeled pair (loop_schurian), with the orbit
+generators found by rescanning every later table row per generator
+(scan_orbit_generators). The embedded product
 is kept twice: the per-term Fraction loop over the structure constants of
 each (alpha(a,b), beta(b,c)) pair, and the point-level adjacency-matrix
 product. Then the cross-checks of the group association scheme. Then the
@@ -47,6 +51,7 @@ from ccmm.configuration import (
     _positions,
     _sorted_keys,
     named_ints,
+    orbit_minima,
 )
 from ccmm.constructions import (
     _power_points,
@@ -348,6 +353,40 @@ def action_from_function(group, n_points, f, name="action"):
     return GroupAction(group, T, name)
 
 
+def scan_orbit_generators(table):
+    """constructions._orbit_generators as first written: for each kept row,
+    every row from the last kept one on is gathered and the first that
+    merges two orbits is taken."""
+    points = np.arange(table.shape[1])
+    target = np.count_nonzero(table.min(axis=0) == points)
+    lab, gens, at = points, [], 0
+    while np.count_nonzero(lab == points) > target:
+        at += int(np.argmax((lab[table[at:]] != lab).any(axis=1)))
+        gens.append(table[at])
+        lab = orbit_minima(np.array(gens, dtype=np.int64), lab)
+    return gens
+
+
+def loop_schurian(action):
+    """constructions.schurian as a loop over all point pairs in row-major
+    order: the first pair not labeled yet names a new class, and its whole
+    orbit M[T[:, x], T[:, y]] gets that class."""
+    X = action.n_points
+    T = action.table
+    M = np.full((X, X), -1, dtype=np.int64)
+    labels = []
+    for x in range(X):
+        row = M[x]
+        for y in range(X):
+            if row[y] >= 0:
+                continue
+            M[T[:, x], T[:, y]] = len(labels)
+            labels.append((x, y))
+    return CoherentConfiguration.from_class_matrix(
+        M, class_labels=labels, automorphisms=scan_orbit_generators(T)
+    )
+
+
 def loop_mult(G, a, b):
     """a*b in a cyclic, abelian, sym or wreath group, on digit and
     permutation tuples, one pair at a time."""
@@ -531,10 +570,11 @@ def loop_profile_mismatch_witness(matrix, r, x, y, xr, yr):
     raise AssertionError("no differing composition count found")
 
 
-def loop_check_axiom3(matrix, r, x0, y0, rows=None):
+def loop_check_axiom3(matrix, r, x0, y0, sizes=None, rows=None):
     """_check_axiom3 as a row sweep: int64 keys[z, y] sorted along axis 0,
     each column compared with the profile of its class's first pair, seen
-    earlier in the same ascending row order."""
+    earlier in the same ascending row order. Every row is swept and every
+    class gets a reference profile, so sizes is not read."""
     n = matrix.shape[0]
     m64 = matrix.astype(np.int64)
     by_row = [[] for _ in range(n)]

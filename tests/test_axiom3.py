@@ -7,12 +7,12 @@ import random
 
 import numpy as np
 import pytest
-from corpus import corpus
+from corpus import corpus, cyclic_6_on_12
 from reference import loop_check_axiom3
 
 from ccmm import configuration
 from ccmm.configuration import AxiomViolation, CoherentConfiguration, _key_arrays
-from ccmm.constructions import trivial_configuration
+from ccmm.constructions import schurian, trivial_configuration
 
 
 def verdict(matrix):
@@ -129,3 +129,58 @@ def test_int64_keys_on_trivial_216(monkeypatch):
     got, want = sweep_and_reference(bad, monkeypatch)
     assert got == want
     assert got[0] == 3
+
+
+def merged_trivial(n, rng, merges):
+    """The trivial class matrix on n points with off-diagonal pairs merged
+    into classes of two, each with its transpose, so that only axiom 3 can
+    fail; class ids renumbered onto [0, r)."""
+    M = np.arange(n * n).reshape(n, n)
+    for _ in range(merges):
+        (a, b), (c, d) = rng.sample([(x, y) for x in range(n) for y in range(n) if x != y], 2)
+        M[c, d], M[d, c] = M[a, b], M[b, a]
+    return np.unique(M, return_inverse=True)[1].reshape(n, n)
+
+
+def test_one_pair_classes_sweep_equals_reference(monkeypatch):
+    """Most classes hold one pair: merged trivial matrices, and the Schurian
+    configuration of Z/6 on 6+3+2+1 points (the fixed point's loop is a
+    class of one pair) with its corruptions."""
+    rng = random.Random(31)
+    verdicts = []
+    for n in (2, 3, 5, 12, 40):
+        for merges in (1, 2, 5):
+            got, want = sweep_and_reference(merged_trivial(n, rng, merges), monkeypatch)
+            assert got == want, (n, merges)
+            verdicts.append(got[0])
+    cfg = schurian(cyclic_6_on_12())
+    assert (cfg.class_sizes() == 1).any() and (cfg.class_sizes() > 1).any()
+    got, want = sweep_and_reference(cfg.matrix, monkeypatch)
+    assert got == want == ("ok", cfg.rank, "full")
+    for late in (False, True) * 4:
+        bad = corrupted(cfg, rng, late)
+        got, want = sweep_and_reference(bad, monkeypatch)
+        assert got == want
+        verdicts.append(got[0])
+    assert verdicts.count(3) >= 20
+
+
+def test_rows_without_a_larger_class_build_no_keys(monkeypatch):
+    """On 200 points with one class of two pairs, {(0,1), (1,0)}, the sweep
+    sorts the keys of its first two row blocks only, rows {0} and {1, 2},
+    and stops at row 1; the one-pair classes get no reference profiles."""
+    n = 200
+    M = np.arange(n * n).reshape(n, n)
+    M[1, 0] = M[0, 1]
+    M = np.unique(M, return_inverse=True)[1].reshape(n, n)
+    sorted_keys = []
+    sort = configuration._sorted_keys
+
+    def spy(left, right):
+        keys = sort(left, right)
+        sorted_keys.append(keys.size)
+        return keys
+
+    monkeypatch.setattr(configuration, "_sorted_keys", spy)
+    assert verdict(M)[0] == 3
+    assert sum(sorted_keys) == 3 * n * n

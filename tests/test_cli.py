@@ -1034,6 +1034,23 @@ def test_build_trivial_1000_fits_an_address_space_cap(tmp_path):
     assert err == "error: intersection tensor of rank 1000000 on 1000 points exceeds 64-bit codes\n"
 
 
+def test_info_on_a_near_trivial_1000_fits_an_address_space_cap(tmp_path):
+    """Rank 10^6 - 2: every class holds one pair but for {(0,1), (1,0)} and
+    {(0,2), (2,0)}. The sweep builds reference profiles for those two
+    classes only and sweeps only the row blocks holding their pairs, so the
+    file is refused with the axiom-3 witness, not a MemoryError."""
+    n = 1000
+    M = np.arange(n * n).reshape(n, n)
+    M[1, 0], M[2, 0] = M[0, 1], M[0, 2]
+    M = np.unique(M, return_inverse=True)[1].reshape(n, n)
+    cc = tmp_path / "near.ccfg"
+    cc.write_text("ccfg 1\npoints %d classes %d\n" % (n, n * n - 2) + "\n".join(" ".join(map(str, r)) for r in M.tolist()) + "\n")
+    rc, out, err = run_capped("info", str(cc))
+    assert (rc, out) == (1, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[0] == "witness: (1, 0, 0, 1, 0, 1000, 0, 1)"
+
+
 # -- bad number tokens and group descriptors name their source -----------------
 
 WANT = ": want cyclic:M, abelian:M1xM2x..., sym:N or wreath:N:BASE"

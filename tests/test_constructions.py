@@ -4,6 +4,7 @@ exactly the Z/6 scheme. Fusion and power facts are checked against hand
 enumerations on groups small enough to verify by eye."""
 
 import inspect
+import io
 import itertools
 import math
 import os
@@ -15,9 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccmm.configuration import AxiomViolation, CoherentConfiguration
+from ccmm.configuration import AxiomViolation, CoherentConfiguration, write_ccfg
 from ccmm.constructions import (
     _class_ids,
+    _orbit_generators,
     _power_points,
     _sorted_rows,
     colex_table,
@@ -31,20 +33,24 @@ from ccmm.constructions import (
     trivial_configuration,
 )
 from ccmm.realization import diagonal_action, diagonal_example
-from corpus import corpus
+from corpus import corpus, cyclic_6_on_12
 from reference import (
     action_from_function,
     colex_rank,
     full_row_symmetric_power_rank,
     gas_equals_schurian_conjugation,
+    loop_schurian,
+    scan_orbit_generators,
     unique_rows_symmetric_power,
 )
 from ccmm.groups import (
     CyclicGroup,
+    GroupAction,
     SymmetricGroup,
     conjugation_action,
     left_translation_action,
     make_group,
+    natural_action,
     perm_unrank,
 )
 
@@ -153,6 +159,69 @@ def test_schurian_labels_are_orbit_representatives():
     cfg = schurian(left_translation_action(g))
     for c, (x, y) in enumerate(cfg.class_labels):
         assert cfg.matrix[x, y] == c
+
+
+def schurian_actions():
+    """(name, action) for the diagonal actions on 1 to 121 points, the
+    translation and conjugation actions of nine groups, the natural
+    actions of S_1 to S_6, one non-transitive action and a trivial one."""
+    acts = [("diagonal:%d" % n, diagonal_action(n)) for n in range(1, 12)]
+    for desc in ("cyclic:1", "cyclic:6", "cyclic:8", "abelian:2x2", "abelian:2x4",
+                 "sym:3", "sym:4", "wreath:2:cyclic:3", "wreath:2:cyclic:4"):
+        acts.append(("translation:" + desc, left_translation_action(make_group(desc))))
+        acts.append(("conjugation:" + desc, conjugation_action(make_group(desc))))
+    acts += [("natural:sym:%d" % n, natural_action(n)) for n in range(1, 7)]
+    acts.append(("cyclic:6-on-6+3+2+1", cyclic_6_on_12()))
+    acts.append(("trivial:5", GroupAction(CyclicGroup(1), np.arange(5)[None], "trivial")))
+    return acts
+
+
+SCHURIAN_ACTIONS = schurian_actions()
+
+
+def ccfg_text(cfg):
+    buf = io.StringIO()
+    write_ccfg(cfg, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name,action", SCHURIAN_ACTIONS, ids=[name for name, _ in SCHURIAN_ACTIONS])
+def test_schurian_equals_the_pair_loop(name, action):
+    """The orbit-representative build gives the pair loop's configuration
+    bit for bit: class matrix, labels, automorphisms and ccfg text."""
+    got, want = schurian(action), loop_schurian(action)
+    assert got.matrix.dtype == want.matrix.dtype
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.class_labels == want.class_labels
+    assert all(type(v) is int for label in got.class_labels for v in label)
+    assert got.automorphisms.dtype == want.automorphisms.dtype
+    assert np.array_equal(got.automorphisms, want.automorphisms)
+    assert ccfg_text(got) == ccfg_text(want)
+
+
+@pytest.mark.parametrize("name,action", SCHURIAN_ACTIONS, ids=[name for name, _ in SCHURIAN_ACTIONS])
+def test_orbit_generators_equal_the_full_scan(name, action):
+    for table in (action.table, action.group.table()):
+        got, want = _orbit_generators(table), scan_orbit_generators(table)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_schurian_class_matrix_memory(monkeypatch):
+    """On the 1024 points of translation:cyclic:1024 the class matrix is
+    built in at most four 1024 x 1024 int64 arrays of scratch (32 MiB)."""
+    action = left_translation_action(make_group("cyclic:1024"))
+    want = group_scheme(make_group("cyclic:1024")).matrix
+    built = []
+    monkeypatch.setattr(CoherentConfiguration, "from_class_matrix", classmethod(lambda cls, M, **kw: built.append(M)))
+    tracemalloc.start()
+    try:
+        schurian(action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 1024 * 1024 * 8
+    assert np.array_equal(built[0], want)
 
 
 # ----------------------------------------------- group association scheme

@@ -3,22 +3,26 @@ action descriptors through the command line: whatever the input text or
 argument, a verb exits 0, 1 or 2, never with a traceback; exit 2 comes with
 exactly one `error:` line in the program's own words and exit 1 with a
 `witness:` line. The matrix verbs never exit 1; a malformed descriptor or
-a token that is no integer always exits 2."""
+a token that is no integer always exits 2. Last, drawn group actions check
+the Schurian builder and its orbit generators against the pair loop and
+the full scan they replace."""
 
 import contextlib
 import io
 import math
 import time
 
+import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+from reference import loop_schurian, scan_orbit_generators
 
 from ccmm.cli import main
 from ccmm.configuration import POINT_CAP, write_ccfg
-from ccmm.constructions import group_association_scheme, group_scheme, trivial_configuration
-from ccmm.groups import make_group
-from ccmm.realization import fibers_realization, write_real
+from ccmm.constructions import _orbit_generators, group_association_scheme, group_scheme, schurian, trivial_configuration
+from ccmm.groups import GroupAction, ProductGroup, conjugation_action, left_translation_action, make_group, natural_action
+from ccmm.realization import diagonal_action, fibers_realization, write_real
 from ccmm.spectrum import SPECTRAL_CAP
 
 TOKENS = st.one_of(
@@ -347,3 +351,49 @@ def test_verb_arguments_never_traceback(inputs, case):
         assert time.perf_counter() - start < 1.0, argv
     if verb in TOKEN_VERBS or value in NON_INTEGERS:
         assert rc == 2, argv
+
+
+# -- Schurian configurations of drawn actions ----------------------------------
+
+SMALL_GROUPS = ["cyclic:%d" % m for m in range(1, 25)] + [
+    "abelian:2x2", "abelian:2x4", "abelian:2x2x2", "abelian:3x3", "abelian:2x6", "abelian:4x4",
+    "abelian:2x2x2x2", "abelian:2x2x6", "sym:1", "sym:2", "sym:3", "sym:4",
+    "wreath:2:cyclic:2", "wreath:2:cyclic:3", "wreath:3:cyclic:1", "wreath:2:abelian:2x1",
+]
+
+
+@st.composite
+def small_action(draw):
+    """Translation or conjugation of a group of order at most 24, the
+    diagonal action on (Z/N)^2 for N <= 12, or S_N on N <= 5 points."""
+    kind = draw(st.sampled_from(["translation", "conjugation", "diagonal", "natural"]))
+    if kind == "diagonal":
+        return diagonal_action(draw(st.integers(1, 12)))
+    if kind == "natural":
+        return natural_action(draw(st.integers(1, 5)))
+    G = make_group(draw(st.sampled_from(SMALL_GROUPS)))
+    return left_translation_action(G) if kind == "translation" else conjugation_action(G)
+
+
+def disjoint_union(a, b):
+    """The product of the two groups acting on the points of a, then those
+    of b: (g, h) moves a point of a by g and a point of b by h."""
+    table = np.concatenate(
+        [np.repeat(a.table, len(b.table), axis=0), np.tile(b.table, (len(a.table), 1)) + a.n_points], axis=1
+    )
+    return GroupAction(ProductGroup(a.group, b.group), table, "union")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=small_action(), b=st.none() | small_action())
+def test_schurian_equals_the_pair_loop_on_drawn_actions(a, b):
+    if b is not None:
+        assume(len(a.table) * len(b.table) <= 4096)
+        a = disjoint_union(a, b)
+    event("union" if b is not None else "single")
+    got, want = schurian(a), loop_schurian(a)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.class_labels == want.class_labels
+    assert np.array_equal(got.automorphisms, want.automorphisms)
+    gens, scanned = _orbit_generators(a.table), scan_orbit_generators(a.table)
+    assert len(gens) == len(scanned) and all(np.array_equal(g, h) for g, h in zip(gens, scanned))

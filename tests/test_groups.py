@@ -402,6 +402,23 @@ def test_product_group_mult_matches_table():
     assert all(G.mult(a, b) == T[a, b] for a in range(G.order) for b in range(G.order))
 
 
+def test_product_group_table_is_one_int32_sum():
+    """The table of G1 x G2 is filled in int32 with no int64 scratch, and
+    equals the int64 sum of the factors' codes."""
+    g1, g2 = make_group("cyclic:32"), make_group("wreath:2:cyclic:2")
+    t1, t2 = g1.table().astype(np.int64), g2.table().astype(np.int64)
+    G = ProductGroup(g1, g2)
+    tracemalloc.start()
+    try:
+        T = G.table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.dtype == np.int32 and T.shape == (256, 256)
+    assert peak - T.nbytes <= 1 << 17  # the int64 sum alone would take 512 KiB
+    assert np.array_equal(T, (t1[:, None, :, None] * 8 + t2[None, :, None, :]).reshape(256, 256))
+
+
 def test_permutation_array_rows_and_cap():
     for n in range(1, 6):
         P = permutation_array(n)

@@ -198,9 +198,9 @@ def swept_rows(monkeypatch):
     seen = []
     sweep = configuration._check_axiom3
 
-    def spy(matrix, r, x0, y0, rows=None):
+    def spy(matrix, r, x0, y0, sizes, rows=None):
         seen.append(None if rows is None else list(rows))
-        return sweep(matrix, r, x0, y0, rows=rows)
+        return sweep(matrix, r, x0, y0, sizes, rows=rows)
 
     monkeypatch.setattr(configuration, "_check_axiom3", spy)
     return seen
