@@ -470,6 +470,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory%s" % (": %s" % exc if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Coherent configurations: class-matrix representation, axiom verification,
 intersection numbers, star involution, fibers, and the ccfg text format.
 
-A configuration on n points is stored as an n x n matrix of class ids in
-[0, r). Class ids are normalized: classes appearing on the diagonal come
-first (ordered by their smallest point), the rest follow in row-major order
-of first occurrence. Verification is a full sweep of axiom 3 by default;
+A configuration on n points is stored as a C-ordered n x n int32 matrix of
+class ids in [0, r). Class ids are normalized: classes appearing on the
+diagonal come first (ordered by their smallest point), the rest follow in
+row-major order of first occurrence. One pass over the cells in blocks of
+KEY_BLOCK finds each class's size and first pair by scatters, with no sort,
+and the axiom-2 and automorphism checks read the matrix in row blocks of
+the same size. Verification is a full sweep of axiom 3 by default;
 check="trusted" skips that sweep for known-good input and the result
 reports itself unchecked. Constructions in other modules pass their output
 through from_class_matrix with the default check, together with point
@@ -41,20 +44,41 @@ class AxiomViolation(Exception):
         super().__init__("axiom (%d): %s; witness %s" % (axiom, message, witness))
 
 
-def _normalization_perm(matrix, first):
-    """Old id -> new id permutation: diagonal classes first by smallest
-    point, then the rest by first row-major occurrence. first[c] is the
-    row-major flat index of the first pair of class c, for every class."""
+def _scan_classes(flat, r, second):
+    """One pass over the row-major cells flat in blocks of KEY_BLOCK: the
+    size of each class of [0, r) and the flat index of its first cell, the
+    least one, found by a scatter-min with no sort. When second is true,
+    also the flat index of its second cell (the first again for a class of
+    one cell), else None. Each class met in a block has met its first cell
+    there or before, so a second scatter-min over the block with its first
+    cells pushed past the end finds the second ones in the same pass. A
+    class not met has size 0."""
+    end = len(flat)
+    sizes = np.zeros(r, dtype=np.int64)
+    first = np.full(r, end, dtype=np.int64)
+    later = first.copy() if second else None
+    for lo in range(0, end, KEY_BLOCK):
+        block = flat[lo : lo + KEY_BLOCK]
+        cells = np.arange(lo, lo + len(block))
+        np.add.at(sizes, block, 1)
+        np.minimum.at(first, block, cells)
+        if later is not None:
+            cells[first[(first >= lo) & (first < lo + len(block))] - lo] = end
+            np.minimum.at(later, block, cells)
+    if later is not None:
+        later = np.where(sizes > 1, later, first)
+    return sizes, first, later
+
+
+def _normalization_order(matrix, first):
+    """New id -> old id: diagonal classes first by smallest point, then the
+    rest by first row-major occurrence. first[c] is the row-major flat
+    index of the first pair of class c, for every class."""
     diag_classes, diag_first = np.unique(np.diagonal(matrix), return_index=True)
     off = np.ones(len(first), dtype=bool)
     off[diag_classes] = False
     rest = np.flatnonzero(off)
-    order = np.concatenate(
-        [diag_classes[np.argsort(diag_first)], rest[np.argsort(first[rest])]]
-    )
-    perm = np.empty(len(first), dtype=np.int32)  # r <= n*n < 2**31 ids
-    perm[order] = np.arange(len(first))
-    return perm
+    return np.concatenate([diag_classes[np.argsort(diag_first)], rest[np.argsort(first[rest])]])
 
 
 def _check_axiom1(matrix, sizes):
@@ -75,18 +99,25 @@ def _check_axiom1(matrix, sizes):
 
 
 def _check_axiom2(matrix, r, x0, y0):
+    """The transpose of every pair of class c lies in star[c], the class of
+    the transpose of c's first pair. Rows x of star[matrix] are compared
+    with columns x of the matrix in bands of about KEY_BLOCK cells, top
+    down, so the first failing band holds the row-major least failure."""
+    n = matrix.shape[0]
     star = matrix[y0, x0]  # transpose class of each first pair
-    transposed = star[matrix]
-    if not np.array_equal(transposed, matrix.T):
-        bad = np.argwhere(transposed != matrix.T)
-        x, y = int(bad[0][0]), int(bad[0][1])
-        c = int(matrix[x, y])
-        raise AxiomViolation(
-            2,
-            (x, y, c, int(star[c]), int(matrix[y, x])),
-            "transpose of class %d is split between classes %d and %d"
-            % (c, int(star[c]), int(matrix[y, x])),
-        )
+    step = max(1, KEY_BLOCK // n)
+    for lo in range(0, n, step):
+        bad = star.take(matrix[lo : lo + step]) != matrix[:, lo : lo + step].T
+        if bad.any():
+            x, y = divmod(int(np.argmax(bad)), n)
+            x += lo
+            c = int(matrix[x, y])
+            raise AxiomViolation(
+                2,
+                (x, y, c, int(star[c]), int(matrix[y, x])),
+                "transpose of class %d is split between classes %d and %d"
+                % (c, int(star[c]), int(matrix[y, x])),
+            )
     assert np.array_equal(star[star], np.arange(r)), "star not an involution"
 
 
@@ -185,22 +216,35 @@ def _axiom3_witness(matrix, r, x0, y0, sizes, rows=None):
     return None
 
 
+def _is_permutation(g, n):
+    """Whether the array g lists every point of range(n) once: n entries,
+    none negative, that mark n distinct points (an entry past n raises
+    IndexError)."""
+    if g.shape != (n,) or g.dtype.kind not in "iu":
+        return False
+    hit = np.zeros(n, dtype=bool)
+    try:
+        hit[g] = True
+    except IndexError:
+        return False
+    return np.count_nonzero(hit) == n and g.min() >= 0
+
+
 def _verified_automorphisms(matrix, automorphisms):
     """The permutations as rows of a read-only int64 array, each checked to
-    be a permutation g of range(n) with matrix[g][:, g] == matrix."""
+    be a permutation g of range(n) with matrix[g][:, g] == matrix, in row
+    blocks of about KEY_BLOCK cells."""
     n = matrix.shape[0]
-    points = np.arange(n)
+    step = max(1, KEY_BLOCK // n)
     rows = []
     for idx, g in enumerate(automorphisms):
         g = np.asarray(g)
-        if (
-            g.shape != (n,)
-            or g.dtype.kind not in "iu"
-            or not (np.sort(g) == points).all()
-        ):
+        if not _is_permutation(g, n):
             raise ValueError("automorphism %d is not a permutation of range(%d)" % (idx, n))
-        if not (matrix.take(g, 0).take(g, 1) == matrix).all():
-            raise ValueError("automorphism %d does not preserve the class matrix" % idx)
+        g = g.astype(np.int64)
+        for lo in range(0, n, step):
+            if not (matrix.take(g[lo : lo + step], 0).take(g, 1) == matrix[lo : lo + step]).all():
+                raise ValueError("automorphism %d does not preserve the class matrix" % idx)
         rows.append(g)
     out = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     out.flags.writeable = False
@@ -226,18 +270,19 @@ class CoherentConfiguration:
     constructions module); direct __init__ expects normalized input.
     automorphisms holds the verified point permutations (read-only rows)."""
 
-    def __init__(self, matrix, rank, verification, class_labels, reps, automorphisms):
+    def __init__(self, matrix, rank, verification, class_labels, reps, sizes, automorphisms):
         self.matrix = matrix
         self.n_points = matrix.shape[0]
         self.rank = rank
         self.verification = verification  # one of CHECKS
         self.class_labels = class_labels
         self.automorphisms = automorphisms
-        # (x0[c], y0[c]): row-major first pair of class c; (x1[c], y1[c]) its
-        # second, or the first again when the class has one pair
+        # (x0[c], y0[c]): row-major first pair of class c. (x1[c], y1[c]): its
+        # second where axiom 3 is unproven (check "trusted"; the first again
+        # when the class has one pair), else the first pair, as nothing reads it
         self._x0, self._y0, self._x1, self._y1 = reps
+        self._sizes = sizes  # pairs per class
         self._star = None
-        self._sizes = None
         self._tensor = None
         self._fibers = None
         self._commutative = None
@@ -277,16 +322,14 @@ class CoherentConfiguration:
         # each class holds a pair: refusing r > n*n keeps every id in int32
         if r > n * n:
             raise ValueError("%d classes exceed the %d pairs of %d points" % (r, n * n, n))
-        matrix = matrix.astype(np.int32)
-        # one stable sort lists each class's pairs in row-major order
-        order = np.argsort(matrix.ravel(), kind="stable")
-        sizes = np.bincount(matrix.ravel(), minlength=r)
+        # row-major int32 cells, so that every pass reads contiguous blocks
+        matrix = matrix.astype(np.int32, order="C", copy=False)
+        sizes, first, second = _scan_classes(matrix.reshape(-1), r, check == "trusted")
         if not sizes.all():
             raise ValueError("class ids not onto [0,%d): missing %s" % (r, np.flatnonzero(sizes == 0).tolist()))
-        starts = np.cumsum(sizes) - sizes
-        first, second = order[starts], order[starts + (sizes > 1)]
-        del order
-        perm = _normalization_perm(matrix, first)
+        back = _normalization_order(matrix, first)  # new id -> old id
+        perm = np.empty(r, dtype=np.int32)  # r <= n*n < 2**31 ids
+        perm[back] = np.arange(r)
         matrix = perm[matrix]
         gens = _verified_automorphisms(matrix, automorphisms)
         if class_labels is not None:
@@ -295,9 +338,8 @@ class CoherentConfiguration:
                 relabeled[perm[old]] = lab
             class_labels = relabeled
         # the pairs of new class perm[c] are those of old class c
-        back = np.argsort(perm)
         x0, y0 = np.divmod(first[back], n)
-        reps = (x0, y0) + np.divmod(second[back], n)
+        reps = (x0, y0) + ((x0, y0) if second is None else np.divmod(second[back], n))
         sizes = sizes[back]
         _check_axiom1(matrix, sizes)
         _check_axiom2(matrix, r, x0, y0)
@@ -306,7 +348,7 @@ class CoherentConfiguration:
             if len(gens):
                 rows = np.flatnonzero(orbit_minima(gens, np.arange(n)) == np.arange(n))
             _check_axiom3(matrix, r, x0, y0, sizes, rows=rows)
-        return cls(matrix, r, check, class_labels, reps, gens)
+        return cls(matrix, r, check, class_labels, reps, sizes, gens)
 
     # -- basic structure ----------------------------------------------
 
@@ -323,8 +365,6 @@ class CoherentConfiguration:
         return int(self.star_vector()[i])
 
     def class_sizes(self):
-        if self._sizes is None:
-            self._sizes = np.bincount(self.matrix.ravel(), minlength=self.rank)
         return self._sizes
 
     def adjacency_matrix(self, i):

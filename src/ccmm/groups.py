@@ -105,6 +105,7 @@ class FiniteGroup:
 
     def __init__(self):
         self._table = None
+        self._gens = None  # codes of the rows table() evaluates; they generate the group
         self._inv = None
         self._classes = None
 
@@ -133,13 +134,14 @@ class FiniteGroup:
             T[0] = np.arange(n)
             reached = bytearray(n)
             reached[0] = 1
-            filled, gens = [0], []  # elements in the order their rows were filled
+            filled, gens, codes = [0], [], []  # elements in the order their rows were filled
             while len(filled) < n:
                 g = reached.find(0)
                 T[g] = self._product(np.full(n, g), np.arange(n))
                 reached[g] = 1
                 filled.append(g)
                 gens.append((T[g], memoryview(T[g])))
+                codes.append(g)
                 # filled grows while it is read; once read to its end it is
                 # closed under every generator, so it is their subgroup
                 for a in filled:
@@ -149,7 +151,7 @@ class FiniteGroup:
                             reached[c] = 1
                             s_row.take(T[a], out=T[c], mode="clip")
                             filled.append(c)
-            self._table = T
+            self._table, self._gens = T, codes
         return self._table
 
     def inverse_vector(self):
@@ -195,8 +197,10 @@ class FiniteGroup:
         return cmap
 
     def is_abelian(self):
+        """Whether every generator table() evaluated commutes with every
+        element: its row equals its column, O(n) per generator."""
         T = self.table()
-        return bool(np.array_equal(T, T.T))
+        return all(np.array_equal(T[g], T[:, g]) for g in self._gens)
 
     def __repr__(self):
         return "<group %s order %d>" % (self.descriptor, self.order)
@@ -357,6 +361,9 @@ class ProductGroup(FiniteGroup):
             np.add(self.g1.table()[:, None, :, None] * np.int32(o2), self.g2.table()[None, :, None, :], out=T)
             self._table = T.reshape(self.order, self.order)
         return self._table
+
+    def is_abelian(self):
+        return self.g1.is_abelian() and self.g2.is_abelian()
 
 
 def make_group(descriptor):

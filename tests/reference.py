@@ -33,7 +33,11 @@ integer matrices, the check that some character degree reaches the fiber
 count, the degree counts at every d <= isqrt(r) from rational ranks of
 the Gram matrices, the floating-point cross-check with its n x n
 idempotent products per cluster, and the Salem-Spencer digit
-construction of a 3AP-free set."""
+construction of a 3AP-free set. Beside the tensor builds sits the first
+form of the class normalization: from_class_matrix with one stable argsort
+of all cells for each class's first and second pairs (sort_first_pairs,
+which the tensor builds also read) and the axiom-2 and automorphism
+checks on whole matrices (sort_from_class_matrix)."""
 
 import itertools
 import math
@@ -44,9 +48,13 @@ from fractions import Fraction
 import numpy as np
 
 from ccmm.configuration import (
+    CHECKS,
     KEY_BLOCK,
+    POINT_CAP,
     AxiomViolation,
     CoherentConfiguration,
+    _check_axiom1,
+    _check_axiom3,
     _key_arrays,
     _positions,
     _sorted_keys,
@@ -247,6 +255,119 @@ class MaskTriangles:
         return x[keep], y[keep], z[keep]
 
 
+def sort_first_pairs(flat, r):
+    """Each class's size and the flat indices of its first and second
+    row-major cells (the first again for a class of one cell), found as
+    from_class_matrix first found them: by one stable argsort of the cells
+    flat, every id of [0, r) present."""
+    order = np.argsort(flat, kind="stable")
+    sizes = np.bincount(flat, minlength=r)
+    starts = np.cumsum(sizes) - sizes
+    return sizes, order[starts], order[starts + (sizes > 1)]
+
+
+def sort_normalization_perm(matrix, first):
+    """Old id -> new id permutation: diagonal classes first by smallest
+    point, then the rest by first row-major occurrence."""
+    diag_classes, diag_first = np.unique(np.diagonal(matrix), return_index=True)
+    off = np.ones(len(first), dtype=bool)
+    off[diag_classes] = False
+    rest = np.flatnonzero(off)
+    order = np.concatenate([diag_classes[np.argsort(diag_first)], rest[np.argsort(first[rest])]])
+    perm = np.empty(len(first), dtype=np.int32)
+    perm[order] = np.arange(len(first))
+    return perm
+
+
+def whole_check_axiom2(matrix, r, x0, y0):
+    """The axiom-2 check as one comparison of star[matrix] with matrix.T."""
+    star = matrix[y0, x0]
+    transposed = star[matrix]
+    if not np.array_equal(transposed, matrix.T):
+        bad = np.argwhere(transposed != matrix.T)
+        x, y = int(bad[0][0]), int(bad[0][1])
+        c = int(matrix[x, y])
+        raise AxiomViolation(
+            2,
+            (x, y, c, int(star[c]), int(matrix[y, x])),
+            "transpose of class %d is split between classes %d and %d" % (c, int(star[c]), int(matrix[y, x])),
+        )
+    assert np.array_equal(star[star], np.arange(r)), "star not an involution"
+
+
+def whole_verified_automorphisms(matrix, automorphisms):
+    """The automorphism checks by sorting each row and by permuting the
+    whole matrix."""
+    n = matrix.shape[0]
+    points = np.arange(n)
+    rows = []
+    for idx, g in enumerate(automorphisms):
+        g = np.asarray(g)
+        if g.shape != (n,) or g.dtype.kind not in "iu" or not (np.sort(g) == points).all():
+            raise ValueError("automorphism %d is not a permutation of range(%d)" % (idx, n))
+        if not (matrix.take(g, 0).take(g, 1) == matrix).all():
+            raise ValueError("automorphism %d does not preserve the class matrix" % idx)
+        rows.append(g)
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    out.flags.writeable = False
+    return out
+
+
+def sort_from_class_matrix(matrix, rank=None, class_labels=None, check="full", automorphisms=()):
+    """CoherentConfiguration.from_class_matrix as it first normalized class
+    ids: an int32 copy of the matrix, one stable argsort of all its cells
+    for every class's first and second pairs (both kept in every mode), and
+    the axiom-2 and automorphism checks on whole matrices. The checks of
+    axioms 1 and 3 are the library's."""
+    if check not in CHECKS:
+        raise ValueError("check must be %s" % " or ".join(CHECKS))
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("class matrix must be square")
+    n = matrix.shape[0]
+    if n < 1:
+        raise ValueError("need at least one point")
+    if n > POINT_CAP:
+        raise ValueError("point count %d exceeds cap %d" % (n, POINT_CAP))
+    if not np.issubdtype(matrix.dtype, np.integer):
+        if not np.array_equal(matrix, matrix.astype(np.int64)):
+            raise ValueError("class ids must be integers")
+    if matrix.min() < 0:
+        raise ValueError("negative class id")
+    top = int(matrix.max())
+    r = top + 1 if rank is None else rank
+    if top >= r:
+        outside = np.unique(matrix[matrix >= r]).tolist()
+        raise ValueError("class ids %s outside [0,%d)" % (outside, r))
+    if r > n * n:
+        raise ValueError("%d classes exceed the %d pairs of %d points" % (r, n * n, n))
+    matrix = matrix.astype(np.int32)
+    sizes = np.bincount(matrix.ravel(), minlength=r)
+    if not sizes.all():
+        raise ValueError("class ids not onto [0,%d): missing %s" % (r, np.flatnonzero(sizes == 0).tolist()))
+    sizes, first, second = sort_first_pairs(matrix.ravel(), r)
+    perm = sort_normalization_perm(matrix, first)
+    matrix = perm[matrix]
+    gens = whole_verified_automorphisms(matrix, automorphisms)
+    if class_labels is not None:
+        relabeled = [None] * r
+        for old, lab in enumerate(class_labels):
+            relabeled[perm[old]] = lab
+        class_labels = relabeled
+    back = np.argsort(perm)
+    x0, y0 = np.divmod(first[back], n)
+    reps = (x0, y0) + np.divmod(second[back], n)
+    sizes = sizes[back]
+    _check_axiom1(matrix, sizes)
+    whole_check_axiom2(matrix, r, x0, y0)
+    if check == "full":
+        rows = None
+        if len(gens):
+            rows = np.flatnonzero(orbit_minima(gens, np.arange(n)) == np.arange(n))
+        _check_axiom3(matrix, r, x0, y0, sizes, rows=rows)
+    return CoherentConfiguration(matrix, r, check, class_labels, reps, sizes, gens)
+
+
 def lexsort_build_tensor(config):
     """The intersection arrays (i, j, k, p) as the tensor build first made
     them: per chunk of classes, the runs of each sorted key row as (key,
@@ -254,11 +375,7 @@ def lexsort_build_tensor(config):
     n, r = config.n_points, config.rank
     x0, y0 = config._x0, config._y0
     left, right = _key_arrays(config.matrix, r)
-    flat = config.matrix.ravel()
-    order = np.argsort(flat, kind="stable")
-    starts = np.zeros(r + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=r), out=starts[1:])
-    x1, y1 = np.divmod(order[np.minimum(starts[:-1] + 1, starts[1:] - 1)], n)
+    x1, y1 = np.divmod(sort_first_pairs(config.matrix.ravel(), r)[2], n)
     chunk = max(1, KEY_BLOCK // n)
     parts = []
     for lo in range(0, r, chunk):
@@ -289,9 +406,11 @@ def packed_build_tensor(config):
     over all z at k's representative pair (x, y), sorted, compared with the
     row at the second pair of k, and each run of equal keys i*r + j is one
     nonzero p^k_{i,j}, packed as the int64 code ((i*r + j)*r + k)*(n+1) + p;
-    one sort of the codes orders them by (i, j, k)."""
+    one sort of the codes orders them by (i, j, k). The second pairs come
+    from the matrix, as a full configuration keeps only the first."""
     n, r = config.n_points, config.rank
-    x0, y0, x1, y1 = config._x0, config._y0, config._x1, config._y1
+    x0, y0 = config._x0, config._y0
+    x1, y1 = np.divmod(sort_first_pairs(config.matrix.ravel(), r)[2], n)
     left, right = _key_arrays(config.matrix, r)
     chunk = max(1, KEY_BLOCK // n)
     codes = []
@@ -474,6 +593,7 @@ class TableGroup(FiniteGroup):
         self.order = table.shape[0]
         self.descriptor = descriptor
         self._table = table
+        self._gens = range(self.order)  # no generators known: is_abelian reads every row
 
     def _product(self, a, b):
         return self._table[a, b]

@@ -1051,6 +1051,18 @@ def test_info_on_a_near_trivial_1000_fits_an_address_space_cap(tmp_path):
     assert err.splitlines()[0] == "witness: (1, 0, 0, 1, 0, 1000, 0, 1)"
 
 
+def test_sympow_of_the_diagonal_9_realizations_under_a_cap_is_not_a_traceback(tmp_path, capsys):
+    """Sym^3 of three diagonal-9 realizations is a <729,729,729> product:
+    under the cap it either passes or exits 2 with one error line."""
+    prefix = str(tmp_path / "d")
+    assert run(capsys, "realize", "diagonal-example", "--n", "9", "--out-prefix", prefix)[0] == 0
+    reals = [a for i in range(3) for a in ("--real", "%s.%d.real" % (prefix, i))]
+    rc, out, err = run_capped("realize", "sympow", "--ccfg", prefix + ".ccfg", *reals)
+    assert rc in (0, 2) and "Traceback" not in err, err
+    if rc == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 # -- bad number tokens and group descriptors name their source -----------------
 
 WANT = ": want cyclic:M, abelian:M1xM2x..., sym:N or wreath:N:BASE"

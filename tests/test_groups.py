@@ -419,6 +419,16 @@ def test_product_group_table_is_one_int32_sum():
     assert np.array_equal(T, (t1[:, None, :, None] * 8 + t2[None, :, None, :]).reshape(256, 256))
 
 
+@pytest.mark.parametrize("desc", LOOP_TABLE_GROUPS + ["product"])
+def test_is_abelian_equals_the_table_against_its_transpose(desc):
+    """Read from the generators' rows and columns (a product group from
+    its factors), is_abelian agrees with comparing the whole table."""
+    G = ProductGroup(make_group("cyclic:4"), make_group("sym:3")) if desc == "product" else make_group(desc)
+    T = G.table()
+    assert G.is_abelian() == np.array_equal(T, T.T)
+    assert TableGroup(T).is_abelian() == np.array_equal(T, T.T)
+
+
 def test_permutation_array_rows_and_cap():
     for n in range(1, 6):
         P = permutation_array(n)
